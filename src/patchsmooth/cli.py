@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 file format error,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,18 +21,20 @@ import numpy as np
 
 from .errors import PatchSmoothError
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
-from .pipeline import load_config, run_bench, run_pipeline, smoothing_config
+from .pipeline import load_config, run_bench, run_pipeline, smoothing_config, synth_world
 from .pool import (
     FileScorerBackend,
     PoolMode,
     build_pool,
+    grid_from_tensor,
     load_grid,
     load_pool,
+    meta_field,
     save_pool,
 )
 from .retrieval import FeatureMap, FeatureVector, RetrievalIndex, RetrievedSet, flatten_normalize, top_m
 from .smoothing import smooth_grid
-from .synthbench import BiasedScorerParams, run_seed_sweep
+from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
 from .tensorfile import atomic_write_text, read_tensor, write_tensor
 
 
@@ -106,60 +109,19 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
             raise click.UsageError("--scores is required for the file backend")
         scorer = FileScorerBackend(scores_dir)
     else:
-        config = load_config(config_path)
-        scorer = _synth_backend(config)
+        scorer = SyntheticScorerBackend(*synth_world(load_config(config_path)))
     pool = build_pool(scorer, retrieved, retrieved.query_id, mode=PoolMode(mode), seed=seed)
     save_pool(pool, out_path)
 
 
-def _synth_backend(config):
-    from .synthbench import SyntheticScorerBackend, generate_world
-
-    w = config["world"]
-    s = config["scorer"]
-    world = generate_world(
-        seed=int(w["seed"]), rows=int(w["rows"]), cols=int(w["cols"]),
-        codebook_size=int(w["codebook_size"]), n_items=int(w["n_items"]),
-        task_family=w["task_family"],
-    )
-    params = BiasedScorerParams(
-        beta_truth=float(s["beta_truth"]), beta_pair=float(s["beta_pair"]),
-        epsilon_noise=float(s["epsilon_noise"]),
-        similarity_coupling=float(s.get("similarity_coupling", 0.0)),
-    )
-    return SyntheticScorerBackend(world, params)
-
-
 def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
-    from .pool import PoolEntry, PromptPool, ScoreGrid
-
+    # one tensor serves whichever key type the config selects
     if query_keys_path is not None:
         keys, _ = read_tensor(query_keys_path)
-        keys = np.asarray(keys, dtype=np.float64)
-        # one tensor serves whichever key type the config selects
-        grid = ScoreGrid(
-            distributions=grid.distributions,
-            prompt=grid.prompt,
-            feature_keys=keys,
-            patch_keys=keys.copy(),
-        )
+        grid = dataclasses.replace(grid, feature_keys=keys, patch_keys=keys)
     if pool_keys_path is not None:
         keys, _ = read_tensor(pool_keys_path)
-        keys = np.asarray(keys, dtype=np.float64)
-        per_patch = tuple(
-            tuple(
-                PoolEntry(
-                    pair_index=e.pair_index,
-                    patch_index=e.patch_index,
-                    distribution=e.distribution,
-                    feature_key=keys[j, l],
-                    patch_key=keys[j, l],
-                )
-                for j, e in enumerate(slot)
-            )
-            for l, slot in enumerate(pool.per_patch)
-        )
-        pool = PromptPool(per_patch=per_patch, prompts=pool.prompts, mode=pool.mode, m=pool.m)
+        pool = dataclasses.replace(pool, feature_keys=keys, patch_keys=keys)
     return grid, pool
 
 
@@ -197,7 +159,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     result = smooth_grid(grid, pool, sconfig)
     shape = grid.prompt.masked_region if grid.prompt is not None else (1, len(grid))
     write_tensor(
-        result.as_array().astype(np.float32),
+        result.probs.astype(np.float32),
         out_path,
         meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()},
     )
@@ -222,10 +184,10 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def decode(in_path, out_path):
     """Argmax-decode a score or smoothed grid into a token grid."""
-    _, meta = read_tensor(in_path)
-    grid = load_grid(in_path)
+    array, meta = read_tensor(in_path)
+    grid = grid_from_tensor(array, meta, source=in_path)
     if "grid" in meta:
-        shape = (int(meta["grid"][0]), int(meta["grid"][1]))
+        shape = tuple(meta_field(meta, "grid", in_path, list, 2, int))
     elif grid.prompt is not None:
         shape = grid.prompt.masked_region
     else:

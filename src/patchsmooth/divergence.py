@@ -45,6 +45,46 @@ class CodebookSpec:
             )
 
 
+def simplex_rows(values) -> np.ndarray:
+    """Check that every row (last axis) of ``values`` is a distribution.
+
+    Entries must be finite and nonnegative, and each row must sum to 1
+    within ``SUM_TOLERANCE``; a row whose sum drifts beyond
+    ``RENORM_THRESHOLD`` is divided by its sum. Returns a read-only
+    float64 copy, so the caller's array is never frozen.
+    """
+    probs = np.array(values, dtype=np.float64)
+    if probs.ndim < 1 or probs.shape[-1] < 2:
+        raise ValidationError(f"expected rows of length >= 2, got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise ValidationError("distribution contains non-finite entries")
+    if np.any(probs < 0.0):
+        raise ValidationError("distribution contains negative entries")
+    totals = probs.sum(axis=-1, keepdims=True)
+    drift = np.abs(totals - 1.0)
+    if np.any(drift > SUM_TOLERANCE):
+        total = float(totals[drift > SUM_TOLERANCE][0])
+        raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
+    renorm = drift[..., 0] > RENORM_THRESHOLD
+    probs[renorm] /= totals[renorm]
+    probs.flags.writeable = False
+    return probs
+
+
+def normalize_scores(values) -> np.ndarray:
+    """Scale each row of raw nonnegative scores to unit mass, then check
+    the rows with ``simplex_rows``."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("scores contain non-finite entries")
+    if np.any(values < 0.0):
+        raise ValidationError("scores contain negative entries")
+    totals = values.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0.0):
+        raise ValidationError("scores have zero total mass")
+    return simplex_rows(values / totals)
+
+
 @dataclass(frozen=True)
 class CodebookDistribution:
     """A probability vector over the codebook tokens.
@@ -56,35 +96,16 @@ class CodebookDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 2:
-            raise ValidationError(f"expected a 1-d vector of length >= 2, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("distribution contains non-finite entries")
-        if np.any(probs < 0.0):
-            raise ValidationError("distribution contains negative entries")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-        if abs(total - 1.0) > RENORM_THRESHOLD:
-            probs = probs / total
-        elif probs is self.probs:
-            probs = probs.copy()  # don't freeze the caller's array
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        if np.ndim(self.probs) != 1:
+            raise ValidationError(
+                f"expected a 1-d vector of length >= 2, got shape {np.shape(self.probs)}"
+            )
+        object.__setattr__(self, "probs", simplex_rows(self.probs))
 
     @classmethod
     def from_scores(cls, values) -> "CodebookDistribution":
         """Normalize raw nonnegative scores of any positive total mass."""
-        values = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("scores contain non-finite entries")
-        if np.any(values < 0.0):
-            raise ValidationError("scores contain negative entries")
-        total = float(values.sum())
-        if total <= 0.0:
-            raise ValidationError("scores have zero total mass")
-        return cls(values / total)
+        return cls(normalize_scores(values))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -105,7 +126,19 @@ def kl_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
     Returns +inf when b lacks support somewhere a has mass.
     """
     _check_pair(a, b)
-    p, q = a.probs, b.probs
+    return _kl(a.probs, b.probs)
+
+
+def js_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
+    """Symmetric Jensen-Shannon divergence, in nats; bounded by ln 2.
+
+    JS(a, b) = (KL(a || z) + KL(b || z)) / 2 with z = (a + b) / 2.
+    """
+    _check_pair(a, b)
+    return _js(a.probs, b.probs)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
     support = p > 0.0
     if np.any(q[support] == 0.0):
         return float("inf")
@@ -117,13 +150,7 @@ def kl_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
     return max(value, 0.0)
 
 
-def js_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
-    """Symmetric Jensen-Shannon divergence, in nats; bounded by ln 2.
-
-    JS(a, b) = (KL(a || z) + KL(b || z)) / 2 with z = (a + b) / 2.
-    """
-    _check_pair(a, b)
-    p, q = a.probs, b.probs
+def _js(p: np.ndarray, q: np.ndarray) -> float:
     z = (p + q) / 2.0
     total = _kl_against_midpoint(p, z) + _kl_against_midpoint(q, z)
     return max(0.5 * total, 0.0)
@@ -139,18 +166,21 @@ def _kl_against_midpoint(p: np.ndarray, z: np.ndarray) -> float:
     return float(np.sum(ps * (np.log(ps) - np.log(z[support]))))
 
 
-def pairwise_divergence(
-    query: CodebookDistribution,
-    pool: list[CodebookDistribution],
-    kind: str = "js",
-) -> np.ndarray:
-    """Divergence of each pool entry against the query, order preserved.
+def pairwise_divergence(query: np.ndarray, pool: np.ndarray, kind: str = "js") -> np.ndarray:
+    """Divergence of each row of the (N, V) ``pool`` against the (V,) ``query``.
 
     ``kind="kl"`` computes KL(pool_i || query); ``kind="js"`` the symmetric JS.
-    An empty pool yields an empty vector. Results agree exactly with the
-    corresponding scalar calls.
+    Both operands are taken to be distributions already (see
+    ``simplex_rows``). An empty pool yields an empty vector. Results agree
+    exactly with the corresponding scalar calls.
     """
     if kind not in ("js", "kl"):
         raise ValidationError(f"unknown divergence kind {kind!r}")
-    fn = js_divergence if kind == "js" else kl_divergence
-    return np.array([fn(entry, query) for entry in pool], dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    pool = np.asarray(pool, dtype=np.float64)
+    if query.ndim != 1 or pool.ndim != 2 or pool.shape[1] != query.size:
+        raise DimensionError(
+            f"expected a (V,) query and an (N, V) pool, got {query.shape} and {pool.shape}"
+        )
+    fn = _js if kind == "js" else _kl
+    return np.array([fn(row, query) for row in pool], dtype=np.float64)

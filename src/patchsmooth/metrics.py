@@ -52,14 +52,13 @@ class TokenValueDecoder:
 
 def decode_argmax(grid: ScoreGrid | SmoothedGrid, shape: tuple[int, int] | None = None) -> PredictionGrid:
     """Per-patch argmax; ties resolve to the lowest token id."""
-    distributions = grid.distributions
     if shape is None:
         prompt = getattr(grid, "prompt", None)
-        shape = prompt.masked_region if prompt is not None else (1, len(distributions))
+        shape = prompt.masked_region if prompt is not None else (1, len(grid.probs))
     return PredictionGrid(
-        tokens=tuple(int(np.argmax(d.probs)) for d in distributions),
+        tokens=tuple(int(t) for t in np.argmax(grid.probs, axis=1)),
         grid=shape,
-        codebook_size=len(distributions[0]),
+        codebook_size=grid.probs.shape[1],
     )
 
 

@@ -9,6 +9,7 @@ them byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 import tracemalloc
@@ -31,6 +32,7 @@ from .smoothing import (
 from .synthbench import (
     BiasedScorerParams,
     SyntheticScorerBackend,
+    SyntheticWorld,
     generate_world,
     run_bias_experiment,
 )
@@ -79,7 +81,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
-    """Defaults <- config file <- explicit overrides, deep-merged."""
+    """Defaults <- config file <- explicit overrides, deep-merged; the
+    result shares no nested dict with the defaults or the inputs."""
     config = DEFAULT_CONFIG
     if path is not None:
         try:
@@ -91,7 +94,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         config = _deep_merge(config, loaded)
     if overrides:
         config = _deep_merge(config, overrides)
-    return config
+    return copy.deepcopy(config)
 
 
 def smoothing_config(config: dict, m: int) -> SmoothingConfig:
@@ -142,7 +145,9 @@ def _token_mse(a, b) -> float:
     return mse(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
-def _synth_pipeline(config: dict) -> PipelineReport:
+def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
+    """The synthetic world and scorer weights a config's world and scorer
+    sections describe."""
     w = config["world"]
     world = generate_world(
         seed=int(w["seed"]),
@@ -159,6 +164,11 @@ def _synth_pipeline(config: dict) -> PipelineReport:
         epsilon_noise=float(s["epsilon_noise"]),
         similarity_coupling=float(s.get("similarity_coupling", 0.0)),
     )
+    return world, params
+
+
+def _synth_pipeline(config: dict) -> PipelineReport:
+    world, params = synth_world(config)
     smoothing = smoothing_config(config, m=int(config["retrieval"]["m"]))
     experiment = run_bias_experiment(
         world,
@@ -270,22 +280,7 @@ def run_bench(config: dict, pool_path: str | Path | None = None) -> dict:
     machine's own, comparable only to themselves."""
     from .retrieval import top_m
 
-    w = config["world"]
-    world = generate_world(
-        seed=int(w["seed"]),
-        rows=int(w["rows"]),
-        cols=int(w["cols"]),
-        codebook_size=int(w["codebook_size"]),
-        n_items=int(w["n_items"]),
-        task_family=w["task_family"],
-    )
-    s = config["scorer"]
-    params = BiasedScorerParams(
-        beta_truth=float(s["beta_truth"]),
-        beta_pair=float(s["beta_pair"]),
-        epsilon_noise=float(s["epsilon_noise"]),
-        similarity_coupling=float(s.get("similarity_coupling", 0.0)),
-    )
+    world, params = synth_world(config)
     backend = SyntheticScorerBackend(world, params)
     smoothing = smoothing_config(config, m=int(config["retrieval"]["m"]))
     query = world.query_ids[0]

@@ -18,8 +18,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .divergence import CodebookDistribution, CodebookSpec
-from .errors import ConfigError, DimensionError, MissingItemError, ValidationError
+from .divergence import CodebookSpec, normalize_scores, simplex_rows
+from .errors import ConfigError, DimensionError, FormatError, MissingItemError, ValidationError
 from .retrieval import RetrievedSet
 from .tensorfile import read_tensor, write_tensor
 
@@ -43,49 +43,52 @@ class PromptSpec:
         return self.masked_region[0] * self.masked_region[1]
 
 
+def _frozen_keys(keys, leading: tuple[int, ...], name: str):
+    """Optional key array whose leading axes must match ``leading``."""
+    if keys is None:
+        return None
+    keys = np.asarray(keys, dtype=np.float64)
+    if keys.ndim != len(leading) + 1 or keys.shape[:-1] != leading:
+        raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {keys.shape}")
+    keys.flags.writeable = False
+    return keys
+
+
 @dataclass(frozen=True)
 class ScoreGrid:
     """Per-patch assignment-score distributions from one prompt.
 
+    ``probs`` is (L, |V|), one distribution per masked patch.
     ``feature_keys`` / ``patch_keys`` are optional (L, dim) arrays used when
     neighbor selection keys off intermediate features or decoded patches
     instead of the scores themselves.
     """
 
-    distributions: tuple[CodebookDistribution, ...]
+    probs: np.ndarray = field(repr=False)
     prompt: PromptSpec | None = None
     feature_keys: np.ndarray | None = field(default=None, repr=False)
     patch_keys: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.distributions:
+        if np.ndim(self.probs) != 2:
+            raise DimensionError(f"score grid must be (L, |V|), got shape {np.shape(self.probs)}")
+        if len(self.probs) == 0:
             raise ValidationError("score grid has no patches")
-        sizes = {len(d) for d in self.distributions}
-        if len(sizes) != 1:
-            raise DimensionError(f"inconsistent codebook sizes in grid: {sorted(sizes)}")
-        if self.prompt is not None and len(self.distributions) != self.prompt.patch_count:
+        probs = simplex_rows(self.probs)
+        if self.prompt is not None and len(probs) != self.prompt.patch_count:
             raise DimensionError(
-                f"grid has {len(self.distributions)} patches, prompt masks {self.prompt.patch_count}"
+                f"grid has {len(probs)} patches, prompt masks {self.prompt.patch_count}"
             )
+        object.__setattr__(self, "probs", probs)
         for name in ("feature_keys", "patch_keys"):
-            keys = getattr(self, name)
-            if keys is None:
-                continue
-            keys = np.asarray(keys, dtype=np.float64)
-            if keys.ndim != 2 or keys.shape[0] != len(self.distributions):
-                raise DimensionError(f"{name} must be (L, dim), got {keys.shape}")
-            keys.flags.writeable = False
-            object.__setattr__(self, name, keys)
+            object.__setattr__(self, name, _frozen_keys(getattr(self, name), (len(probs),), name))
 
     def __len__(self) -> int:
-        return len(self.distributions)
+        return len(self.probs)
 
     @property
     def codebook_size(self) -> int:
-        return len(self.distributions[0])
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([d.probs for d in self.distributions])
+        return self.probs.shape[1]
 
 
 class ScorerBackend(Protocol):
@@ -114,52 +117,53 @@ class PoolMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PoolEntry:
-    """One pooled distribution with its (pair index, patch index) provenance."""
-
-    pair_index: int
-    patch_index: int
-    distribution: CodebookDistribution
-    feature_key: np.ndarray | None = field(default=None, repr=False)
-    patch_key: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
 class PromptPool:
-    """Per-patch candidate distributions plus construction provenance."""
+    """Candidate distributions for every patch slot, plus provenance.
 
-    per_patch: tuple[tuple[PoolEntry, ...], ...]
+    ``probs`` is (W, L, |V|): row ``probs[j, l]`` is patch l as scored by
+    the prompt built around retrieved pair ``pair_indices[j]`` (distinct;
+    ``build_pool`` numbers pairs from 1). The optional key arrays are
+    (W, L, dim).
+    """
+
+    probs: np.ndarray = field(repr=False)
+    pair_indices: np.ndarray
     prompts: tuple[PromptSpec, ...]
     mode: PoolMode | None
     m: int
+    feature_keys: np.ndarray | None = field(default=None, repr=False)
+    patch_keys: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.per_patch:
-            raise ValidationError("pool has no patch slots")
-        widths = {len(slot) for slot in self.per_patch}
-        if len(widths) != 1:
-            raise ValidationError(f"patch slots disagree in width: {sorted(widths)}")
-        for l, slot in enumerate(self.per_patch):
-            indices = [e.pair_index for e in slot]
-            if len(set(indices)) != len(indices):
-                raise ValidationError(f"duplicate provenance indices at patch {l}")
-            for e in slot:
-                if e.patch_index != l:
-                    raise ValidationError(
-                        f"entry with patch index {e.patch_index} stored in slot {l}"
-                    )
+        if np.ndim(self.probs) != 3:
+            raise DimensionError(f"pool must be (W, L, |V|), got shape {np.shape(self.probs)}")
+        if 0 in np.shape(self.probs)[:2]:
+            raise ValidationError("pool has no entries")
+        probs = simplex_rows(self.probs)
+        indices = np.array(self.pair_indices, dtype=np.int64)
+        if indices.shape != (len(probs),):
+            raise ValidationError(
+                f"{indices.size} provenance indices for a pool of width {len(probs)}"
+            )
+        if len(np.unique(indices)) != len(indices):
+            raise ValidationError(f"duplicate provenance indices {indices.tolist()}")
+        indices.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "pair_indices", indices)
+        for name in ("feature_keys", "patch_keys"):
+            object.__setattr__(self, name, _frozen_keys(getattr(self, name), probs.shape[:2], name))
 
     @property
     def patch_count(self) -> int:
-        return len(self.per_patch)
+        return self.probs.shape[1]
 
     @property
     def width(self) -> int:
-        return len(self.per_patch[0])
+        return self.probs.shape[0]
 
     @property
     def codebook_size(self) -> int:
-        return len(self.per_patch[0][0].distribution)
+        return self.probs.shape[2]
 
 
 def score_prompt(backend: ScorerBackend, prompt: PromptSpec) -> ScoreGrid:
@@ -219,35 +223,29 @@ def build_pool(
             indices.append(pos + 1)
 
     grids = [score_prompt(backend, p) for p in prompts]
-    patch_count = region[0] * region[1]
-    per_patch = tuple(
-        tuple(
-            PoolEntry(
-                pair_index=indices[j],
-                patch_index=l,
-                distribution=grids[j].distributions[l],
-                feature_key=None if grids[j].feature_keys is None else grids[j].feature_keys[l],
-                patch_key=None if grids[j].patch_keys is None else grids[j].patch_keys[l],
-            )
-            for j in range(len(prompts))
-        )
-        for l in range(patch_count)
+    return PromptPool(
+        probs=np.stack([g.probs for g in grids]),
+        pair_indices=indices,
+        prompts=tuple(prompts),
+        mode=mode,
+        m=m,
+        feature_keys=_stacked_keys([g.feature_keys for g in grids]),
+        patch_keys=_stacked_keys([g.patch_keys for g in grids]),
     )
-    return PromptPool(per_patch=per_patch, prompts=tuple(prompts), mode=mode, m=m)
 
 
-def merge_all_patches(pool: PromptPool) -> tuple[PoolEntry, ...]:
-    """Flatten the pool into one list over all patches, provenance intact."""
-    return tuple(entry for slot in pool.per_patch for entry in slot)
+def _stacked_keys(keys):
+    return None if any(k is None for k in keys) else np.stack(keys)
 
 
 class FileScorerBackend:
     """Scorer fed by exported score tensors.
 
     The directory holds a ``manifest.json`` naming the grid geometry,
-    codebook size, patch ordering used by the exporter, the input->output
-    pair mapping, and one (L, |V|) f32 tensor file per prompt keyed by
-    ``input__output__anchor``. Rows are renormalized on import.
+    codebook size, patch ordering used by the exporter (only
+    ``row-major`` is understood), the input->output pair mapping, and one
+    (L, |V|) f32 tensor file per prompt keyed by ``input__output__anchor``.
+    Rows are renormalized on import.
     """
 
     def __init__(self, scores_dir: str | Path):
@@ -255,12 +253,19 @@ class FileScorerBackend:
         manifest_path = self._dir / "manifest.json"
         if not manifest_path.exists():
             raise MissingItemError(f"no manifest.json in {self._dir}")
-        manifest = json.loads(manifest_path.read_text())
-        self._grid = (int(manifest["grid"][0]), int(manifest["grid"][1]))
-        self._codebook = CodebookSpec(size=int(manifest["codebook_size"]))
-        self._pairs = dict(manifest["pairs"])
-        self._prompt_files = dict(manifest["prompts"])
-        self.patch_order = manifest.get("patch_order", "row-major")
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+        rows, cols = meta_field(manifest, "grid", manifest_path, list, 2, int)
+        self._grid = (rows, cols)
+        self._codebook = CodebookSpec(size=meta_field(manifest, "codebook_size", manifest_path, int))
+        self._pairs = meta_field(manifest, "pairs", manifest_path, dict, items=str)
+        self._prompt_files = meta_field(manifest, "prompts", manifest_path, dict, items=str)
+        if manifest.get("patch_order", "row-major") != "row-major":
+            raise FormatError(
+                f"{manifest_path}: patch_order {manifest['patch_order']!r} is not 'row-major'"
+            )
 
     @property
     def codebook(self) -> CodebookSpec:
@@ -285,21 +290,45 @@ class FileScorerBackend:
                 f"exported tensor {key!r} has shape {array.shape}, "
                 f"expected {(prompt.patch_count, self._codebook.size)}"
             )
-        rows = np.asarray(array, dtype=np.float64)
-        return ScoreGrid(
-            distributions=tuple(CodebookDistribution.from_scores(row) for row in rows),
-            prompt=prompt,
+        return ScoreGrid(probs=normalize_scores(array), prompt=prompt)
+
+
+def meta_field(meta, name: str, source, kind: type, length: int | None = None,
+               items: type | None = None):
+    """``meta[name]`` if it is a ``kind`` (of ``length`` entries, each an
+    ``items``); otherwise a FormatError naming the field."""
+    value = meta.get(name) if isinstance(meta, dict) else None
+    entries = value.values() if isinstance(value, dict) else value
+    if not (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (length is None or len(value) == length)
+        and (items is None or all(isinstance(v, items) and not isinstance(v, bool) for v in entries))
+    ):
+        raise FormatError(
+            f"{source}: field {name!r} is missing, short or not a {kind.__name__}: {value!r}"
         )
+    return value
+
+
+def _prompt_meta(prompt: PromptSpec) -> dict:
+    return {
+        "in_context_input": prompt.in_context_input,
+        "in_context_output": prompt.in_context_output,
+        "anchor": prompt.anchor,
+        "masked_region": list(prompt.masked_region),
+    }
+
+
+def _prompt_from_meta(meta, source) -> PromptSpec:
+    ids = [meta_field(meta, name, source, str)
+           for name in ("in_context_input", "in_context_output", "anchor")]
+    rows, cols = meta_field(meta, "masked_region", source, list, 2, int)
+    return PromptSpec(*ids, (rows, cols))
 
 
 def save_pool(pool: PromptPool, path: str | Path) -> None:
     """Serialize to a (width, L, |V|) f32 tensor with a provenance sidecar."""
-    array = np.stack(
-        [
-            np.stack([pool.per_patch[l][j].distribution.probs for l in range(pool.patch_count)])
-            for j in range(pool.width)
-        ]
-    ).astype(np.float32)
     meta = {
         "schema_version": 1,
         "kind": "prompt-pool",
@@ -307,18 +336,10 @@ def save_pool(pool: PromptPool, path: str | Path) -> None:
         "m": pool.m,
         "patch_count": pool.patch_count,
         "codebook_size": pool.codebook_size,
-        "pair_indices": [pool.per_patch[0][j].pair_index for j in range(pool.width)],
-        "prompts": [
-            {
-                "in_context_input": p.in_context_input,
-                "in_context_output": p.in_context_output,
-                "anchor": p.anchor,
-                "masked_region": list(p.masked_region),
-            }
-            for p in pool.prompts
-        ],
+        "pair_indices": pool.pair_indices.tolist(),
+        "prompts": [_prompt_meta(p) for p in pool.prompts],
     }
-    write_tensor(array, path, meta=meta)
+    write_tensor(pool.probs.astype(np.float32), path, meta=meta)
 
 
 def load_pool(path: str | Path) -> PromptPool:
@@ -327,34 +348,17 @@ def load_pool(path: str | Path) -> PromptPool:
         raise ValidationError(f"{path} is not a pool file")
     if array.ndim != 3:
         raise DimensionError(f"pool tensor must be rank 3, got shape {array.shape}")
-    width, patch_count, _ = array.shape
-    prompts = tuple(
-        PromptSpec(
-            p["in_context_input"],
-            p["in_context_output"],
-            p["anchor"],
-            (int(p["masked_region"][0]), int(p["masked_region"][1])),
-        )
-        for p in meta["prompts"]
-    )
-    pair_indices = [int(i) for i in meta["pair_indices"]]
-    rows = np.asarray(array, dtype=np.float64)
-    per_patch = tuple(
-        tuple(
-            PoolEntry(
-                pair_index=pair_indices[j],
-                patch_index=l,
-                distribution=CodebookDistribution.from_scores(rows[j, l]),
-            )
-            for j in range(width)
-        )
-        for l in range(patch_count)
-    )
+    try:
+        mode = PoolMode(meta["mode"]) if meta.get("mode") else None
+    except ValueError as exc:
+        raise FormatError(f"{path}: field 'mode': {exc}") from exc
+    prompts = meta_field(meta, "prompts", path, list, items=dict)
     return PromptPool(
-        per_patch=per_patch,
-        prompts=prompts,
-        mode=PoolMode(meta["mode"]) if meta.get("mode") else None,
-        m=int(meta["m"]),
+        probs=normalize_scores(array),
+        pair_indices=meta_field(meta, "pair_indices", path, list, len(array), int),
+        prompts=tuple(_prompt_from_meta(p, path) for p in prompts),
+        mode=mode,
+        m=meta_field(meta, "m", path, int),
     )
 
 
@@ -362,32 +366,21 @@ def save_grid(grid: ScoreGrid, path: str | Path, extra_meta: dict | None = None)
     """Serialize a score grid to an (L, |V|) f32 tensor."""
     meta = {"schema_version": 1, "kind": "score-grid"}
     if grid.prompt is not None:
-        meta["prompt"] = {
-            "in_context_input": grid.prompt.in_context_input,
-            "in_context_output": grid.prompt.in_context_output,
-            "anchor": grid.prompt.anchor,
-            "masked_region": list(grid.prompt.masked_region),
-        }
+        meta["prompt"] = _prompt_meta(grid.prompt)
     if extra_meta:
         meta.update(extra_meta)
-    write_tensor(grid.as_array().astype(np.float32), path, meta=meta)
+    write_tensor(grid.probs.astype(np.float32), path, meta=meta)
+
+
+def grid_from_tensor(array: np.ndarray, meta: dict, source="tensor") -> ScoreGrid:
+    """The score grid held by one read (array, sidecar) pair; rows are
+    renormalized."""
+    if array.ndim != 2:
+        raise DimensionError(f"score grid tensor must be rank 2, got shape {array.shape}")
+    prompt = _prompt_from_meta(meta["prompt"], source) if "prompt" in meta else None
+    return ScoreGrid(probs=normalize_scores(array), prompt=prompt)
 
 
 def load_grid(path: str | Path) -> ScoreGrid:
     array, meta = read_tensor(path)
-    if array.ndim != 2:
-        raise DimensionError(f"score grid tensor must be rank 2, got shape {array.shape}")
-    prompt = None
-    if "prompt" in meta:
-        p = meta["prompt"]
-        prompt = PromptSpec(
-            p["in_context_input"],
-            p["in_context_output"],
-            p["anchor"],
-            (int(p["masked_region"][0]), int(p["masked_region"][1])),
-        )
-    rows = np.asarray(array, dtype=np.float64)
-    return ScoreGrid(
-        distributions=tuple(CodebookDistribution.from_scores(row) for row in rows),
-        prompt=prompt,
-    )
+    return grid_from_tensor(array, meta, source=path)

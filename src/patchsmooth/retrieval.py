@@ -68,12 +68,15 @@ def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
 class RetrievalIndex:
     """Immutable collection of support-set feature vectors.
 
-    Entry order is the insertion order; it is the tie-breaking order for
-    equal similarities, so it must be fixed before any query runs.
+    Only the stacked read-only (N, dim) matrix and the ids are kept, not
+    the vectors themselves. Entry order is the insertion order; it is the
+    tie-breaking order for equal similarities, so it must be fixed before
+    any query runs.
     """
 
     def __init__(self, entries: Sequence[FeatureVector]):
         entries = tuple(entries)
+        self._ids = tuple(e.identifier for e in entries)
         if entries:
             dim = entries[0].values.size
             for e in entries:
@@ -81,21 +84,19 @@ class RetrievalIndex:
                     raise DimensionError(
                         f"index vectors disagree in length: {dim} vs {e.values.size} ({e.identifier!r})"
                     )
-            ids = [e.identifier for e in entries]
-            if len(set(ids)) != len(ids):
+            if len(set(self._ids)) != len(self._ids):
                 raise ValidationError("duplicate item ids in retrieval index")
             self._matrix = np.stack([e.values for e in entries])
         else:
             self._matrix = np.empty((0, 0))
         self._matrix.flags.writeable = False
-        self._entries = entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(e.identifier for e in self._entries)
+        return self._ids
 
     @property
     def dim(self) -> int:

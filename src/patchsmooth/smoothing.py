@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import CodebookDistribution, pairwise_divergence
+from .divergence import pairwise_divergence, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
-from .pool import PoolEntry, PromptPool, ScoreGrid, merge_all_patches
+from .pool import PromptPool, ScoreGrid
 
 
 class DivergenceKind(enum.Enum):
@@ -106,102 +106,23 @@ class SmoothingConfig:
 
 
 @dataclass(frozen=True)
-class Neighbor:
-    """A selected pool entry with its distance to the query key."""
-
-    pair_index: int
-    patch_index: int
-    distance: float
-    distribution: CodebookDistribution | None = None
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Selected neighbors in ascending-distance order."""
-
-    entries: tuple[Neighbor, ...]
-
-    def __post_init__(self):
-        d = [n.distance for n in self.entries]
-        if any(d[i] > d[i + 1] for i in range(len(d) - 1)):
-            raise ValidationError("neighbor distances must be nondecreasing")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def distances(self) -> np.ndarray:
-        return np.array([n.distance for n in self.entries], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class SmoothedGrid:
     """Smoothed per-patch distributions plus selection diagnostics.
 
-    ``diagnostics[l]`` lists (pair index, patch index, distance, weight)
-    for every neighbor that contributed at patch l.
+    ``probs`` is (L, |V|). ``diagnostics[l]`` lists (pair index, patch
+    index, distance, weight) for every neighbor that contributed at patch l.
     """
 
-    distributions: tuple[CodebookDistribution, ...]
+    probs: np.ndarray = field(repr=False)
     diagnostics: tuple[tuple[tuple[int, int, float, float], ...], ...] = ()
 
+    def __post_init__(self):
+        if np.ndim(self.probs) != 2:
+            raise DimensionError(f"smoothed grid must be (L, |V|), got shape {np.shape(self.probs)}")
+        object.__setattr__(self, "probs", simplex_rows(self.probs))
+
     def __len__(self) -> int:
-        return len(self.distributions)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([d.probs for d in self.distributions])
-
-
-def _ordered_indices(distances: np.ndarray, pair_idx, patch_idx) -> np.ndarray:
-    # distance, then pair index, then patch index; infinities sort last
-    return np.lexsort((np.asarray(patch_idx), np.asarray(pair_idx), distances))
-
-
-def _entry_distances(query_key, entries: Sequence[PoolEntry], config: SmoothingConfig) -> np.ndarray:
-    if config.key is NeighborKey.SCORE:
-        return pairwise_divergence(
-            query_key, [e.distribution for e in entries], kind=config.divergence.value
-        )
-    attr = "feature_key" if config.key is NeighborKey.FEATURE else "patch_key"
-    query = np.asarray(query_key, dtype=np.float64)
-    out = np.empty(len(entries), dtype=np.float64)
-    for j, e in enumerate(entries):
-        vec = getattr(e, attr)
-        if vec is None:
-            raise ConfigError(f"pool entries carry no {attr} but config selects by it")
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != query.shape:
-            raise DimensionError(f"{attr} shape {vec.shape} != query key shape {query.shape}")
-        out[j] = np.linalg.norm(vec - query)
-    return out
-
-
-def knn_select(query_key, entries: Sequence[PoolEntry], k: int, config: SmoothingConfig) -> NeighborSet:
-    """The k pool entries nearest the query key, ascending distance.
-
-    Ties break by pair index then patch index; k larger than the pool
-    clamps silently to the pool size.
-    """
-    if not entries:
-        raise ValidationError("cannot select neighbors from an empty pool")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    distances = _entry_distances(query_key, entries, config)
-    order = _ordered_indices(
-        distances,
-        [e.pair_index for e in entries],
-        [e.patch_index for e in entries],
-    )[: min(k, len(entries))]
-    return NeighborSet(
-        entries=tuple(
-            Neighbor(
-                pair_index=entries[j].pair_index,
-                patch_index=entries[j].patch_index,
-                distance=float(distances[j]),
-                distribution=entries[j].distribution,
-            )
-            for j in order
-        )
-    )
+        return len(self.probs)
 
 
 def softmax_weights(distances, tau: float) -> np.ndarray:
@@ -221,55 +142,71 @@ def softmax_weights(distances, tau: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _aggregation_weights(neighbors: NeighborSet, config: SmoothingConfig) -> np.ndarray:
+def _aggregation_weights(distances: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     if config.aggregation is Aggregation.WEIGHTED:
-        return softmax_weights(neighbors.distances(), config.tau)
+        return softmax_weights(distances, config.tau)
     if config.aggregation is Aggregation.AVERAGE:
-        return np.full(len(neighbors), 1.0 / len(neighbors))
-    weights = np.zeros(len(neighbors))
+        return np.full(len(distances), 1.0 / len(distances))
+    weights = np.zeros(len(distances))
     weights[0] = 1.0
     return weights
 
 
-def _blend(s: np.ndarray, neighbors: NeighborSet, config: SmoothingConfig) -> tuple[np.ndarray, np.ndarray]:
-    weights = _aggregation_weights(neighbors, config)
-    if config.aggregation is Aggregation.NEAREST:
-        pooled = neighbors.entries[0].distribution.probs * weights[0]
-    else:
-        pooled = np.zeros_like(s)
-        for w, neighbor in zip(weights, neighbors.entries):
-            pooled += w * neighbor.distribution.probs
-    return (1.0 - config.alpha) * s + config.alpha * pooled, weights
+def _select_and_blend(rows, keys, candidates, config: SmoothingConfig):
+    """Blend every row of ``rows`` (L, D) with its k nearest candidates.
 
-
-def smooth_patch(
-    s: CodebookDistribution, neighbors: NeighborSet, config: SmoothingConfig
-) -> CodebookDistribution:
-    """Blend one patch distribution with its selected neighbors.
-
-    An empty neighbor set returns s unchanged. The convex combination
-    already lies on the simplex; renormalization fires only if float
-    drift exceeds 1e-9.
+    ``candidates[l]`` is (values (N, D), keys (N, d) or None, pair (N,),
+    patch (N,)) for row l. With ``keys`` None, distances are the config's
+    divergence between candidate values and the row; otherwise they are l2
+    distances between candidate keys and ``keys[l]``. Neighbors are the
+    first k by (distance, pair index, patch index); a row without
+    candidates is returned unchanged. Returns the (L, D) blend and, per
+    row, the (pair, patch, distance, weight) of every chosen neighbor.
     """
-    if len(neighbors) == 0:
-        return s
-    for n in neighbors.entries:
-        if n.distribution is None or len(n.distribution) != len(s):
-            raise DimensionError("neighbor distributions must match the query length")
-    vec, _ = _blend(s.probs, neighbors, config)
-    total = float(vec.sum())
-    if abs(total - 1.0) > 1e-9:
-        vec = vec / total
-    return CodebookDistribution(vec)
+    out = np.empty_like(rows)
+    diagnostics = []
+    for l, s in enumerate(rows):
+        values, cand_keys, pair, patch = candidates[l]
+        if len(values) == 0:
+            out[l] = s
+            diagnostics.append(())
+            continue
+        if keys is None:
+            distances = pairwise_divergence(s, values, kind=config.divergence.value)
+        else:
+            distances = np.array([np.linalg.norm(key - keys[l]) for key in cand_keys])
+        # distance, then pair index, then patch index; infinities sort last
+        chosen = np.lexsort((patch, pair, distances))[: config.k]
+        weights = _aggregation_weights(distances[chosen], config)
+        if config.aggregation is Aggregation.NEAREST:
+            pooled = values[chosen[0]] * weights[0]
+        else:
+            pooled = np.zeros_like(s)
+            for w, j in zip(weights, chosen):
+                pooled += w * values[j]
+        out[l] = (1.0 - config.alpha) * s + config.alpha * pooled
+        diagnostics.append(tuple(
+            (int(pair[j]), int(patch[j]), float(distances[j]), float(w))
+            for j, w in zip(chosen, weights)
+        ))
+    return out, tuple(diagnostics)
 
 
-def _query_key(grid: ScoreGrid, l: int, config: SmoothingConfig):
+def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
+    """The (L, d) query keys and (W, L, d) pool keys, or None for score keys."""
     if config.key is NeighborKey.SCORE:
-        return grid.distributions[l]
-    keys = grid.feature_keys if config.key is NeighborKey.FEATURE else grid.patch_keys
-    if keys is None:
+        return None, None
+    name = "feature_keys" if config.key is NeighborKey.FEATURE else "patch_keys"
+    query_keys, pool_keys = getattr(grid, name), getattr(pool, name)
+    if query_keys is None:
         raise ConfigError(f"query grid carries no {config.key.value} keys")
-    return keys[l]
+    if pool_keys is None:
+        raise ConfigError(f"pool carries no {name} but config selects by it")
+    if pool_keys.shape[2] != query_keys.shape[1]:
+        raise DimensionError(
+            f"pool {name} have length {pool_keys.shape[2]}, query keys {query_keys.shape[1]}"
+        )
+    return query_keys, pool_keys
 
 
 def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig) -> SmoothedGrid:
@@ -282,25 +219,28 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         raise DimensionError(
             f"codebook size mismatch: grid {query_grid.codebook_size}, pool {pool.codebook_size}"
         )
-    flat = merge_all_patches(pool) if config.scope is PoolScope.ALL_PATCH else None
-
-    smoothed: list[CodebookDistribution] = []
-    diagnostics: list[tuple[tuple[int, int, float, float], ...]] = []
-    for l in range(pool.patch_count):
-        candidates = flat if flat is not None else pool.per_patch[l]
-        neighbors = knn_select(_query_key(query_grid, l, config), candidates, config.k, config)
-        vec, weights = _blend(query_grid.distributions[l].probs, neighbors, config)
-        total = float(vec.sum())
-        if abs(total - 1.0) > 1e-9:
-            vec = vec / total
-        smoothed.append(CodebookDistribution(vec))
-        diagnostics.append(
-            tuple(
-                (n.pair_index, n.patch_index, n.distance, float(w))
-                for n, w in zip(neighbors.entries, weights)
-            )
+    query_keys, pool_keys = _selection_keys(query_grid, pool, config)
+    width, patches = pool.width, pool.patch_count
+    if config.scope is PoolScope.ALL_PATCH:
+        merged = (
+            pool.probs.reshape(width * patches, -1),
+            None if pool_keys is None else pool_keys.reshape(width * patches, -1),
+            np.repeat(pool.pair_indices, patches),
+            np.tile(np.arange(patches), width),
         )
-    return SmoothedGrid(distributions=tuple(smoothed), diagnostics=tuple(diagnostics))
+        candidates = [merged] * patches
+    else:
+        candidates = [
+            (pool.probs[:, l], None if pool_keys is None else pool_keys[:, l],
+             pool.pair_indices, np.full(width, l))
+            for l in range(patches)
+        ]
+    blended, diagnostics = _select_and_blend(query_grid.probs, query_keys, candidates, config)
+    # The blend is convex, so it lies on the simplex up to float drift.
+    totals = blended.sum(axis=1, keepdims=True)
+    drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
+    blended[drifted] /= totals[drifted]
+    return SmoothedGrid(probs=blended, diagnostics=diagnostics)
 
 
 def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarray:
@@ -314,35 +254,15 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
         raise DimensionError(f"query features must be (L, dim), got shape {query.shape}")
     if len(pools) != query.shape[0]:
         raise DimensionError(f"{len(pools)} pools for {query.shape[0]} patches")
-
-    out = np.empty_like(query)
-    for l in range(query.shape[0]):
-        candidates = np.asarray(pools[l], dtype=np.float64)
-        if candidates.ndim != 2 or candidates.shape[1] != query.shape[1]:
+    candidates = []
+    for l, pool in enumerate(pools):
+        vectors = np.asarray(pool, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != query.shape[1]:
             raise DimensionError(
-                f"pool at patch {l} has shape {candidates.shape}, expected (*, {query.shape[1]})"
+                f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
-        if candidates.shape[0] == 0:
-            out[l] = query[l]
-            continue
-        distances = np.linalg.norm(candidates - query[l], axis=1)
-        order = _ordered_indices(distances, np.arange(len(distances)), np.zeros(len(distances)))
-        chosen = order[: min(config.k, len(distances))]
-        if config.aggregation is Aggregation.WEIGHTED:
-            weights = softmax_weights(distances[chosen], config.tau)
-        elif config.aggregation is Aggregation.AVERAGE:
-            weights = np.full(len(chosen), 1.0 / len(chosen))
-        else:
-            weights = np.zeros(len(chosen))
-            weights[0] = 1.0
-        if config.aggregation is Aggregation.NEAREST:
-            pooled = candidates[chosen[0]] * weights[0]
-        else:
-            pooled = np.zeros(query.shape[1])
-            for w, j in zip(weights, chosen):
-                pooled += w * candidates[j]
-        out[l] = (1.0 - config.alpha) * query[l] + config.alpha * pooled
-    return out
+        candidates.append((vectors, vectors, np.arange(len(vectors)), np.zeros(len(vectors))))
+    return _select_and_blend(query, query, candidates, config)[0]
 
 
 def aggregate_sequences(grids: Sequence[ScoreGrid], config: SmoothingConfig) -> SmoothedGrid:
@@ -359,14 +279,12 @@ def aggregate_sequences(grids: Sequence[ScoreGrid], config: SmoothingConfig) -> 
         if len(g) != len(first) or g.codebook_size != first.codebook_size:
             raise DimensionError("sequence grids disagree in patch count or codebook size")
     if len(grids) == 1:
-        return SmoothedGrid(distributions=first.distributions, diagnostics=())
-
-    per_patch = tuple(
-        tuple(
-            PoolEntry(pair_index=i, patch_index=l, distribution=grids[i].distributions[l])
-            for i in range(1, len(grids))
-        )
-        for l in range(len(first))
+        return SmoothedGrid(probs=first.probs, diagnostics=())
+    pool = PromptPool(
+        probs=np.stack([g.probs for g in grids[1:]]),
+        pair_indices=np.arange(1, len(grids)),
+        prompts=(),
+        mode=None,
+        m=len(grids) - 1,
     )
-    pool = PromptPool(per_patch=per_patch, prompts=(), mode=None, m=len(grids) - 1)
     return smooth_grid(first, pool, config)

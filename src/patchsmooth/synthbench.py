@@ -24,17 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import CodebookDistribution, CodebookSpec, js_divergence
+from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
 from .errors import ConfigError, MissingItemError, ValidationError
-from .pool import (
-    PoolEntry,
-    PoolMode,
-    PromptPool,
-    PromptSpec,
-    ScoreGrid,
-    build_pool,
-    score_prompt,
-)
+from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool, score_prompt
 from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
 from .smoothing import (
     Aggregation,
@@ -204,24 +196,20 @@ def synthetic_score(
         beta_truth -= shift
         beta_pair += shift
 
-    uniform = params.epsilon_noise / size
-    distributions = []
+    truth = anchor.output_tokens
+    pair_tokens = pair.output_tokens
+    patches = np.arange(world.patch_count)
+    scores = np.full((world.patch_count, size), params.epsilon_noise / size)
+    scores[patches, truth] += beta_truth
+    scores[patches, pair_tokens] += beta_pair
+    # pre-distribution internal state and decoded patch value, used as
+    # alternative neighbor keys
     feature_keys = np.zeros((world.patch_count, 2 * size))
-    patch_keys = np.zeros((world.patch_count, 1))
-    for l in range(world.patch_count):
-        truth = int(anchor.output_tokens[l])
-        pair_token = int(pair.output_tokens[l])
-        vec = np.full(size, uniform)
-        vec[truth] += beta_truth
-        vec[pair_token] += beta_pair
-        distributions.append(CodebookDistribution.from_scores(vec))
-        # pre-distribution internal state and decoded patch value, used as
-        # alternative neighbor keys
-        feature_keys[l, truth] = 1.0
-        feature_keys[l, size + pair_token] += 1.0
-        patch_keys[l, 0] = float(np.argmax(vec))
+    feature_keys[patches, truth] = 1.0
+    feature_keys[patches, size + pair_tokens] += 1.0
+    patch_keys = np.argmax(scores, axis=1).astype(np.float64)[:, None]
     return ScoreGrid(
-        distributions=tuple(distributions),
+        probs=normalize_scores(scores),
         prompt=prompt,
         feature_keys=feature_keys,
         patch_keys=patch_keys,
@@ -283,15 +271,16 @@ def _bf_l2(u, v) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
 
 
-def _bf_distance(entry: PoolEntry, query_probs, query_feature, query_patch, config) -> float:
+def _bf_distance(pool: PromptPool, j: int, l: int, query_probs, query_feature, query_patch,
+                 config) -> float:
     if config.key is NeighborKey.SCORE:
-        pool_probs = list(entry.distribution.probs)
+        pool_probs = list(pool.probs[j, l])
         if config.divergence.value == "kl":
             return _bf_kl(pool_probs, query_probs)
         return _bf_js(pool_probs, query_probs)
     if config.key is NeighborKey.FEATURE:
-        return _bf_l2(list(entry.feature_key), query_feature)
-    return _bf_l2(list(entry.patch_key), query_patch)
+        return _bf_l2(list(pool.feature_keys[j, l]), query_feature)
+    return _bf_l2(list(pool.patch_keys[j, l]), query_patch)
 
 
 def brute_force_smooth(
@@ -302,20 +291,19 @@ def brute_force_smooth(
         raise ValidationError("query grid and pool disagree in patch count")
 
     if config.scope is PoolScope.ALL_PATCH:
-        candidate_sets = [
-            [e for slot in pool.per_patch for e in slot] for _ in range(pool.patch_count)
-        ]
+        every_slot = [(j, l) for l in range(pool.patch_count) for j in range(pool.width)]
+        candidate_sets = [every_slot] * pool.patch_count
     else:
-        candidate_sets = [list(slot) for slot in pool.per_patch]
+        candidate_sets = [[(j, l) for j in range(pool.width)] for l in range(pool.patch_count)]
 
     smoothed = []
     for l in range(pool.patch_count):
-        s = list(query_grid.distributions[l].probs)
+        s = list(query_grid.probs[l])
         qf = None if query_grid.feature_keys is None else list(query_grid.feature_keys[l])
         qp = None if query_grid.patch_keys is None else list(query_grid.patch_keys[l])
         scored = [
-            (_bf_distance(e, s, qf, qp, config), e.pair_index, e.patch_index, e)
-            for e in candidate_sets[l]
+            (_bf_distance(pool, j, lc, s, qf, qp, config), int(pool.pair_indices[j]), lc, j)
+            for j, lc in candidate_sets[l]
         ]
         scored.sort(key=lambda t: (t[0], t[1], t[2]))
         chosen = scored[: min(config.k, len(scored))]
@@ -340,14 +328,14 @@ def brute_force_smooth(
         out = [0.0] * size
         for v in range(size):
             pooled = 0.0
-            for w, (_, _, _, entry) in zip(weights, chosen):
-                pooled += w * float(entry.distribution.probs[v])
+            for w, (_, _, lc, j) in zip(weights, chosen):
+                pooled += w * float(pool.probs[j, lc, v])
             out[v] = (1.0 - config.alpha) * s[v] + config.alpha * pooled
         drift = sum(out)
         if abs(drift - 1.0) > 1e-9:
             out = [x / drift for x in out]
-        smoothed.append(CodebookDistribution(np.array(out)))
-    return SmoothedGrid(distributions=tuple(smoothed), diagnostics=())
+        smoothed.append(out)
+    return SmoothedGrid(probs=np.array(smoothed), diagnostics=())
 
 
 def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
@@ -390,13 +378,11 @@ def _accuracy(tokens, truth) -> float:
     return float(np.mean(np.asarray(tokens) == np.asarray(truth)))
 
 
-def _js_to_truth(grid_distributions, truth, size) -> float:
-    values = []
-    for dist, token in zip(grid_distributions, truth):
-        onehot = np.zeros(size)
-        onehot[int(token)] = 1.0
-        values.append(js_divergence(dist, CodebookDistribution(onehot)))
-    return float(np.mean(values))
+def _js_to_truth(probs, truth) -> float:
+    onehots = np.eye(probs.shape[1])[np.asarray(truth)]
+    return float(np.mean([
+        pairwise_divergence(row, onehot[None])[0] for row, onehot in zip(probs, onehots)
+    ]))
 
 
 def _query_outcome(backend, world, query_id, config):
@@ -409,14 +395,16 @@ def _query_outcome(backend, world, query_id, config):
     pool = build_pool(backend.scorer, retrieved, query_id, mode=PoolMode.Q)
     smoothed = smooth_grid(s, pool, config)
     truth = world.item(query_id).output_tokens
+    baseline_tokens = [int(t) for t in np.argmax(s.probs, axis=1)]
+    smoothed_tokens = [int(t) for t in np.argmax(smoothed.probs, axis=1)]
     return {
         "query": query_id,
-        "baseline_tokens": [int(d.argmax()) for d in s.distributions],
-        "smoothed_tokens": [int(d.argmax()) for d in smoothed.distributions],
+        "baseline_tokens": baseline_tokens,
+        "smoothed_tokens": smoothed_tokens,
         "truth": [int(t) for t in truth],
-        "baseline_accuracy": _accuracy([d.argmax() for d in s.distributions], truth),
-        "smoothed_accuracy": _accuracy([d.argmax() for d in smoothed.distributions], truth),
-        "js_to_truth": _js_to_truth(smoothed.distributions, truth, world.codebook.size),
+        "baseline_accuracy": _accuracy(baseline_tokens, truth),
+        "smoothed_accuracy": _accuracy(smoothed_tokens, truth),
+        "js_to_truth": _js_to_truth(smoothed.probs, truth),
     }
 
 

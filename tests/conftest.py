@@ -34,7 +34,7 @@ class StubScorer:
         feature_keys = rng.normal(size=(n, 3)) if self._with_keys else None
         patch_keys = rng.normal(size=(n, 2)) if self._with_keys else None
         return ScoreGrid(
-            distributions=tuple(CodebookDistribution(row) for row in rows),
+            probs=rows,
             prompt=prompt,
             feature_keys=feature_keys,
             patch_keys=patch_keys,

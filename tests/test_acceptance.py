@@ -16,7 +16,7 @@ import pytest
 from patchsmooth.divergence import LN2, CodebookDistribution, js_divergence, kl_divergence
 from patchsmooth.metrics import iou, mean_iou, mse, pixel_accuracy
 from patchsmooth.pipeline import load_config, run_pipeline
-from patchsmooth.pool import PoolEntry, PoolMode, PromptPool, PromptSpec, ScoreGrid
+from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.retrieval import FeatureMap, FeatureVector, RetrievalIndex, flatten_normalize, top_m
 from patchsmooth.smoothing import (
     Aggregation,
@@ -95,29 +95,23 @@ def random_oracle_instance(rng, scope, max_patches, max_size):
 
     def one(strictly_positive=False):
         if strictly_positive:
-            dists = [CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)]
+            dists = [rng.dirichlet(np.ones(size)) for _ in range(patches)]
         else:
-            dists = [random_distribution(rng, size) for _ in range(patches)]
+            dists = [random_distribution(rng, size).probs for _ in range(patches)]
         return (
-            dists,
+            np.stack(dists),
             rng.normal(size=(patches, feat_dim)),
             rng.normal(size=(patches, patch_dim)),
         )
 
     qd, qf, qp = one(strictly_positive=True)  # positive query keeps KL finite
-    query = ScoreGrid(distributions=tuple(qd), feature_keys=qf, patch_keys=qp)
+    query = ScoreGrid(probs=qd, feature_keys=qf, patch_keys=qp)
     pairs = [one() for _ in range(width)]
     if width >= 2 and rng.random() < 0.25:
         pairs[-1] = pairs[0]  # duplicate entry: exercises deterministic ties
-    per_patch = tuple(
-        tuple(
-            PoolEntry(i + 1, l, pairs[i][0][l], feature_key=pairs[i][1][l],
-                      patch_key=pairs[i][2][l])
-            for i in range(width)
-        )
-        for l in range(patches)
-    )
-    pool = PromptPool(per_patch=per_patch, prompts=(), mode=PoolMode.Q, m=width)
+    probs, feature_keys, patch_keys = (np.stack(part) for part in zip(*pairs))
+    pool = PromptPool(probs=probs, pair_indices=np.arange(1, width + 1), prompts=(),
+                      mode=PoolMode.Q, m=width, feature_keys=feature_keys, patch_keys=patch_keys)
     return query, pool, width
 
 
@@ -150,8 +144,7 @@ def test_oracle_equivalence():
                 )
                 fast = smooth_grid(query, pool, config)
                 slow = brute_force_smooth(query, pool, config)
-                for a, b in zip(fast.distributions, slow.distributions):
-                    worst = max(worst, float(np.max(np.abs(a.probs - b.probs))))
+                worst = max(worst, float(np.max(np.abs(fast.probs - slow.probs))))
                 instances += 1
         assert instances >= 1000
         assert worst <= 1e-9
@@ -160,23 +153,23 @@ def test_oracle_equivalence():
 
 def full_size_instance(rng):
     patches, size, width = 64, 128, 8
-    qd = [CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)]
+    qd = [rng.dirichlet(np.ones(size)) for _ in range(patches)]
     query = ScoreGrid(
-        distributions=tuple(qd),
+        probs=np.stack(qd),
         feature_keys=rng.normal(size=(patches, 4)),
         patch_keys=rng.normal(size=(patches, 2)),
     )
-    per_patch = tuple(
-        tuple(
-            PoolEntry(
-                i + 1, l, CodebookDistribution(rng.dirichlet(np.ones(size))),
-                feature_key=rng.normal(size=4), patch_key=rng.normal(size=2),
-            )
-            for i in range(width)
-        )
-        for l in range(patches)
-    )
-    return query, PromptPool(per_patch=per_patch, prompts=(), mode=PoolMode.Q, m=width), width
+    probs = np.empty((width, patches, size))
+    feature_keys = np.empty((width, patches, 4))
+    patch_keys = np.empty((width, patches, 2))
+    for l in range(patches):  # draw order: patch-major, as pools were first filled
+        for i in range(width):
+            probs[i, l] = rng.dirichlet(np.ones(size))
+            feature_keys[i, l] = rng.normal(size=4)
+            patch_keys[i, l] = rng.normal(size=2)
+    pool = PromptPool(probs=probs, pair_indices=np.arange(1, width + 1), prompts=(),
+                      mode=PoolMode.Q, m=width, feature_keys=feature_keys, patch_keys=patch_keys)
+    return query, pool, width
 
 
 def test_algebraic_identities():
@@ -186,9 +179,9 @@ def test_algebraic_identities():
 
         def closed(grid):
             nonlocal closure_outputs
-            for d in grid.distributions:
-                assert abs(float(d.probs.sum()) - 1.0) <= 1e-9
-                assert np.all(d.probs >= 0.0)
+            for row in grid.probs:
+                assert abs(float(row.sum()) - 1.0) <= 1e-9
+                assert np.all(row >= 0.0)
                 closure_outputs += 1
             return grid
 
@@ -199,8 +192,7 @@ def test_algebraic_identities():
 
             # alpha = 0 identity, exact
             out = closed(smooth_grid(query, pool, SmoothingConfig(m=width, alpha=0.0)))
-            for a, b in zip(out.distributions, query.distributions):
-                np.testing.assert_array_equal(a.probs, b.probs)
+            np.testing.assert_array_equal(out.probs, query.probs)
 
             # k = 1: NEAREST and WEIGHTED coincide exactly
             nearest = closed(smooth_grid(
@@ -209,8 +201,7 @@ def test_algebraic_identities():
             weighted = closed(smooth_grid(
                 query, pool, SmoothingConfig(m=width, k=1, aggregation=Aggregation.WEIGHTED)
             ))
-            for a, b in zip(nearest.distributions, weighted.distributions):
-                np.testing.assert_array_equal(a.probs, b.probs)
+            np.testing.assert_array_equal(nearest.probs, weighted.probs)
 
             # tau -> inf: WEIGHTED converges to AVERAGE
             hot = closed(smooth_grid(
@@ -220,8 +211,7 @@ def test_algebraic_identities():
             avg = closed(smooth_grid(
                 query, pool, SmoothingConfig(m=width, aggregation=Aggregation.AVERAGE)
             ))
-            for a, b in zip(hot.distributions, avg.distributions):
-                assert np.max(np.abs(a.probs - b.probs)) <= 1e-6
+            assert np.max(np.abs(hot.probs - avg.probs)) <= 1e-6
 
             # random hyperparameters
             config = SmoothingConfig(
@@ -369,21 +359,10 @@ def test_external_import_path_and_nonreproduction_statement():
         rng = np.random.default_rng(3)
         region = (2, 2)
         prompt = PromptSpec("ext0", "ext0.out", "query", region)
-        grid = ScoreGrid(
-            distributions=tuple(
-                CodebookDistribution(rng.dirichlet(np.ones(6))) for _ in range(4)
-            ),
-            prompt=prompt,
-        )
-        per_patch = tuple(
-            tuple(
-                PoolEntry(i + 1, l, CodebookDistribution(rng.dirichlet(np.ones(6))))
-                for i in range(3)
-            )
-            for l in range(4)
-        )
+        grid = ScoreGrid(probs=rng.dirichlet(np.ones(6), size=4), prompt=prompt)
         pool = PromptPool(
-            per_patch=per_patch,
+            probs=rng.dirichlet(np.ones(6), size=(3, 4)),
+            pair_indices=[1, 2, 3],
             prompts=tuple(PromptSpec(f"ext{i}", f"ext{i}.out", "query", region) for i in range(3)),
             mode=PoolMode.Q,
             m=3,

@@ -12,7 +12,9 @@ from patchsmooth.divergence import (
     CodebookSpec,
     js_divergence,
     kl_divergence,
+    normalize_scores,
     pairwise_divergence,
+    simplex_rows,
 )
 from patchsmooth.errors import DimensionError, ValidationError
 
@@ -54,6 +56,23 @@ class TestConstruction:
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_simplex_rows_checks_each_row(self):
+        exact = np.array([0.25, 0.75])
+        drifted = np.array([0.5 + 4e-7, 0.5])
+        values = np.stack([exact, drifted])
+        probs = simplex_rows(values)
+        assert probs.tobytes()[:16] == exact.tobytes()  # within 1e-12: untouched
+        assert probs[1].sum() == pytest.approx(1.0, abs=1e-15)
+        assert not probs.flags.writeable and values.flags.writeable
+        for bad in ([[0.5, 0.5], [0.5, 0.6]], [[0.5, 0.5], [1.1, -0.1]], [[np.nan, 1.0]]):
+            with pytest.raises(ValidationError):
+                simplex_rows(bad)
+
+    def test_normalize_scores_rowwise(self):
+        np.testing.assert_allclose(normalize_scores([[3.0, 1.0], [0.0, 2.0]]), [[0.75, 0.25], [0, 1]])
+        with pytest.raises(ValidationError):
+            normalize_scores([[1.0, 1.0], [0.0, 0.0]])
 
     def test_codebook_spec_minimum_size(self):
         with pytest.raises(ValidationError):
@@ -142,31 +161,39 @@ class TestJS:
             assert js_divergence(CodebookDistribution(p), CodebookDistribution(q)) > 0.0
 
 
+def rows(*dists):
+    return np.stack([d.probs for d in dists])
+
+
 class TestPairwise:
     def test_trivial_single_entry(self):
-        out = pairwise_divergence(dist(0.5, 0.5), [dist(0.5, 0.5)])
+        out = pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.5, 0.5)))
         np.testing.assert_array_equal(out, [0.0])
 
     def test_derived_js_row(self):
         query = dist(1, 0)
-        pool = [dist(1, 0), dist(0.5, 0.5), dist(0, 1)]
-        out = pairwise_divergence(query, pool, kind="js")
+        pool = rows(dist(1, 0), dist(0.5, 0.5), dist(0, 1))
+        out = pairwise_divergence(query.probs, pool, kind="js")
         np.testing.assert_allclose(out, [0.0, JS_POINT_VS_UNIFORM, LN2], atol=1e-9)
 
     def test_empty_pool_gives_empty_vector(self):
-        out = pairwise_divergence(dist(0.5, 0.5), [])
+        out = pairwise_divergence(dist(0.5, 0.5).probs, np.empty((0, 2)))
         assert out.shape == (0,)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            pairwise_divergence(dist(0.5, 0.5), [], kind="hellinger")
+            pairwise_divergence(dist(0.5, 0.5).probs, np.empty((0, 2)), kind="hellinger")
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.2, 0.3, 0.5)))
 
     @given(distribution_pairs(), st.sampled_from(["js", "kl"]))
     @settings(max_examples=100)
     def test_matches_scalar_calls_exactly(self, pair, kind):
         query, other = pair
         pool = [other, query, other]
-        out = pairwise_divergence(query, pool, kind=kind)
+        out = pairwise_divergence(query.probs, rows(*pool), kind=kind)
         fn = js_divergence if kind == "js" else kl_divergence
         expected = [fn(entry, query) for entry in pool]
         assert list(out) == expected
@@ -175,6 +202,6 @@ class TestPairwise:
     @settings(max_examples=100)
     def test_js_swap_invariance(self, pair):
         a, b = pair
-        assert list(pairwise_divergence(a, [b], kind="js")) == list(
-            pairwise_divergence(b, [a], kind="js")
+        assert list(pairwise_divergence(a.probs, rows(b), kind="js")) == list(
+            pairwise_divergence(b.probs, rows(a), kind="js")
         )

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from patchsmooth.divergence import CodebookDistribution
 from patchsmooth.errors import DimensionError, ValidationError
 from patchsmooth.metrics import (
     EvalReport,
@@ -19,9 +18,7 @@ from patchsmooth.pool import ScoreGrid
 
 
 def grid_of(*rows):
-    return ScoreGrid(
-        distributions=tuple(CodebookDistribution(np.asarray(r, dtype=np.float64)) for r in rows)
-    )
+    return ScoreGrid(probs=np.asarray(rows, dtype=np.float64))
 
 
 class TestDecodeArgmax:
@@ -34,17 +31,16 @@ class TestDecodeArgmax:
         assert pred.tokens == (0,)
 
     def test_composes_with_nearest_smoothing(self):
-        from patchsmooth.smoothing import Aggregation, Neighbor, NeighborSet, SmoothingConfig, smooth_patch
+        from patchsmooth.pool import PoolMode, PromptPool
+        from patchsmooth.smoothing import Aggregation, SmoothingConfig, smooth_grid
 
-        u = CodebookDistribution(np.array([0.1, 0.2, 0.7]))
-        s = CodebookDistribution(np.array([0.8, 0.1, 0.1]))
-        out = smooth_patch(
-            s,
-            NeighborSet((Neighbor(1, 0, 0.3, u),)),
-            SmoothingConfig(m=1, alpha=1.0, aggregation=Aggregation.NEAREST),
+        u = np.array([0.1, 0.2, 0.7])
+        s = grid_of([0.8, 0.1, 0.1])
+        pool = PromptPool(probs=u[None, None], pair_indices=[1], prompts=(), mode=PoolMode.Q, m=1)
+        out = smooth_grid(
+            s, pool, SmoothingConfig(m=1, alpha=1.0, aggregation=Aggregation.NEAREST)
         )
-        grid = ScoreGrid(distributions=(out,))
-        assert decode_argmax(grid, shape=(1, 1)).tokens == (u.argmax(),)
+        assert decode_argmax(out, shape=(1, 1)).tokens == (int(np.argmax(u)),)
 
     def test_monotone_rescaling_invariance(self):
         rng = np.random.default_rng(3)

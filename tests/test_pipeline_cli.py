@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from patchsmooth.cli import main
-from patchsmooth.divergence import CodebookDistribution
 from patchsmooth.errors import ConfigError
 from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_bench, run_pipeline
 from patchsmooth.pool import (
-    PoolEntry,
     PoolMode,
     PromptPool,
     PromptSpec,
@@ -29,26 +27,20 @@ def run_cli(argv):
 
 
 def random_grid(rng, patches, size, prompt=None):
-    return ScoreGrid(
-        distributions=tuple(
-            CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)
-        ),
-        prompt=prompt,
-    )
+    return ScoreGrid(probs=rng.dirichlet(np.ones(size), size=patches), prompt=prompt)
 
 
 def random_pool(rng, patches, size, width, region):
     prompts = tuple(
         PromptSpec(f"x{i}", f"x{i}.out", "query", region) for i in range(width)
     )
-    per_patch = tuple(
-        tuple(
-            PoolEntry(i + 1, l, CodebookDistribution(rng.dirichlet(np.ones(size))))
-            for i in range(width)
-        )
-        for l in range(patches)
+    return PromptPool(
+        probs=rng.dirichlet(np.ones(size), size=(width, patches)),
+        pair_indices=np.arange(1, width + 1),
+        prompts=prompts,
+        mode=PoolMode.Q,
+        m=width,
     )
-    return PromptPool(per_patch=per_patch, prompts=prompts, mode=PoolMode.Q, m=width)
 
 
 class TestConfig:
@@ -69,6 +61,13 @@ class TestConfig:
         path.write_text(json.dumps({"smoothing": {"alpha": 0.7}}))
         config = load_config(path, overrides={"smoothing": {"alpha": 0.2}})
         assert config["smoothing"]["alpha"] == 0.2
+
+    def test_result_shares_nothing_with_defaults(self):
+        load_config(None, {"backend": "file"})["files"]["pool"] = "x"
+        load_config()["smoothing"]["alpha"] = 0.5
+        assert load_config()["files"] == {}
+        assert load_config()["smoothing"]["alpha"] == 1.0
+        assert DEFAULT_CONFIG["files"] == {}
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -147,7 +146,7 @@ class TestFilePipeline:
         pool = load_pool(tmp_path / "pool.pnct")
         expected = smooth_grid(grid, pool, SmoothingConfig(m=3))
         tokens, _ = read_tensor(tmp_path / "out.pnct")
-        assert list(tokens.reshape(-1)) == [d.argmax() for d in expected.distributions]
+        assert list(tokens.reshape(-1)) == np.argmax(expected.probs, axis=1).tolist()
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(ConfigError):
@@ -275,7 +274,7 @@ class TestCliFlow:
             load_grid(tmp_path / "g.pnct"), load_pool(tmp_path / "p.pnct"),
             SmoothingConfig(m=2, alpha=0.6),
         )
-        np.testing.assert_allclose(out, expected.as_array().astype(np.float32), atol=1e-6)
+        np.testing.assert_allclose(out, expected.probs.astype(np.float32), atol=1e-6)
 
     def test_smooth_cli_with_feature_keys(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -371,7 +370,7 @@ class TestCliFlow:
         assert code == 0
         tokens, _ = read_tensor(tmp_path / "t.pnct")
         assert tokens.shape == (3, 2)
-        assert list(tokens.reshape(-1)) == [d.argmax() for d in grid.distributions]
+        assert list(tokens.reshape(-1)) == np.argmax(grid.probs, axis=1).tolist()
 
     def test_eval_iou_and_mse(self, tmp_path):
         write_tensor(np.array([[1, 1], [0, 0]], dtype=np.uint32), tmp_path / "pred.pnct")
@@ -450,3 +449,55 @@ class TestExitCodes:
             "--out", str(tmp_path / "s.pnct"),
         ])
         assert code == 4
+
+    MISSING = "<missing>"
+
+    @pytest.mark.parametrize("target, field, value", [
+        ("pool", "pair_indices", MISSING),
+        ("pool", "pair_indices", [1]),
+        ("pool", "prompts", MISSING),
+        ("pool", "prompts", [{"anchor": "query", "masked_region": [2, 2]}]),
+        ("pool", "m", "2"),
+        ("pool", "mode", "sideways"),
+        ("grid", "prompt", {"in_context_input": "x0", "in_context_output": "x0.out",
+                            "anchor": "query", "masked_region": [2]}),
+        ("grid", "grid", [2]),
+        ("manifest", "grid", MISSING),
+        ("manifest", "grid", [2]),
+        ("manifest", "codebook_size", "5"),
+        ("manifest", "pairs", MISSING),
+        ("manifest", "pairs", ["s0", "s1"]),
+        ("manifest", "prompts", MISSING),
+        ("manifest", "patch_order", "column-major"),
+    ])
+    def test_malformed_field_is_format_error(self, tmp_path, target, field, value):
+        rng = np.random.default_rng(0)
+        region = (2, 2)
+        save_grid(random_grid(rng, 4, 5, prompt=PromptSpec("x0", "x0.out", "query", region)),
+                  tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=region), tmp_path / "p.pnct")
+        scores = TestCliFlow().setup_scores_dir(tmp_path, rng, ["s0", "s1"])
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
+
+        def edit(meta):
+            if value == self.MISSING:
+                del meta[field]
+            else:
+                meta[field] = value
+            return meta
+
+        if target == "manifest":
+            manifest = scores / "manifest.json"
+            manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.pnct")]
+        else:
+            path = tmp_path / ("p.pnct" if target == "pool" else "g.pnct")
+            array, meta = read_tensor(path)
+            write_tensor(array, path, meta=edit(meta))
+            argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
+                    "--pool", str(tmp_path / "p.pnct"), "--out", str(tmp_path / "s.pnct")]
+            if target == "grid":
+                argv = ["decode", "--in", str(path), "--out", str(tmp_path / "t.pnct")]
+        assert run_cli(argv) == 3

@@ -14,7 +14,6 @@ from patchsmooth.pool import (
     build_pool,
     load_grid,
     load_pool,
-    merge_all_patches,
     save_grid,
     save_pool,
     score_prompt,
@@ -40,8 +39,7 @@ class TestScorePrompt:
         prompt = PromptSpec("a", "a.out", "q", (2, 2))
         first = score_prompt(backend, prompt)
         second = score_prompt(backend, prompt)
-        for d1, d2 in zip(first.distributions, second.distributions):
-            np.testing.assert_array_equal(d1.probs, d2.probs)
+        np.testing.assert_array_equal(first.probs, second.probs)
 
     def test_backend_shape_mismatch(self):
         class BadScorer(StubScorer):
@@ -61,17 +59,13 @@ class TestBuildPool:
         pool = build_pool(backend, retrieved_set(["a"]), "q", mode=PoolMode.Q)
         baseline = score_prompt(backend, PromptSpec("a", "a.out", "q", (2, 2)))
         assert pool.width == 1
-        for l in range(pool.patch_count):
-            np.testing.assert_array_equal(
-                pool.per_patch[l][0].distribution.probs, baseline.distributions[l].probs
-            )
+        np.testing.assert_array_equal(pool.probs[0], baseline.probs)
 
     def test_mode_q_shape_and_provenance(self):
         pool = build_pool(StubScorer(), retrieved_set(["a", "b", "c", "d"]), "q")
         assert pool.width == 4
         assert pool.patch_count == 4
-        for slot in pool.per_patch:
-            assert [e.pair_index for e in slot] == [1, 2, 3, 4]
+        assert pool.pair_indices.tolist() == [1, 2, 3, 4]
         assert all(p.anchor == "q" for p in pool.prompts)
 
     def test_mode_q_entries_match_direct_scoring(self):
@@ -79,10 +73,7 @@ class TestBuildPool:
         pool = build_pool(backend, retrieved_set(["a", "b"]), "q")
         for i, item in enumerate(["a", "b"]):
             direct = score_prompt(backend, PromptSpec(item, item + ".out", "q", (2, 2)))
-            for l in range(pool.patch_count):
-                np.testing.assert_array_equal(
-                    pool.per_patch[l][i].distribution.probs, direct.distributions[l].probs
-                )
+            np.testing.assert_array_equal(pool.probs[i], direct.probs)
 
     def test_mode_self_differs_only_in_anchor(self):
         backend = StubScorer()
@@ -100,7 +91,7 @@ class TestBuildPool:
         assert pool.width == 2
         assert [p.in_context_input for p in pool.prompts] == ["a", "a"]
         assert [p.anchor for p in pool.prompts] == ["b", "c"]
-        assert [e.pair_index for e in pool.per_patch[0]] == [2, 3]
+        assert pool.pair_indices.tolist() == [2, 3]
 
     def test_mode_rand_reproducible(self):
         backend = StubScorer()
@@ -108,9 +99,7 @@ class TestBuildPool:
         one = build_pool(backend, retrieved, "q", mode=PoolMode.RAND, seed=7)
         two = build_pool(backend, retrieved, "q", mode=PoolMode.RAND, seed=7)
         assert [p.anchor for p in one.prompts] == [p.anchor for p in two.prompts]
-        for l in range(one.patch_count):
-            for e1, e2 in zip(one.per_patch[l], two.per_patch[l]):
-                np.testing.assert_array_equal(e1.distribution.probs, e2.distribution.probs)
+        np.testing.assert_array_equal(one.probs, two.probs)
 
     def test_mode_rand_draws_without_replacement(self):
         pool = build_pool(
@@ -135,51 +124,64 @@ class TestBuildPool:
         pool_one = build_pool(backend, same_scores(["a", "b", "c"]), "q")
         pool_two = build_pool(backend, same_scores(["c", "a", "b"]), "q")
         for l in range(pool_one.patch_count):
-            one = sorted(e.distribution.probs.tobytes() for e in pool_one.per_patch[l])
-            two = sorted(e.distribution.probs.tobytes() for e in pool_two.per_patch[l])
+            one = sorted(row.tobytes() for row in pool_one.probs[:, l])
+            two = sorted(row.tobytes() for row in pool_two.probs[:, l])
             assert one == two
 
 
 class TestMergeAllPatches:
+    """The all-patch scope: every (pair, patch) entry is a candidate at every patch."""
+
+    def all_patch_neighbors(self, pool):
+        from patchsmooth.smoothing import Aggregation, PoolScope, SmoothingConfig, smooth_grid
+
+        config = SmoothingConfig(m=pool.width, k=pool.width * pool.patch_count,
+                                 scope=PoolScope.ALL_PATCH, aggregation=Aggregation.AVERAGE)
+        query = ScoreGrid(probs=pool.probs[0])
+        return smooth_grid(query, pool, config)
+
     def test_cardinality(self):
         pool = build_pool(StubScorer(), retrieved_set(["a", "b", "c"]), "q")
-        flat = merge_all_patches(pool)
-        assert len(flat) == pool.patch_count * 3
+        out = self.all_patch_neighbors(pool)
+        assert all(len(diag) == pool.patch_count * 3 for diag in out.diagnostics)
 
     def test_grouping_roundtrip(self):
         pool = build_pool(StubScorer(), retrieved_set(["a", "b"]), "q")
-        flat = merge_all_patches(pool)
-        for l in range(pool.patch_count):
-            slot = tuple(e for e in flat if e.patch_index == l)
-            assert slot == pool.per_patch[l]
+        out = self.all_patch_neighbors(pool)
+        for diag in out.diagnostics:
+            for l in range(pool.patch_count):
+                pairs = sorted(pair for pair, patch, _, _ in diag if patch == l)
+                assert pairs == pool.pair_indices.tolist()
+        mean = pool.probs.reshape(-1, pool.codebook_size).mean(axis=0)
+        np.testing.assert_allclose(out.probs, np.tile(mean, (pool.patch_count, 1)), atol=1e-12)
 
     def test_single_entry_pool(self):
         pool = build_pool(StubScorer(grid_shape=(1, 1)), retrieved_set(["a"]), "q")
-        assert len(merge_all_patches(pool)) == 1
+        assert [[n[:2] for n in diag] for diag in self.all_patch_neighbors(pool).diagnostics] == [
+            [(1, 0)]
+        ]
 
 
 class TestPoolInvariants:
+    def pool_of(self, pair_indices):
+        grid = score_prompt(StubScorer(), PromptSpec("a", "a.out", "q", (2, 2)))
+        return PromptPool(probs=np.stack([grid.probs, grid.probs]), pair_indices=pair_indices,
+                          prompts=(), mode=PoolMode.Q, m=2)
+
     def test_duplicate_provenance_rejected(self):
-        backend = StubScorer()
-        grid = score_prompt(backend, PromptSpec("a", "a.out", "q", (2, 2)))
-        from patchsmooth.pool import PoolEntry
-
-        entry = PoolEntry(1, 0, grid.distributions[0])
         with pytest.raises(ValidationError):
-            PromptPool(per_patch=((entry, entry),), prompts=(), mode=PoolMode.Q, m=2)
+            self.pool_of([1, 1])
 
-    def test_misfiled_patch_index_rejected(self):
-        backend = StubScorer()
-        grid = score_prompt(backend, PromptSpec("a", "a.out", "q", (2, 2)))
-        from patchsmooth.pool import PoolEntry
-
+    def test_provenance_must_match_pool_width(self):
         with pytest.raises(ValidationError):
-            PromptPool(
-                per_patch=((PoolEntry(1, 1, grid.distributions[0]),),),
-                prompts=(),
-                mode=PoolMode.Q,
-                m=1,
-            )
+            self.pool_of([1])
+        assert self.pool_of([1, 2]).width == 2
+
+    def test_rows_must_be_distributions(self):
+        with pytest.raises(ValidationError):
+            ScoreGrid(probs=[[0.5, 0.6]])
+        with pytest.raises(ValidationError):
+            PromptPool(probs=[[[0.5, 0.6]]], pair_indices=[1], prompts=(), mode=None, m=1)
 
 
 class TestPoolSerialization:
@@ -192,12 +194,8 @@ class TestPoolSerialization:
         assert back.m == pool.m
         assert back.prompts == pool.prompts
         assert back.patch_count == pool.patch_count
-        for l in range(pool.patch_count):
-            for e1, e2 in zip(pool.per_patch[l], back.per_patch[l]):
-                assert e1.pair_index == e2.pair_index
-                np.testing.assert_allclose(
-                    e1.distribution.probs, e2.distribution.probs, atol=1e-6
-                )
+        np.testing.assert_array_equal(back.pair_indices, pool.pair_indices)
+        np.testing.assert_allclose(back.probs, pool.probs, atol=1e-6)
 
     def test_grid_roundtrip(self, tmp_path):
         backend = StubScorer()
@@ -206,8 +204,7 @@ class TestPoolSerialization:
         save_grid(grid, path)
         back = load_grid(path)
         assert back.prompt == grid.prompt
-        for d1, d2 in zip(grid.distributions, back.distributions):
-            np.testing.assert_allclose(d1.probs, d2.probs, atol=1e-6)
+        np.testing.assert_allclose(back.probs, grid.probs, atol=1e-6)
 
 
 class TestFileBackend:
@@ -228,8 +225,8 @@ class TestFileBackend:
     def test_import_renormalizes_rows(self, tmp_path):
         backend = self.make_export(tmp_path, [[2.0, 1.0, 1.0], [0.0, 3.0, 1.0]])
         grid = backend.score(PromptSpec("imgA", "maskA", "query1", (1, 2)))
-        np.testing.assert_allclose(grid.distributions[0].probs, [0.5, 0.25, 0.25])
-        np.testing.assert_allclose(grid.distributions[1].probs, [0.0, 0.75, 0.25])
+        np.testing.assert_allclose(grid.probs[0], [0.5, 0.25, 0.25])
+        np.testing.assert_allclose(grid.probs[1], [0.0, 0.75, 0.25])
 
     def test_missing_prompt(self, tmp_path):
         backend = self.make_export(tmp_path, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])

@@ -6,56 +6,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubScorer
-from patchsmooth.divergence import LN2, CodebookDistribution
+from patchsmooth.divergence import LN2
 from patchsmooth.errors import ConfigError, DimensionError, ValidationError
-from patchsmooth.pool import PoolEntry, PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
+from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from patchsmooth.retrieval import RetrievedSet
 from patchsmooth.smoothing import (
     Aggregation,
     DivergenceKind,
-    Neighbor,
     NeighborKey,
-    NeighborSet,
     PoolScope,
     SmoothingConfig,
     aggregate_sequences,
-    knn_select,
     smooth_features,
     smooth_grid,
-    smooth_patch,
     softmax_weights,
 )
 
 
-def dist(*values):
-    return CodebookDistribution(np.array(values, dtype=np.float64))
+def one_patch_pool(*rows, feature_keys=None):
+    """A single-patch pool whose entry j is ``rows[j]``, from pair j + 1."""
+    probs = np.array(rows, dtype=np.float64)[:, None, :]
+    keys = None if feature_keys is None else np.array(feature_keys, dtype=np.float64)[:, None, :]
+    return PromptPool(probs=probs, pair_indices=np.arange(1, len(rows) + 1), prompts=(),
+                      mode=PoolMode.Q, m=len(rows), feature_keys=keys)
 
 
-def entries_from(dists, patch_index=0):
-    return [
-        PoolEntry(pair_index=i + 1, patch_index=patch_index, distribution=d)
-        for i, d in enumerate(dists)
-    ]
+def smooth_one_patch(query, pool, config, feature_keys=None):
+    """Smooth a one-patch grid; returns (smoothed row, neighbor diagnostics)."""
+    keys = None if feature_keys is None else np.array([feature_keys], dtype=np.float64)
+    grid = ScoreGrid(probs=np.array([query], dtype=np.float64), feature_keys=keys)
+    out = smooth_grid(grid, pool, config)
+    return out.probs[0], out.diagnostics[0]
 
 
-def pool_from_grids(grids_per_pair, patch_count):
-    """grids_per_pair: list over pairs of lists over patches of distributions."""
-    per_patch = tuple(
-        tuple(
-            PoolEntry(pair_index=i + 1, patch_index=l, distribution=grids_per_pair[i][l])
-            for i in range(len(grids_per_pair))
-        )
-        for l in range(patch_count)
+def random_pool(rng, width, patches, size):
+    return PromptPool(
+        probs=rng.dirichlet(np.ones(size), size=(width, patches)),
+        pair_indices=np.arange(1, width + 1),
+        prompts=(),
+        mode=PoolMode.Q,
+        m=width,
     )
-    return PromptPool(per_patch=per_patch, prompts=(), mode=PoolMode.Q, m=len(grids_per_pair))
 
 
 def random_grid(rng, patches, size):
-    return ScoreGrid(
-        distributions=tuple(
-            CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)
-        )
-    )
+    return ScoreGrid(probs=rng.dirichlet(np.ones(size), size=patches))
 
 
 class TestConfig:
@@ -116,99 +111,93 @@ class TestSoftmaxWeights:
 
 
 class TestKnnSelect:
+    """Neighbor selection, read from the smoothing diagnostics."""
+
     def test_query_itself_ranks_first(self):
-        query = dist(0.3, 0.7)
-        pool = entries_from([dist(0.7, 0.3), dist(0.3, 0.7), dist(0.5, 0.5)])
-        got = knn_select(query, pool, k=1, config=SmoothingConfig(m=3))
-        assert got.entries[0].pair_index == 2
-        assert got.entries[0].distance == 0.0
+        pool = one_patch_pool([0.7, 0.3], [0.3, 0.7], [0.5, 0.5])
+        _, got = smooth_one_patch([0.3, 0.7], pool, SmoothingConfig(m=3, k=1))
+        assert got[0][0] == 2
+        assert got[0][2] == 0.0
 
     def test_derived_js_ordering(self):
-        query = dist(1, 0)
-        pool = entries_from([dist(0.5, 0.5), dist(0, 1), dist(1, 0)])  # A, B, C
-        got = knn_select(query, pool, k=2, config=SmoothingConfig(m=3))
-        assert [n.pair_index for n in got.entries] == [3, 1]
-        assert got.entries[0].distance == 0.0
-        assert got.entries[1].distance == pytest.approx(0.215761554339, abs=1e-9)
+        pool = one_patch_pool([0.5, 0.5], [0, 1], [1, 0])  # A, B, C
+        _, got = smooth_one_patch([1, 0], pool, SmoothingConfig(m=3, k=2))
+        assert [n[0] for n in got] == [3, 1]
+        assert got[0][2] == 0.0
+        assert got[1][2] == pytest.approx(0.215761554339, abs=1e-9)
 
     def test_k_equal_pool_size_returns_all_sorted(self):
-        query = dist(1, 0)
-        pool = entries_from([dist(0, 1), dist(1, 0), dist(0.5, 0.5)])
-        got = knn_select(query, pool, k=3, config=SmoothingConfig(m=3))
-        assert [n.pair_index for n in got.entries] == [2, 3, 1]
-        d = got.distances()
+        pool = one_patch_pool([0, 1], [1, 0], [0.5, 0.5])
+        _, got = smooth_one_patch([1, 0], pool, SmoothingConfig(m=3, k=3))
+        assert [n[0] for n in got] == [2, 3, 1]
+        d = [n[2] for n in got]
         assert all(d[i] <= d[i + 1] for i in range(len(d) - 1))
 
     def test_k_clamps_to_pool_size(self):
-        got = knn_select(dist(1, 0), entries_from([dist(0.5, 0.5)]), k=10,
-                         config=SmoothingConfig(m=1))
+        _, got = smooth_one_patch([1, 0], one_patch_pool([0.5, 0.5]), SmoothingConfig(m=1, k=10))
         assert len(got) == 1
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):
-            knn_select(dist(1, 0), [], k=1, config=SmoothingConfig(m=1))
+            PromptPool(probs=np.empty((0, 1, 2)), pair_indices=[], prompts=(),
+                       mode=PoolMode.Q, m=1)
 
     def test_tie_break_by_pair_index(self):
-        query = dist(0.5, 0.5)
-        pool = entries_from([dist(0.4, 0.6), dist(0.4, 0.6)])
-        got = knn_select(query, pool, k=1, config=SmoothingConfig(m=2))
-        assert got.entries[0].pair_index == 1
+        pool = one_patch_pool([0.4, 0.6], [0.4, 0.6])
+        _, got = smooth_one_patch([0.5, 0.5], pool, SmoothingConfig(m=2, k=1))
+        assert got[0][0] == 1
 
     def test_kl_infinite_sorts_last(self):
-        query = dist(1, 0)
         config = SmoothingConfig(m=2, divergence=DivergenceKind.KL)
-        pool = entries_from([dist(0.5, 0.5), dist(1, 0)])
-        got = knn_select(query, pool, k=2, config=config)
-        assert got.entries[0].pair_index == 2
-        assert got.entries[1].distance == math.inf
+        pool = one_patch_pool([0.5, 0.5], [1, 0])
+        _, got = smooth_one_patch([1, 0], pool, config)
+        assert got[0][0] == 2
+        assert got[1][2] == math.inf
+        assert got[1][3] == 0.0
 
     def test_feature_key_l2(self):
         config = SmoothingConfig(m=2, key=NeighborKey.FEATURE)
-        pool = [
-            PoolEntry(1, 0, dist(1, 0), feature_key=np.array([3.0, 4.0])),
-            PoolEntry(2, 0, dist(0, 1), feature_key=np.array([0.0, 1.0])),
-        ]
-        got = knn_select(np.array([0.0, 0.0]), pool, k=2, config=config)
-        assert [n.pair_index for n in got.entries] == [2, 1]
-        assert got.entries[1].distance == pytest.approx(5.0)
+        pool = one_patch_pool([1, 0], [0, 1], feature_keys=[[3.0, 4.0], [0.0, 1.0]])
+        _, got = smooth_one_patch([0.5, 0.5], pool, config, feature_keys=[0.0, 0.0])
+        assert [n[0] for n in got] == [2, 1]
+        assert got[1][2] == pytest.approx(5.0)
 
     def test_feature_key_requires_keys(self):
         config = SmoothingConfig(m=1, key=NeighborKey.FEATURE)
         with pytest.raises(ConfigError):
-            knn_select(np.array([0.0]), entries_from([dist(1, 0)]), k=1, config=config)
+            smooth_one_patch([0.5, 0.5], one_patch_pool([1, 0]), config, feature_keys=[0.0])
+        keyed = one_patch_pool([1, 0], feature_keys=[[0.0]])
+        with pytest.raises(ConfigError):
+            smooth_one_patch([0.5, 0.5], keyed, config)
 
 
 class TestSmoothPatch:
+    """Blending of one patch with its selected neighbors."""
+
     def test_alpha_zero_identity(self):
-        s = dist(0.3, 0.7)
-        neighbors = NeighborSet((Neighbor(1, 0, 0.1, dist(0.9, 0.1)),))
-        out = smooth_patch(s, neighbors, SmoothingConfig(m=1, alpha=0.0))
-        np.testing.assert_array_equal(out.probs, s.probs)
+        out, _ = smooth_one_patch([0.3, 0.7], one_patch_pool([0.9, 0.1]),
+                                  SmoothingConfig(m=1, alpha=0.0))
+        np.testing.assert_array_equal(out, [0.3, 0.7])
 
     def test_alpha_one_nearest_returns_neighbor(self):
-        s = dist(0.3, 0.7)
-        u = dist(0.9, 0.1)
-        neighbors = NeighborSet((Neighbor(1, 0, 0.1, u),))
-        out = smooth_patch(s, neighbors, SmoothingConfig(m=1, alpha=1.0,
-                                                         aggregation=Aggregation.NEAREST))
-        np.testing.assert_array_equal(out.probs, u.probs)
+        pool = one_patch_pool([0.9, 0.1])
+        out, _ = smooth_one_patch([0.3, 0.7], pool, SmoothingConfig(
+            m=1, alpha=1.0, aggregation=Aggregation.NEAREST))
+        np.testing.assert_array_equal(out, pool.probs[0, 0])
 
     def test_derived_single_neighbor_blend(self):
-        out = smooth_patch(
-            dist(1, 0),
-            NeighborSet((Neighbor(1, 0, LN2, dist(0, 1)),)),
-            SmoothingConfig(m=1, alpha=0.5),
-        )
-        np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-12)
+        out, got = smooth_one_patch([1, 0], one_patch_pool([0, 1]), SmoothingConfig(m=1, alpha=0.5))
+        assert got[0][2] == pytest.approx(LN2, abs=1e-12)
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
     def test_empty_neighbors_returns_s(self):
-        s = dist(0.3, 0.7)
-        assert smooth_patch(s, NeighborSet(()), SmoothingConfig(m=1)) is s
+        query = np.array([[0.3, 0.7]])
+        out = smooth_features(query, [np.empty((0, 2))], SmoothingConfig(m=1))
+        np.testing.assert_array_equal(out, query)
 
     def test_dimension_mismatch(self):
-        neighbors = NeighborSet((Neighbor(1, 0, 0.0, dist(0.2, 0.3, 0.5)),))
         with pytest.raises(DimensionError):
-            smooth_patch(dist(0.5, 0.5), neighbors, SmoothingConfig(m=1))
+            smooth_one_patch([0.5, 0.5], one_patch_pool([0.2, 0.3, 0.5]), SmoothingConfig(m=1))
 
 
 def grids_for(backend, ids, query="q"):
@@ -223,8 +212,7 @@ class TestSmoothGrid:
         backend = StubScorer()
         query_grid, pool = grids_for(backend, ["a", "b", "c"])
         out = smooth_grid(query_grid, pool, SmoothingConfig(m=3, alpha=0.0))
-        for d_out, d_in in zip(out.distributions, query_grid.distributions):
-            np.testing.assert_array_equal(d_out.probs, d_in.probs)
+        np.testing.assert_array_equal(out.probs, query_grid.probs)
 
     def test_average_alpha_one_k_m_is_plain_mean(self):
         backend = StubScorer()
@@ -232,8 +220,8 @@ class TestSmoothGrid:
         config = SmoothingConfig(m=3, k=3, alpha=1.0, aggregation=Aggregation.AVERAGE)
         out = smooth_grid(query_grid, pool, config)
         for l in range(pool.patch_count):
-            mean = np.mean([e.distribution.probs for e in pool.per_patch[l]], axis=0)
-            np.testing.assert_allclose(out.distributions[l].probs, mean, atol=1e-12)
+            mean = np.mean(pool.probs[:, l], axis=0)
+            np.testing.assert_allclose(out.probs[l], mean, atol=1e-12)
 
     def test_nearest_equals_weighted_k1_exactly(self):
         backend = StubScorer()
@@ -246,8 +234,7 @@ class TestSmoothGrid:
             query_grid, pool,
             SmoothingConfig(m=4, k=1, alpha=0.7, aggregation=Aggregation.WEIGHTED),
         )
-        for a, b in zip(nearest.distributions, weighted.distributions):
-            np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(nearest.probs, weighted.probs)
 
     def test_large_tau_weighted_approaches_average(self):
         backend = StubScorer()
@@ -258,23 +245,16 @@ class TestSmoothGrid:
         average = smooth_grid(
             query_grid, pool, SmoothingConfig(m=4, aggregation=Aggregation.AVERAGE)
         )
-        for a, b in zip(weighted.distributions, average.distributions):
-            assert np.max(np.abs(a.probs - b.probs)) < 1e-6
+        assert np.max(np.abs(weighted.probs - average.probs)) < 1e-6
 
     def test_monotone_trust_in_alpha(self):
         backend = StubScorer()
         query_grid, pool = grids_for(backend, ["a", "b", "c"])
         full = smooth_grid(query_grid, pool, SmoothingConfig(m=3, alpha=1.0))
-        reference = max(
-            np.max(np.abs(o.probs - q.probs))
-            for o, q in zip(full.distributions, query_grid.distributions)
-        )
+        reference = np.max(np.abs(full.probs - query_grid.probs))
         for alpha in np.linspace(0.0, 1.0, 11):
             out = smooth_grid(query_grid, pool, SmoothingConfig(m=3, alpha=float(alpha)))
-            deviation = max(
-                np.max(np.abs(o.probs - q.probs))
-                for o, q in zip(out.distributions, query_grid.distributions)
-            )
+            deviation = np.max(np.abs(out.probs - query_grid.probs))
             assert deviation == pytest.approx(alpha * reference, abs=1e-12)
 
     def test_per_patch_scope_never_crosses_patches(self):
@@ -318,11 +298,7 @@ class TestSmoothGrid:
         size = int(rng.integers(2, 12))
         width = int(rng.integers(1, 5))
         query = random_grid(rng, patches, size)
-        pool = pool_from_grids(
-            [[CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)]
-             for _ in range(width)],
-            patches,
-        )
+        pool = random_pool(rng, width, patches, size)
         config = SmoothingConfig(
             m=width,
             k=int(rng.integers(1, width + 1)),
@@ -331,9 +307,9 @@ class TestSmoothGrid:
             aggregation=rng.choice(list(Aggregation)),
         )
         out = smooth_grid(query, pool, config)
-        for d in out.distributions:
-            assert abs(d.probs.sum() - 1.0) <= 1e-9
-            assert np.all(d.probs >= 0.0)
+        for row in out.probs:
+            assert abs(row.sum() - 1.0) <= 1e-9
+            assert np.all(row >= 0.0)
 
 
 class TestSmoothFeatures:
@@ -372,26 +348,25 @@ class TestSmoothFeatures:
 
 class TestAggregateSequences:
     def grid_of(self, *rows):
-        return ScoreGrid(distributions=tuple(dist(*row) for row in rows))
+        return ScoreGrid(probs=np.array(rows, dtype=np.float64))
 
     def test_single_grid_unchanged(self):
         g = self.grid_of([0.25, 0.75])
         out = aggregate_sequences([g], SmoothingConfig.sequence_defaults())
-        np.testing.assert_array_equal(out.distributions[0].probs, g.distributions[0].probs)
+        np.testing.assert_array_equal(out.probs[0], g.probs[0])
 
     def test_two_identical_grids_fixed_point(self):
         g = self.grid_of([0.25, 0.75], [0.6, 0.4])
         out = aggregate_sequences([g, self.grid_of([0.25, 0.75], [0.6, 0.4])],
                                   SmoothingConfig.sequence_defaults())
-        for a, b in zip(out.distributions, g.distributions):
-            np.testing.assert_allclose(a.probs, b.probs, atol=1e-14)
+        np.testing.assert_allclose(out.probs, g.probs, atol=1e-14)
 
     def test_derived_two_sequence_weighted_sum(self):
         out = aggregate_sequences(
             [self.grid_of([1.0, 0.0]), self.grid_of([0.0, 1.0])],
             SmoothingConfig.sequence_defaults(alpha=0.8),
         )
-        np.testing.assert_allclose(out.distributions[0].probs, [0.2, 0.8], atol=1e-12)
+        np.testing.assert_allclose(out.probs[0], [0.2, 0.8], atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

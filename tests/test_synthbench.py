@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from patchsmooth.divergence import CodebookDistribution
 from patchsmooth.errors import ConfigError, MissingItemError
-from patchsmooth.pool import PoolEntry, PoolMode, PromptPool, PromptSpec, ScoreGrid
+from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
     Aggregation,
     DivergenceKind,
@@ -105,8 +104,8 @@ class TestSyntheticScore:
         pair, anchor = world.support_ids[0], world.query_ids[0]
         grid = synthetic_score(world, params, prompt_for(world, pair, anchor))
         truth = world.items[anchor].output_tokens
-        for l, d in enumerate(grid.distributions):
-            assert d.probs[truth[l]] == 1.0
+        for l, row in enumerate(grid.probs):
+            assert row[truth[l]] == 1.0
 
     def test_maximal_bias_is_onehot_pair_token(self):
         world = world_for()
@@ -114,8 +113,8 @@ class TestSyntheticScore:
         pair, anchor = world.support_ids[0], world.query_ids[0]
         grid = synthetic_score(world, params, prompt_for(world, pair, anchor))
         pair_tokens = world.items[pair].output_tokens
-        for l, d in enumerate(grid.distributions):
-            assert d.probs[pair_tokens[l]] == 1.0
+        for l, row in enumerate(grid.probs):
+            assert row[pair_tokens[l]] == 1.0
 
     def test_derived_mixture_values(self):
         world = world_for(size=4, items=12)
@@ -126,12 +125,12 @@ class TestSyntheticScore:
                 grid = synthetic_score(world, params, prompt_for(world, pair, anchor))
                 truth = world.items[anchor].output_tokens
                 tokens = world.items[pair].output_tokens
-                for l, d in enumerate(grid.distributions):
+                for l, row in enumerate(grid.probs):
                     if truth[l] != tokens[l]:
                         found = True
-                        assert d.probs[truth[l]] == pytest.approx(0.475, abs=1e-12)
-                        assert d.probs[tokens[l]] == pytest.approx(0.475, abs=1e-12)
-                        others = [v for i, v in enumerate(d.probs) if i not in (truth[l], tokens[l])]
+                        assert row[truth[l]] == pytest.approx(0.475, abs=1e-12)
+                        assert row[tokens[l]] == pytest.approx(0.475, abs=1e-12)
+                        others = [v for i, v in enumerate(row) if i not in (truth[l], tokens[l])]
                         np.testing.assert_allclose(others, 0.025, atol=1e-12)
         assert found, "no patch with truth != pair token in this world"
 
@@ -141,8 +140,7 @@ class TestSyntheticScore:
         prompt = prompt_for(world, world.support_ids[0], world.query_ids[0])
         a = synthetic_score(world, params, prompt)
         b = synthetic_score(world, params, prompt)
-        for d1, d2 in zip(a.distributions, b.distributions):
-            assert d1.probs.tobytes() == d2.probs.tobytes()
+        assert a.probs.tobytes() == b.probs.tobytes()
 
     def test_similarity_coupling_shifts_mass_to_pair(self):
         world = world_for(items=12)
@@ -155,8 +153,8 @@ class TestSyntheticScore:
         tokens = world.items[pair].output_tokens
         for l in range(world.patch_count):
             if truth[l] != tokens[l]:
-                assert g1.distributions[l].probs[truth[l]] < g0.distributions[l].probs[truth[l]]
-                assert g1.distributions[l].probs[tokens[l]] > g0.distributions[l].probs[tokens[l]]
+                assert g1.probs[l, truth[l]] < g0.probs[l, truth[l]]
+                assert g1.probs[l, tokens[l]] > g0.probs[l, tokens[l]]
 
     def test_unknown_ids_rejected(self):
         world = world_for()
@@ -178,32 +176,21 @@ def random_instance(rng, max_patches=6, max_width=5, max_size=10):
 
     def one_grid():
         return (
-            [CodebookDistribution(rng.dirichlet(np.ones(size))) for _ in range(patches)],
+            np.stack([rng.dirichlet(np.ones(size)) for _ in range(patches)]),
             rng.normal(size=(patches, feat_dim)),
             rng.normal(size=(patches, patch_dim)),
         )
 
     query_d, query_f, query_p = one_grid()
     # query strictly positive already (dirichlet); keeps KL finite
-    query = ScoreGrid(distributions=tuple(query_d), feature_keys=query_f, patch_keys=query_p)
+    query = ScoreGrid(probs=query_d, feature_keys=query_f, patch_keys=query_p)
 
     pairs = [one_grid() for _ in range(width)]
     if width >= 2 and rng.random() < 0.3:
         pairs[1] = pairs[0]  # exact duplicate exercises tie-breaking
-    per_patch = tuple(
-        tuple(
-            PoolEntry(
-                pair_index=i + 1,
-                patch_index=l,
-                distribution=pairs[i][0][l],
-                feature_key=pairs[i][1][l],
-                patch_key=pairs[i][2][l],
-            )
-            for i in range(width)
-        )
-        for l in range(patches)
-    )
-    pool = PromptPool(per_patch=per_patch, prompts=(), mode=PoolMode.Q, m=width)
+    probs, feature_keys, patch_keys = (np.stack(part) for part in zip(*pairs))
+    pool = PromptPool(probs=probs, pair_indices=np.arange(1, width + 1), prompts=(),
+                      mode=PoolMode.Q, m=width, feature_keys=feature_keys, patch_keys=patch_keys)
     return query, pool, width
 
 
@@ -212,8 +199,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(0)
         query, pool, width = random_instance(rng)
         out = brute_force_smooth(query, pool, SmoothingConfig(m=width, alpha=0.0))
-        for a, b in zip(out.distributions, query.distributions):
-            np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(out.probs, query.probs)
 
     def test_nearest_equals_weighted_k1(self):
         rng = np.random.default_rng(1)
@@ -224,8 +210,7 @@ class TestBruteForceOracle:
         weighted = brute_force_smooth(
             query, pool, SmoothingConfig(m=width, k=1, aggregation=Aggregation.WEIGHTED)
         )
-        for a, b in zip(nearest.distributions, weighted.distributions):
-            np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(nearest.probs, weighted.probs)
 
     def test_full_variant_cross_product(self):
         rng = np.random.default_rng(2024)
@@ -248,8 +233,7 @@ class TestBruteForceOracle:
                 )
                 fast = smooth_grid(query, pool, config)
                 slow = brute_force_smooth(query, pool, config)
-                for a, b in zip(fast.distributions, slow.distributions):
-                    assert np.max(np.abs(a.probs - b.probs)) <= 1e-9
+                assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-9
 
 
 class TestBiasExperiment:
@@ -309,10 +293,8 @@ class TestBiasExperiment:
         out = smooth_grid(s, pool, config)
         truth = world.items[query].output_tokens
         for l in range(world.patch_count):
-            pool_mass = np.mean(
-                [e.distribution.probs[truth[l]] for e in pool.per_patch[l]]
-            )
-            assert out.distributions[l].probs[truth[l]] == pytest.approx(pool_mass, abs=1e-12)
+            pool_mass = np.mean(pool.probs[:, l, truth[l]])
+            assert out.probs[l, truth[l]] == pytest.approx(pool_mass, abs=1e-12)
 
     def test_insufficient_support_rejected(self):
         world = world_for(items=4)  # 3 support items
@@ -334,7 +316,7 @@ class TestBiasExperiment:
 def onehot_mixture(token, size, epsilon):
     vec = np.full(size, epsilon / size)
     vec[token] += 1.0 - epsilon
-    return CodebookDistribution(vec)
+    return vec
 
 
 class TestMaximalBiasEnumeration:
@@ -351,16 +333,16 @@ class TestMaximalBiasEnumeration:
 
     def smoothed_argmax(self, pool_tokens, config):
         s = onehot_mixture(pool_tokens[0], self.size, self.epsilon)
-        per_patch = (
-            tuple(
-                PoolEntry(i + 1, 0, onehot_mixture(t, self.size, self.epsilon))
-                for i, t in enumerate(pool_tokens)
-            ),
+        pool = PromptPool(
+            probs=np.stack([[onehot_mixture(t, self.size, self.epsilon)] for t in pool_tokens]),
+            pair_indices=np.arange(1, len(pool_tokens) + 1),
+            prompts=(),
+            mode=PoolMode.Q,
+            m=len(pool_tokens),
         )
-        pool = PromptPool(per_patch=per_patch, prompts=(), mode=PoolMode.Q, m=len(pool_tokens))
-        grid = ScoreGrid(distributions=(s,))
-        fast = smooth_grid(grid, pool, config).distributions[0].argmax()
-        slow = brute_force_smooth(grid, pool, config).distributions[0].argmax()
+        grid = ScoreGrid(probs=[s])
+        fast = int(np.argmax(smooth_grid(grid, pool, config).probs[0]))
+        slow = int(np.argmax(brute_force_smooth(grid, pool, config).probs[0]))
         assert fast == slow
         return fast
 
