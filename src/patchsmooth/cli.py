@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: retrieve, pool, smooth, decode,
-eval, plus synth-run (seeded synthetic experiments), bench (per-stage
-cost) and run (the whole pipeline from one config). Every command accepts
+eval, plus synth-run (seeded synthetic experiments) and run (the whole
+pipeline from one config). retrieve, pool, smooth and run accept
 --config; explicit flags override config-file values.
 
 Exit codes: 0 success, 2 configuration error, 3 file format error,
@@ -19,9 +19,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import PatchSmoothError
+from .errors import FormatError, PatchSmoothError
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
-from .pipeline import load_config, run_bench, run_pipeline, smoothing_config, synth_world
+from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
 from .pool import (
     FileScorerBackend,
     PoolMode,
@@ -85,11 +85,17 @@ def retrieve(index_path, query_path, m, out_path, config_path):
 
 
 def _retrieved_from_json(path) -> RetrievedSet:
-    payload = json.loads(Path(path).read_text())
-    return RetrievedSet(
-        items=tuple((str(i), float(s)) for i, s in payload["items"]),
-        query_id=str(payload["query"]),
-    )
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    query = meta_field(payload, "query", path, str)
+    items = meta_field(payload, "items", path, list, items=list)
+    for entry in items:
+        if not (len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool)):
+            raise FormatError(f"{path}: field 'items' holds {entry!r}, not an [id, score] pair")
+    return RetrievedSet(items=tuple((i, float(s)) for i, s in items), query_id=query)
 
 
 @cli.command("pool")
@@ -270,15 +276,6 @@ def run(config_path, out_path, seed, m, alpha, tau, k):
     config = load_config(config_path, overrides)
     report = run_pipeline(config)
     atomic_write_text(report.to_json(), out_path)
-
-
-@cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def bench(config_path, out_path):
-    """Time the pipeline stages on the synthetic world."""
-    config = load_config(config_path)
-    _write_json(run_bench(config), out_path)
 
 
 def main(argv=None):

@@ -34,15 +34,10 @@ class CodebookSpec:
     """The discrete token vocabulary a distribution ranges over."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 2:
             raise ValidationError(f"codebook size must be >= 2, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValidationError(
-                f"{len(self.labels)} labels for codebook of size {self.size}"
-            )
 
 
 def simplex_rows(values) -> np.ndarray:
@@ -72,8 +67,8 @@ def simplex_rows(values) -> np.ndarray:
 
 
 def normalize_scores(values) -> np.ndarray:
-    """Scale each row of raw nonnegative scores to unit mass, then check
-    the rows with ``simplex_rows``."""
+    """Scale each row of raw nonnegative scores to unit mass. The result
+    is not checked: the constructor it is passed to runs ``simplex_rows``."""
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValidationError("scores contain non-finite entries")
@@ -82,7 +77,7 @@ def normalize_scores(values) -> np.ndarray:
     totals = values.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValidationError("scores have zero total mass")
-    return simplex_rows(values / totals)
+    return values / totals
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import copy
 import json
-import time
-import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import EvalReport, decode_argmax, mse, pixel_accuracy
-from .pool import PoolMode, build_pool, load_grid, load_pool, save_pool
+from .pool import load_grid, load_pool
 from .smoothing import (
     Aggregation,
     DivergenceKind,
@@ -29,13 +27,7 @@ from .smoothing import (
     SmoothingConfig,
     smooth_grid,
 )
-from .synthbench import (
-    BiasedScorerParams,
-    SyntheticScorerBackend,
-    SyntheticWorld,
-    generate_world,
-    run_bias_experiment,
-)
+from .synthbench import BiasedScorerParams, SyntheticWorld, generate_world, run_bias_experiment
 from .tensorfile import read_tensor, write_tensor
 
 DEFAULT_CONFIG = {
@@ -55,7 +47,6 @@ DEFAULT_CONFIG = {
         "similarity_coupling": 0.0,
     },
     "retrieval": {"m": 4},
-    "pool": {"mode": "q", "seed": None},
     "smoothing": {
         "k": None,
         "alpha": 1.0,
@@ -67,6 +58,14 @@ DEFAULT_CONFIG = {
     },
     "queries": {"n": 3, "seed": 0},
     "files": {},
+}
+
+#: What ``load_config`` accepts: every key of the defaults with a value of
+#: its default's type, and in ``files`` the file backend's tensor paths and
+#: the item id its reports name.
+_SCHEMA = {
+    **DEFAULT_CONFIG,
+    "files": dict.fromkeys(("query_scores", "pool", "gt_tokens", "out_tokens", "item_id"), ""),
 }
 
 
@@ -94,7 +93,31 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         config = _deep_merge(config, loaded)
     if overrides:
         config = _deep_merge(config, overrides)
+    _check_config(config, _SCHEMA)
     return copy.deepcopy(config)
+
+
+def _expected_types(default) -> tuple[type, ...]:
+    if default is None:  # smoothing.k: an int, or null for min(5, m)
+        return (int, type(None))
+    if isinstance(default, float):
+        return (int, float)
+    return (type(default),)
+
+
+def _check_config(config: dict, schema: dict, prefix: str = "") -> None:
+    """ConfigError naming the key path of the first key ``schema`` lacks
+    or whose value is not of its default's type."""
+    for key, value in config.items():
+        name = prefix + key
+        if key not in schema:
+            raise ConfigError(f"unknown config key {name!r}")
+        expected = _expected_types(schema[key])
+        if isinstance(value, bool) or not isinstance(value, expected):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
+            raise ConfigError(f"config key {name!r} must be {names}, got {value!r}")
+        if isinstance(value, dict):
+            _check_config(value, schema[key], name + ".")
 
 
 def smoothing_config(config: dict, m: int) -> SmoothingConfig:
@@ -145,6 +168,26 @@ def _token_mse(a, b) -> float:
     return mse(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
+def _eval_reports(rows: list[dict], echo: dict) -> tuple[EvalReport, ...]:
+    """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``
+    when the rows carry ``js_to_truth``. Each row holds ``query``,
+    ``baseline_tokens``, ``smoothed_tokens`` and ``truth``."""
+    reports = [
+        EvalReport.from_items(
+            f"{arm}_{metric}",
+            [(r["query"], fn(r[f"{arm}_tokens"], r["truth"])) for r in rows],
+            echo,
+        )
+        for metric, fn in (("accuracy", pixel_accuracy), ("mse", _token_mse))
+        for arm in ("baseline", "smoothed")
+    ]
+    if "js_to_truth" in rows[0]:
+        reports.append(EvalReport.from_items(
+            "smoothed_js_to_truth", [(r["query"], r["js_to_truth"]) for r in rows], echo
+        ))
+    return tuple(reports)
+
+
 def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
     """The synthetic world and scorer weights a config's world and scorer
     sections describe."""
@@ -179,29 +222,7 @@ def _synth_pipeline(config: dict) -> PipelineReport:
     )
     rows = experiment["configs"][0]["per_query"]
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
-
-    reports = (
-        EvalReport.from_items(
-            "baseline_accuracy", [(r["query"], r["baseline_accuracy"]) for r in rows], echo
-        ),
-        EvalReport.from_items(
-            "smoothed_accuracy", [(r["query"], r["smoothed_accuracy"]) for r in rows], echo
-        ),
-        EvalReport.from_items(
-            "baseline_mse",
-            [(r["query"], _token_mse(r["baseline_tokens"], r["truth"])) for r in rows],
-            echo,
-        ),
-        EvalReport.from_items(
-            "smoothed_mse",
-            [(r["query"], _token_mse(r["smoothed_tokens"], r["truth"])) for r in rows],
-            echo,
-        ),
-        EvalReport.from_items(
-            "smoothed_js_to_truth", [(r["query"], r["js_to_truth"]) for r in rows], echo
-        ),
-    )
-    return PipelineReport(config=echo, reports=reports, artifacts={})
+    return PipelineReport(config=echo, reports=_eval_reports(rows, echo), artifacts={})
 
 
 def _file_pipeline(config: dict) -> PipelineReport:
@@ -231,42 +252,24 @@ def _file_pipeline(config: dict) -> PipelineReport:
         )
         artifacts["out_tokens"] = str(files["out_tokens"])
 
-    reports = []
+    reports = ()
     if "gt_tokens" in files:
         gt, _ = read_tensor(files["gt_tokens"])
-        gt = gt.reshape(-1)
-        item = files.get("item_id", "item0")
-        reports.append(
-            EvalReport.from_items(
-                "baseline_accuracy",
-                [(item, pixel_accuracy(np.array(baseline_pred.tokens), gt))],
-                echo,
-            )
-        )
-        reports.append(
-            EvalReport.from_items(
-                "smoothed_accuracy",
-                [(item, pixel_accuracy(np.array(smoothed_pred.tokens), gt))],
-                echo,
-            )
-        )
-        reports.append(
-            EvalReport.from_items(
-                "baseline_mse", [(item, _token_mse(baseline_pred.tokens, gt))], echo
-            )
-        )
-        reports.append(
-            EvalReport.from_items(
-                "smoothed_mse", [(item, _token_mse(smoothed_pred.tokens, gt))], echo
-            )
-        )
-    return PipelineReport(config=echo, reports=tuple(reports), artifacts=artifacts)
+        reports = _eval_reports([{
+            "query": files.get("item_id", "item0"),
+            "baseline_tokens": baseline_pred.tokens,
+            "smoothed_tokens": smoothed_pred.tokens,
+            "truth": gt.reshape(-1),
+        }], echo)
+    return PipelineReport(config=echo, reports=reports, artifacts=artifacts)
 
 
 def run_pipeline(config: dict | str | Path) -> PipelineReport:
-    """Run the full pipeline for one config (dict or JSON file path)."""
+    """Run the full pipeline for one config (dict or JSON file path); a
+    dict is checked as ``load_config`` checks its result."""
     if not isinstance(config, dict):
         config = load_config(config)
+    _check_config(config, _SCHEMA)
     backend = config.get("backend", "synth")
     if backend == "synth":
         return _synth_pipeline(config)
@@ -274,49 +277,3 @@ def run_pipeline(config: dict | str | Path) -> PipelineReport:
         return _file_pipeline(config)
     raise ConfigError(f"unknown backend {backend!r}; choose synth or file")
 
-
-def run_bench(config: dict, pool_path: str | Path | None = None) -> dict:
-    """Wall time and peak memory per pipeline stage; numbers are this
-    machine's own, comparable only to themselves."""
-    from .retrieval import top_m
-
-    world, params = synth_world(config)
-    backend = SyntheticScorerBackend(world, params)
-    smoothing = smoothing_config(config, m=int(config["retrieval"]["m"]))
-    query = world.query_ids[0]
-
-    stages = {}
-
-    def timed(name, fn):
-        tracemalloc.start()
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        stages[name] = {"wall_s": elapsed, "peak_kib": peak / 1024.0}
-        return result
-
-    index = timed("index", world.support_index)
-    retrieved = timed("retrieve", lambda: top_m(world.feature_vector(query), index, smoothing.m))
-    pool = timed("pool", lambda: build_pool(backend, retrieved, query, mode=PoolMode.Q))
-    if pool_path is not None:
-        timed("pool_cache_write", lambda: save_pool(pool, pool_path))
-    best_in, best_out = backend.pair_for(retrieved.ids[0])
-    from .pool import PromptSpec, score_prompt
-
-    grid = timed(
-        "score_query",
-        lambda: score_prompt(backend, PromptSpec(best_in, best_out, query, world.grid)),
-    )
-    smoothed = timed("smooth", lambda: smooth_grid(grid, pool, smoothing))
-    pred = timed("decode", lambda: decode_argmax(smoothed, shape=world.grid))
-    truth = world.items[query].output_tokens
-    timed("eval", lambda: pixel_accuracy(np.array(pred.tokens), truth))
-
-    return {
-        "schema_version": 1,
-        "config": _deep_merge(config, {"smoothing": smoothing.echo()}),
-        "stages": stages,
-        "note": "timings and memory are environment-specific, not comparable across machines",
-    }

@@ -95,9 +95,6 @@ class ScorerBackend(Protocol):
     """Deterministic mapping from prompts to score grids."""
 
     @property
-    def codebook(self) -> CodebookSpec: ...
-
-    @property
     def grid_shape(self) -> tuple[int, int]: ...
 
     def pair_for(self, item_id: str) -> tuple[str, str]:
@@ -266,10 +263,6 @@ class FileScorerBackend:
             raise FormatError(
                 f"{manifest_path}: patch_order {manifest['patch_order']!r} is not 'row-major'"
             )
-
-    @property
-    def codebook(self) -> CodebookSpec:
-        return self._codebook
 
     @property
     def grid_shape(self) -> tuple[int, int]:

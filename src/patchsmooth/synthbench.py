@@ -19,6 +19,7 @@ numbers are claimed or reproduced here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
 from .errors import ConfigError, MissingItemError, ValidationError
-from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool, score_prompt
+from .metrics import pixel_accuracy
+from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
 from .smoothing import (
     Aggregation,
@@ -163,6 +165,9 @@ class BiasedScorerParams:
         object.__setattr__(self, "beta_pair", self.beta_pair / total)
         object.__setattr__(self, "epsilon_noise", self.epsilon_noise / total)
 
+    def echo(self) -> dict:
+        return dataclasses.asdict(self)
+
 
 OUTPUT_SUFFIX = ".out"
 
@@ -222,10 +227,6 @@ class SyntheticScorerBackend:
     def __init__(self, world: SyntheticWorld, params: BiasedScorerParams):
         self.world = world
         self.params = params
-
-    @property
-    def codebook(self) -> CodebookSpec:
-        return self.world.codebook
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -374,10 +375,6 @@ def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
 # ---------------------------------------------------------------------------
 
 
-def _accuracy(tokens, truth) -> float:
-    return float(np.mean(np.asarray(tokens) == np.asarray(truth)))
-
-
 def _js_to_truth(probs, truth) -> float:
     onehots = np.eye(probs.shape[1])[np.asarray(truth)]
     return float(np.mean([
@@ -385,33 +382,43 @@ def _js_to_truth(probs, truth) -> float:
     ]))
 
 
-def _query_outcome(backend, world, query_id, config):
-    """Baseline and smoothed token predictions for one query."""
-    index = backend.index
-    retrieved = top_m(world.feature_vector(query_id), index, config.m)
-    best_in, best_out = backend.scorer.pair_for(retrieved.ids[0])
-    baseline_prompt = PromptSpec(best_in, best_out, query_id, world.grid)
-    s = score_prompt(backend.scorer, baseline_prompt)
-    pool = build_pool(backend.scorer, retrieved, query_id, mode=PoolMode.Q)
-    smoothed = smooth_grid(s, pool, config)
-    truth = world.item(query_id).output_tokens
-    baseline_tokens = [int(t) for t in np.argmax(s.probs, axis=1)]
+def _pool_prefix(pool: PromptPool, m: int) -> PromptPool:
+    """The pool of the first ``m`` retrieved pairs: top-m is a prefix of
+    top-max(m) and scoring is deterministic, so mode q's rows for pairs
+    1..m are exactly the first m rows."""
+    return PromptPool(
+        probs=pool.probs[:m],
+        pair_indices=pool.pair_indices[:m],
+        prompts=pool.prompts[:m],
+        mode=pool.mode,
+        m=m,
+        feature_keys=None if pool.feature_keys is None else pool.feature_keys[:m],
+        patch_keys=None if pool.patch_keys is None else pool.patch_keys[:m],
+    )
+
+
+def _query_outcome(query_id: str, pool: PromptPool, truth, config: SmoothingConfig) -> dict:
+    """Baseline and smoothed token predictions for one query. The baseline
+    is pool row 0: mode q's first prompt is the single-pair prompt
+    [x_1, y_1, query]."""
+    baseline = ScoreGrid(
+        probs=pool.probs[0],
+        prompt=pool.prompts[0],
+        feature_keys=None if pool.feature_keys is None else pool.feature_keys[0],
+        patch_keys=None if pool.patch_keys is None else pool.patch_keys[0],
+    )
+    smoothed = smooth_grid(baseline, _pool_prefix(pool, config.m), config)
+    baseline_tokens = [int(t) for t in np.argmax(baseline.probs, axis=1)]
     smoothed_tokens = [int(t) for t in np.argmax(smoothed.probs, axis=1)]
     return {
         "query": query_id,
         "baseline_tokens": baseline_tokens,
         "smoothed_tokens": smoothed_tokens,
         "truth": [int(t) for t in truth],
-        "baseline_accuracy": _accuracy(baseline_tokens, truth),
-        "smoothed_accuracy": _accuracy(smoothed_tokens, truth),
+        "baseline_accuracy": pixel_accuracy(baseline_tokens, truth),
+        "smoothed_accuracy": pixel_accuracy(smoothed_tokens, truth),
         "js_to_truth": _js_to_truth(smoothed.probs, truth),
     }
-
-
-class _WorldRun:
-    def __init__(self, world: SyntheticWorld, params: BiasedScorerParams):
-        self.scorer = SyntheticScorerBackend(world, params)
-        self.index = world.support_index()
 
 
 def run_bias_experiment(
@@ -444,11 +451,21 @@ def run_bias_experiment(
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(world.query_ids), size=n_queries, replace=False))
     queries = [world.query_ids[i] for i in picked]
-    backend = _WorldRun(world, params)
+    scorer = SyntheticScorerBackend(world, params)
+    index = world.support_index()
+    # each prompt is scored once, at the largest m; every config smooths
+    # against a prefix of that pool
+    pools = [
+        build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
+        for q in queries
+    ]
 
     results = []
     for config in config_grid:
-        rows = [_query_outcome(backend, world, q, config) for q in queries]
+        rows = [
+            _query_outcome(q, pool, world.item(q).output_tokens, config)
+            for q, pool in zip(queries, pools)
+        ]
         results.append(
             {
                 "config": config.echo(),
@@ -469,12 +486,7 @@ def run_bias_experiment(
             "n_items": len(world.items),
             "task_family": world.task_family,
         },
-        "scorer": {
-            "beta_truth": params.beta_truth,
-            "beta_pair": params.beta_pair,
-            "epsilon_noise": params.epsilon_noise,
-            "similarity_coupling": params.similarity_coupling,
-        },
+        "scorer": params.echo(),
         "query_seed": seed,
         "queries": queries,
         "configs": results,
@@ -531,12 +543,7 @@ def run_seed_sweep(
             "n_items": n_items,
             "task_family": task_family,
         },
-        "scorer": {
-            "beta_truth": params.beta_truth,
-            "beta_pair": params.beta_pair,
-            "epsilon_noise": params.epsilon_noise,
-            "similarity_coupling": params.similarity_coupling,
-        },
+        "scorer": params.echo(),
         "smoothing": {"alpha": alpha, "tau": tau, "k": k if k is not None else "min(5, m)"},
         "seeds": list(seeds),
         "n_queries": n_queries,

@@ -34,7 +34,6 @@ MAGIC = b"PNCL"
 VERSION = 1
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<u4")}
-_CODES_BY_KIND = {"f": 1, "u": 2}
 
 
 def _dtype_code(array: np.ndarray) -> int:
@@ -51,6 +50,10 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     path = Path(path)
     array = np.asarray(array)
     code = _dtype_code(array)
+    if code == 2 and array.size and (array.min() < 0 or array.max() > 0xFFFFFFFF):
+        raise FormatError(
+            f"integer values [{array.min()}, {array.max()}] do not fit the u32 container"
+        )
     payload = np.ascontiguousarray(array.astype(_DTYPE_CODES[code], copy=False)).tobytes()
 
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8") if meta else b""

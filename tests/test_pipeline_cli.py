@@ -5,7 +5,7 @@ import pytest
 
 from patchsmooth.cli import main
 from patchsmooth.errors import ConfigError
-from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_bench, run_pipeline
+from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline
 from patchsmooth.pool import (
     PoolMode,
     PromptPool,
@@ -68,6 +68,12 @@ class TestConfig:
         assert load_config()["files"] == {}
         assert load_config()["smoothing"]["alpha"] == 1.0
         assert DEFAULT_CONFIG["files"] == {}
+
+    def test_run_pipeline_checks_a_config_dict(self):
+        config = load_config()
+        config["queries"]["n"] = 1.5
+        with pytest.raises(ConfigError, match="queries.n"):
+            run_pipeline(config)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -151,17 +157,6 @@ class TestFilePipeline:
     def test_missing_inputs_rejected(self):
         with pytest.raises(ConfigError):
             run_pipeline(load_config(overrides={"backend": "file"}))
-
-
-class TestBench:
-    def test_stage_structure(self):
-        report = run_bench(load_config())
-        assert {"index", "retrieve", "pool", "score_query", "smooth", "decode", "eval"} <= set(
-            report["stages"]
-        )
-        for stage in report["stages"].values():
-            assert stage["wall_s"] >= 0.0
-            assert stage["peak_kib"] >= 0.0
 
 
 class TestCliFlow:
@@ -403,12 +398,6 @@ class TestCliFlow:
         assert meta["config"]["alpha"] == 0.25
         assert meta["config"]["aggregation"] == "average"
 
-    def test_bench_command(self, tmp_path):
-        code = run_cli(["bench", "--out", str(tmp_path / "bench.json")])
-        assert code == 0
-        bench = json.loads((tmp_path / "bench.json").read_text())
-        assert "smooth" in bench["stages"]
-
 
 class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path):
@@ -422,6 +411,38 @@ class TestExitCodes:
         config_path.write_text(json.dumps({"backend": "nope"}))
         code = run_cli(["run", "--config", str(config_path), "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("config", [
+        {"pool": {"mode": "self"}},
+        {"smoothing": {"alhpa": 0.5}},
+        {"files": {"bogus": "x.pnct"}},
+        {"world": {"rows": "a"}},
+        {"retrieval": {"m": "x"}},
+        {"smoothing": []},
+        {"files": {"query_scores": 3}},
+        {"queries": {"n": 1.5}},
+        {"smoothing": {"k": 2.5}},
+    ], ids=["pool-section", "misspelt-key", "unknown-file", "str-rows", "str-m",
+            "list-section", "int-path", "float-n", "float-k"])
+    def test_bad_config_key_or_type_is_2(self, tmp_path, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = run_cli(["run", "--config", str(config_path), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"items": [["item0000", 0.9]]}',
+        '{"query": "item0004", "items": [["item0000", 0.9]',
+        '{"query": "item0004", "items": [["item0000", "high"]]}',
+        '{"query": "item0004", "items": [["item0000"]]}',
+        '{"query": "item0004", "items": "item0000"}',
+    ], ids=["no-query", "bad-json", "str-score", "short-entry", "str-items"])
+    def test_malformed_retrieved_set_is_3(self, tmp_path, text):
+        (tmp_path / "r.json").write_text(text)
+        code = run_cli(["pool", "--backend", "synth", "--retrieved", str(tmp_path / "r.json"),
+                        "--out", str(tmp_path / "p.pnct")])
+        assert code == 3
 
     def test_format_error_is_3(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -296,6 +296,23 @@ class TestBiasExperiment:
             pool_mass = np.mean(pool.probs[:, l, truth[l]])
             assert out.probs[l, truth[l]] == pytest.approx(pool_mass, abs=1e-12)
 
+    def test_sweep_scores_each_prompt_once(self, monkeypatch):
+        calls = []
+        score = SyntheticScorerBackend.score
+
+        def counted(backend, prompt):
+            calls.append(prompt)
+            return score(backend, prompt)
+
+        monkeypatch.setattr(SyntheticScorerBackend, "score", counted)
+        world = world_for(rows=2, cols=2, size=4, items=16)
+        grid = [SmoothingConfig(m=m) for m in (1, 2, 4)]
+        report = run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        # one pool of width 4 per query; its first row is the baseline
+        assert len(calls) == 3 * 4
+        assert len(set(calls)) == len(calls)
+        assert report["configs"][0]["smoothed_accuracy"] == report["configs"][0]["baseline_accuracy"]
+
     def test_insufficient_support_rejected(self):
         world = world_for(items=4)  # 3 support items
         with pytest.raises(ConfigError):

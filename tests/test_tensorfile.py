@@ -108,6 +108,13 @@ def test_no_temp_files_left_behind(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.pnct"]
 
 
+@pytest.mark.parametrize("values", [[-1, 2], [1, 2**33 + 5], [2**32]])
+def test_ints_outside_u32_rejected(tmp_path, values):
+    with pytest.raises(FormatError):
+        write_tensor(np.array(values), tmp_path / "t.pnct")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_int_arrays_stored_as_u32(tmp_path):
     path = tmp_path / "t.pnct"
     write_tensor(np.array([1, 2, 3]), path)
