@@ -67,9 +67,7 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     if m is None:
         m = int(config["retrieval"]["m"])
     array, meta = read_tensor(index_path)
-    ids = meta.get("ids")
-    if ids is None or len(ids) != array.shape[0]:
-        raise click.UsageError("index tensor needs an 'ids' list matching its first dimension")
+    ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
     index = RetrievalIndex([_feature_vector(row, ident) for row, ident in zip(array, ids)])
     q_array, q_meta = read_tensor(query_path)
     query = _feature_vector(q_array, q_meta.get("id", "query"))

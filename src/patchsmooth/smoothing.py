@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import pairwise_divergence, simplex_rows
+from .divergence import negentropy, pairwise_divergence, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -156,23 +156,28 @@ def _select_and_blend(rows, keys, candidates, config: SmoothingConfig):
     """Blend every row of ``rows`` (L, D) with its k nearest candidates.
 
     ``candidates[l]`` is (values (N, D), keys (N, d) or None, pair (N,),
-    patch (N,)) for row l. With ``keys`` None, distances are the config's
-    divergence between candidate values and the row; otherwise they are l2
-    distances between candidate keys and ``keys[l]``. Neighbors are the
+    patch (N,), negentropy (N,) or None) for row l. With ``keys`` None,
+    distances are the config's divergence between candidate values, whose
+    ``negentropy`` the caller computed once, and the row; otherwise they
+    are l2 distances between candidate keys and ``keys[l]``. Neighbors are the
     first k by (distance, pair index, patch index); a row without
     candidates is returned unchanged. Returns the (L, D) blend and, per
     row, the (pair, patch, distance, weight) of every chosen neighbor.
     """
     out = np.empty_like(rows)
     diagnostics = []
+    row_negentropy = negentropy(rows) if keys is None else None
     for l, s in enumerate(rows):
-        values, cand_keys, pair, patch = candidates[l]
+        values, cand_keys, pair, patch, cand_negentropy = candidates[l]
         if len(values) == 0:
             out[l] = s
             diagnostics.append(())
             continue
         if keys is None:
-            distances = pairwise_divergence(s, values, kind=config.divergence.value)
+            distances = pairwise_divergence(
+                s, values, kind=config.divergence.value,
+                query_negentropy=row_negentropy[l], pool_negentropy=cand_negentropy,
+            )
         else:
             distances = np.array([np.linalg.norm(key - keys[l]) for key in cand_keys])
         # distance, then pair index, then patch index; infinities sort last
@@ -221,18 +226,22 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         )
     query_keys, pool_keys = _selection_keys(query_grid, pool, config)
     width, patches = pool.width, pool.patch_count
+    # (W, L), computed once for all the patches that compare against it
+    pool_negentropy = negentropy(pool.probs) if pool_keys is None else None
     if config.scope is PoolScope.ALL_PATCH:
         merged = (
             pool.probs.reshape(width * patches, -1),
             None if pool_keys is None else pool_keys.reshape(width * patches, -1),
             np.repeat(pool.pair_indices, patches),
             np.tile(np.arange(patches), width),
+            None if pool_negentropy is None else pool_negentropy.reshape(width * patches),
         )
         candidates = [merged] * patches
     else:
         candidates = [
             (pool.probs[:, l], None if pool_keys is None else pool_keys[:, l],
-             pool.pair_indices, np.full(width, l))
+             pool.pair_indices, np.full(width, l),
+             None if pool_negentropy is None else pool_negentropy[:, l])
             for l in range(patches)
         ]
     blended, diagnostics = _select_and_blend(query_grid.probs, query_keys, candidates, config)
@@ -261,7 +270,7 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
             raise DimensionError(
                 f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
-        candidates.append((vectors, vectors, np.arange(len(vectors)), np.zeros(len(vectors))))
+        candidates.append((vectors, vectors, np.arange(len(vectors)), np.zeros(len(vectors)), None))
     return _select_and_blend(query, query, candidates, config)[0]
 
 

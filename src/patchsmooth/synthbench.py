@@ -252,7 +252,8 @@ def _bf_kl(p, q) -> float:
         if a > 0.0:
             if b == 0.0:
                 return math.inf
-            total += a * math.log(a / b)
+            # a / b overflows when b is subnormal; the log difference cannot
+            total += a * (math.log(a) - math.log(b))
     return max(total, 0.0)
 
 

@@ -1,22 +1,27 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distribution_pairs, prob_vectors
+from patchsmooth import divergence
 from patchsmooth.divergence import (
     LN2,
     CodebookDistribution,
     CodebookSpec,
     js_divergence,
     kl_divergence,
+    negentropy,
     normalize_scores,
     pairwise_divergence,
     simplex_rows,
 )
 from patchsmooth.errors import DimensionError, ValidationError
+from patchsmooth.synthbench import _bf_js, _bf_kl
 
 # Frozen from a 50-digit evaluation of the defining sums (natural log).
 KL_HALF_VS_QUARTER = 0.143841036226
@@ -205,3 +210,131 @@ class TestPairwise:
         assert list(pairwise_divergence(a.probs, rows(b), kind="js")) == list(
             pairwise_divergence(b.probs, rows(a), kind="js")
         )
+
+
+# Entries in (0, smallest normal): the kernel must keep them exact.
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.2e-308)
+
+
+@st.composite
+def kernel_rows(draw, size):
+    """Distributions of ``size`` tokens that stress the kernel: zeros,
+    subnormal entries, or a single token holding all the mass."""
+    if draw(st.booleans()):
+        row = np.zeros(size)
+        row[draw(st.integers(0, size - 1))] = 1.0
+        return row
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), SUBNORMALS, st.floats(1e-3, 1.0)), min_size=size, max_size=size,
+    ).filter(lambda w: max(w) >= 1e-3))
+    return simplex_rows(np.asarray(weights) / sum(weights))
+
+
+@st.composite
+def kernel_pairs(draw):
+    size = draw(st.integers(2, 48))
+    p = draw(kernel_rows(size))
+    how = draw(st.sampled_from(["independent", "identical", "disjoint"]))
+    if how == "identical":
+        return p, p.copy()
+    q = draw(kernel_rows(size))
+    if how == "disjoint":
+        # move q's mass onto the tokens p leaves empty (p's support is never full
+        # here, since the strategy re-draws until it is not)
+        empty = p == 0.0
+        if not empty.any() or not (q[empty] > 0.0).any():
+            return p, q
+        q = np.where(empty, q, 0.0)
+        q = simplex_rows(q / q.sum())
+    return p, q
+
+
+def mp_js(p, q) -> float:
+    with mp.workdps(50):
+        total = mp.mpf(0)
+        for a, b in zip(p, q):
+            a, b = mp.mpf(float(a)), mp.mpf(float(b))
+            z = (a + b) / 2
+            total += (a * mp.log(a / z) if a > 0 else 0) + (b * mp.log(b / z) if b > 0 else 0)
+        return float(total / 2)
+
+
+def mp_kl(u, s) -> float:
+    with mp.workdps(50):
+        total = mp.mpf(0)
+        for a, b in zip(u, s):
+            if a > 0:
+                if b == 0:
+                    return math.inf
+                total += mp.mpf(float(a)) * mp.log(mp.mpf(float(a)) / mp.mpf(float(b)))
+        return float(total)
+
+
+class TestEntropyKernel:
+    """The block kernel against 50-digit sums and the pure-Python oracle."""
+
+    @given(kernel_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_js_matches_mpmath_and_oracle(self, pair):
+        p, q = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pairwise_divergence(q, p[None], kind="js")[0]
+            swapped = pairwise_divergence(p, q[None], kind="js")[0]
+        assert got == swapped
+        assert 0.0 <= got <= LN2 + 1e-12
+        assert abs(got - mp_js(p, q)) <= 1e-12
+        assert abs(got - _bf_js(list(p), list(q))) <= 1e-12
+        if np.array_equal(p, q):
+            assert got == 0.0
+        if not np.any((p > 0.0) & (q > 0.0)):
+            assert abs(got - LN2) <= 1e-12
+
+    @given(kernel_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_kl_matches_mpmath_and_oracle(self, pair):
+        u, s = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pairwise_divergence(s, u[None], kind="kl")[0]
+        expected, oracle = mp_kl(u, s), _bf_kl(list(u), list(s))
+        if math.isinf(expected):
+            assert got == math.inf and oracle == math.inf
+        else:
+            assert abs(got - expected) <= 1e-12
+            assert abs(got - oracle) <= 1e-12
+        if np.array_equal(u, s):
+            assert got == 0.0
+
+    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_agree_exactly_with_single_rows(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 40))
+        pool = rng.dirichlet(np.full(size, 0.3), size=int(rng.integers(1, 30)))
+        pool[rng.random(pool.shape) < 0.2] = 0.0
+        pool = simplex_rows(pool / pool.sum(axis=1, keepdims=True))
+        query = pool[int(rng.integers(len(pool)))]
+        expected = [pairwise_divergence(query, row[None], kind=kind)[0] for row in pool]
+        blocked = divergence.BLOCK_ELEMENTS
+        try:
+            divergence.BLOCK_ELEMENTS = 3 * size  # three rows per block
+            got = pairwise_divergence(query, pool, kind=kind)
+        finally:
+            divergence.BLOCK_ELEMENTS = blocked
+        assert list(got) == expected
+        np.testing.assert_array_equal(
+            got, pairwise_divergence(query, pool, kind=kind,
+                                     query_negentropy=negentropy(query),
+                                     pool_negentropy=negentropy(pool)))
+
+    def test_negentropy_rows(self):
+        rows = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [5e-324, 1.0]]])
+        np.testing.assert_allclose(
+            negentropy(rows),
+            [[0.0, -LN2], [0.25 * math.log(0.25) + 0.75 * math.log(0.75), 5e-324 * math.log(5e-324)]],
+            rtol=0, atol=1e-15)
+
+    def test_cached_negentropy_shape_checked(self):
+        with pytest.raises(DimensionError):
+            pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.5, 0.5)), pool_negentropy=[0.0, 0.0])

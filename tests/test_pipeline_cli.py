@@ -444,6 +444,23 @@ class TestExitCodes:
                         "--out", str(tmp_path / "p.pnct")])
         assert code == 3
 
+    @pytest.mark.parametrize("meta", [
+        {"ids": 5},
+        {"ids": [0, 1, 2]},
+        {"ids": ["i0", "i1"]},
+        {},
+    ], ids=["int", "int-list", "short-list", "missing"])
+    def test_malformed_index_ids_is_3(self, tmp_path, meta):
+        vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        write_tensor(vectors, tmp_path / "index.pnct", meta=meta)
+        write_tensor(vectors[0], tmp_path / "q.pnct", meta={"id": "q"})
+        code = run_cli([
+            "retrieve", "--index", str(tmp_path / "index.pnct"),
+            "--query", str(tmp_path / "q.pnct"), "--m", "2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        assert not (tmp_path / "r.json").exists()
+
     def test_format_error_is_3(self, tmp_path):
         rng = np.random.default_rng(0)
         pool = random_pool(rng, 4, 5, width=2, region=(2, 2))

@@ -21,6 +21,7 @@ from patchsmooth.smoothing import (
     smooth_grid,
     softmax_weights,
 )
+from patchsmooth.synthbench import _bf_js
 
 
 def one_patch_pool(*rows, feature_keys=None):
@@ -275,6 +276,27 @@ class TestSmoothGrid:
             for l, diag in enumerate(out.diagnostics)
         )
         assert crossed
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_all_patch_scope_matches_dense_brute_force_js(self, seed):
+        rng = np.random.default_rng(seed)
+        width, patches, size = 4, 49, 64
+        query, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
+        config = SmoothingConfig(m=width, k=4, alpha=0.8, tau=0.1, scope=PoolScope.ALL_PATCH)
+        out = smooth_grid(query, pool, config)
+        slots = [(pair, l) for pair in range(1, width + 1) for l in range(patches)]
+        rows = [list(pool.probs[pair - 1, l]) for pair, l in slots]
+        for l, s in enumerate(query.probs):
+            distances = [_bf_js(row, list(s)) for row in rows]
+            order = sorted(range(len(slots)), key=lambda j: (distances[j], slots[j]))[:config.k]
+            weights = [math.exp(-(distances[j] - distances[order[0]]) / config.tau) for j in order]
+            pooled = sum(w / sum(weights) * pool.probs[slots[j][0] - 1, slots[j][1]]
+                         for w, j in zip(weights, order))
+            assert [(pair, patch) for pair, patch, _, _ in out.diagnostics[l]] == [
+                slots[j] for j in order
+            ]
+            np.testing.assert_allclose(out.probs[l], (1 - config.alpha) * s + config.alpha * pooled,
+                                       rtol=0, atol=1e-12)
 
     def test_diagnostics_weights_sum_to_one(self):
         backend = StubScorer()
