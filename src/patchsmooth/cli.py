@@ -174,9 +174,12 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
                 "per_patch": [
                     [
                         {"pair": p, "patch": l, "distance": d, "weight": w}
-                        for p, l, d, w in diag
+                        for p, l, d, w in zip(pairs, patches, distances, weights)
                     ]
-                    for diag in result.diagnostics
+                    for pairs, patches, distances, weights in zip(
+                        result.pair.tolist(), result.patch.tolist(),
+                        result.distance.tolist(), result.weight.tolist(),
+                    )
                 ],
             },
             diag_path,

@@ -18,15 +18,18 @@ negentropy n(x) = sum_i x_i ln x_i (minus the Shannon entropy),
 n is computed once per row (``negentropy``); callers that compare the
 same rows many times, like smoothing, pass it in cached. Against N
 candidate rows, JS then takes one log per element of the N mixtures
-z = (p + q) / 2, and KL one log per element of the query. The rule
+z = (p + q) / 2, and KL one log per element of the query: of one (V,)
+row, or of all N rows of a query compared row by row, so a caller that
+passes the same (N, V) query in several calls takes its logs each time.
+The rule
 z = 0 => z ln z = 0 is exact: logs are taken of max(z, smallest
 subnormal), which leaves every z > 0 -- subnormal ones included --
 untouched and makes a zero term 0 * finite = 0, with no log(0). Every
 per-row sum runs in the same order, so JS(p, p) and KL(p || p) are
 exactly 0 and JS is exactly symmetric. Candidate rows are processed in
 blocks of ``BLOCK_ELEMENTS`` elements through two reused buffers, so the
-temporaries do not grow with N. Both results are clamped at 0 against
-rounding.
+temporaries do not grow with N; only KL's log of the query is as large
+as the query. Both results are clamped at 0 against rounding.
 """
 
 from __future__ import annotations
@@ -193,61 +196,71 @@ def _block_rows(width: int) -> int:
 
 
 def pairwise_divergence(query: np.ndarray, pool: np.ndarray, kind: str = "js", *,
-                        query_negentropy: float | None = None,
+                        query_negentropy: float | np.ndarray | None = None,
                         pool_negentropy: np.ndarray | None = None) -> np.ndarray:
-    """Divergence of each row of the (N, V) ``pool`` against the (V,) ``query``.
+    """Divergence of each row of the (N, V) ``pool`` against ``query``.
 
-    ``kind="kl"`` computes KL(pool_i || query); ``kind="js"`` the symmetric JS.
-    Both operands are taken to be distributions already (see
-    ``simplex_rows``). A caller that compares the same rows again passes
-    their ``negentropy`` (a float for the query, an (N,) vector for the
-    pool) instead of having it recomputed. An empty pool yields an empty
-    vector. The scalar ``js_divergence``/``kl_divergence`` are this
-    function on a one-row pool, so they agree with it exactly.
+    ``query`` is one (V,) row, compared with every pool row, or an (N, V)
+    array, compared row by row: ``out[i]`` then pairs ``pool[i]`` with
+    ``query[i]``. ``kind="kl"`` computes KL(pool_i || query); ``kind="js"``
+    the symmetric JS. Both operands are taken to be distributions already
+    (see ``simplex_rows``). A caller that compares the same rows again
+    passes their ``negentropy`` (a float or an (N,) vector for the query,
+    an (N,) vector for the pool) instead of having it recomputed. An empty
+    pool yields an empty vector. The scalar ``js_divergence``/``kl_divergence``
+    are this function on a one-row pool, so they agree with it exactly.
     """
     if kind not in ("js", "kl"):
         raise ValidationError(f"unknown divergence kind {kind!r}")
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
-    if query.ndim != 1 or pool.ndim != 2 or pool.shape[1] != query.size:
+    if pool.ndim != 2 or query.shape not in ((pool.shape[1],), pool.shape):
         raise DimensionError(
-            f"expected a (V,) query and an (N, V) pool, got {query.shape} and {pool.shape}"
+            f"expected a (V,) or (N, V) query and an (N, V) pool, got {query.shape} and {pool.shape}"
         )
-    n = len(pool)
+    n, width = pool.shape
     if pool_negentropy is None:
         pool_negentropy = negentropy(pool)
     elif np.shape(pool_negentropy) != (n,):
         raise DimensionError(
             f"pool negentropy has shape {np.shape(pool_negentropy)}, expected ({n},)"
         )
-    step = _block_rows(query.size)
-    work = np.empty((min(n, step), query.size))
+    if query_negentropy is not None and np.shape(query_negentropy) != query.shape[:-1]:
+        raise DimensionError(
+            f"query negentropy has shape {np.shape(query_negentropy)}, "
+            f"expected {query.shape[:-1]}"
+        )
+    step = _block_rows(width)
+    work = np.empty((min(n, step), width))
     sums = np.empty(n)
     if kind == "kl":
-        # sums[i] = sum_j pool[i, j] ln query[j], added up in the same order
-        # as the negentropy (a BLAS matrix-vector product is not), so
-        # KL(u || u) is exactly 0.
-        log_query = np.log(np.maximum(query, _TINY))
+        # sums[i] = sum_j pool[i, j] ln query[i, j], added up in the same
+        # order as the negentropy (a BLAS matrix-vector product is not), so
+        # KL(u || u) is exactly 0. A (V,) query is broadcast to every row.
         absent = query == 0.0
         check_support = absent.any()
+        absent = np.broadcast_to(absent, pool.shape)
+        log_query = np.broadcast_to(np.log(np.maximum(query, _TINY)), pool.shape)
         unsupported = np.zeros(n, dtype=bool)
         for start in range(0, n, step):
             block = pool[start:start + step]
             stop = start + len(block)
-            np.multiply(block, log_query, out=work[:len(block)])
+            np.multiply(block, log_query[start:stop], out=work[:len(block)])
             work[:len(block)].sum(axis=1, out=sums[start:stop])
             if check_support:
-                unsupported[start:stop] = (block[:, absent] > 0.0).any(axis=1)
+                unsupported[start:stop] = ((block > 0.0) & absent[start:stop]).any(axis=1)
         out = np.maximum(pool_negentropy - sums, 0.0)  # Gibbs: rounding only
         out[unsupported] = np.inf
         return out
     if query_negentropy is None:
-        query_negentropy = float(negentropy(query))
+        query_negentropy = negentropy(query)
+    query_rows = np.broadcast_to(query, pool.shape)
     mixture = np.empty_like(work)
     for start in range(0, n, step):
         block = pool[start:start + step]
+        stop = start + len(block)
         z = mixture[:len(block)]
-        np.add(block, query, out=z)
+        np.add(block, query_rows[start:stop], out=z)
         z *= 0.5
-        _xlogx_sums(z, sums[start:start + len(block)], work[:len(block)])
+        _xlogx_sums(z, sums[start:stop], work[:len(block)])
     return np.maximum(0.5 * (pool_negentropy + query_negentropy) - sums, 0.0)

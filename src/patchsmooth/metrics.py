@@ -8,7 +8,7 @@ callers needing class-wise folding can group report rows by key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class PredictionGrid:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.tokens, dtype=np.uint32).reshape(self.grid)
-
-
-class DecoderBackend(Protocol):
-    """Deterministic mapping from a token grid to an output array."""
-
-    def decode(self, prediction: PredictionGrid) -> np.ndarray: ...
 
 
 class TokenValueDecoder:

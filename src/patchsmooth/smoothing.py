@@ -11,11 +11,18 @@ negated distances. alpha = 0 disables smoothing; tau -> inf approaches a
 plain average. The same algebra applies to unconstrained feature vectors
 (pixel-space model adaptation) and to output grids from multiple
 autoregressive sequences.
+
+The whole grid is one operation: an (L, N) distance matrix from every
+patch to its N candidates, one row-wise sort by (distance, pair index,
+patch index), per-patch weights, and a blend over the k neighbor ranks.
+What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
+``pair``, ``patch``, ``distance`` and ``weight``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,94 +114,104 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SmoothedGrid:
-    """Smoothed per-patch distributions plus selection diagnostics.
+    """Smoothed per-patch distributions plus the selection that made them.
 
-    ``probs`` is (L, |V|). ``diagnostics[l]`` lists (pair index, patch
-    index, distance, weight) for every neighbor that contributed at patch l.
+    ``probs`` is (L, |V|). ``pair``, ``patch``, ``distance`` and ``weight``
+    are (L, k) arrays: entry [l, i] describes the i-th nearest neighbor
+    blended into patch l -- its pair index, its patch index, its distance
+    to patch l and its weight. They are (L, 0) when no selection ran.
     """
 
     probs: np.ndarray = field(repr=False)
-    diagnostics: tuple[tuple[tuple[int, int, float, float], ...], ...] = ()
+    pair: np.ndarray | None = field(default=None, repr=False)
+    patch: np.ndarray | None = field(default=None, repr=False)
+    distance: np.ndarray | None = field(default=None, repr=False)
+    weight: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.ndim(self.probs) != 2:
             raise DimensionError(f"smoothed grid must be (L, |V|), got shape {np.shape(self.probs)}")
         object.__setattr__(self, "probs", simplex_rows(self.probs))
+        for name, dtype in (("pair", np.int64), ("patch", np.int64),
+                            ("distance", np.float64), ("weight", np.float64)):
+            given = getattr(self, name)
+            value = np.empty((len(self), 0), dtype) if given is None else np.array(given, dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.probs)
 
 
 def softmax_weights(distances, tau: float) -> np.ndarray:
-    """Temperature softmax over negated distances, shifted for stability.
+    """Temperature softmax over negated distances along axis 0, shifted
+    for stability.
 
-    Infinite distances receive weight 0; normalization runs over the
-    finite ones only.
+    Axis 0 is the neighbor rank, as in a 1-D call: a (k, L) input holds the
+    k distances of patch l in column l, and each column is its own softmax,
+    equal bit for bit to the 1-D call on that column. Infinite distances
+    receive weight 0; each softmax normalizes over its finite ones only and
+    must have at least one.
     """
     if tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {tau}")
     d = np.asarray(distances, dtype=np.float64)
+    if d.ndim not in (1, 2):
+        raise DimensionError(f"distances must be (k,) or (k, L), got shape {d.shape}")
+    # one contiguous row per softmax, so every sum runs as in the 1-D call
+    d = np.ascontiguousarray(d.T)
     finite = np.isfinite(d)
-    if d.size == 0 or not finite.any():
+    if d.size == 0 or not finite.any(axis=-1).all():
         raise ValidationError("softmax weights need at least one finite distance")
-    w = np.zeros_like(d)
-    w[finite] = np.exp(-(d[finite] - d[finite].min()) / tau)
-    return w / w.sum()
+    lowest = np.where(finite, d, np.inf).min(axis=-1, keepdims=True)
+    w = np.where(finite, np.exp(-(d - lowest) / tau), 0.0)
+    return (w / w.sum(axis=-1, keepdims=True)).T
 
 
 def _aggregation_weights(distances: np.ndarray, config: SmoothingConfig) -> np.ndarray:
+    """(L, k) weights for the (L, k) distances of the chosen neighbors."""
     if config.aggregation is Aggregation.WEIGHTED:
-        return softmax_weights(distances, config.tau)
+        return softmax_weights(distances.T, config.tau).T
     if config.aggregation is Aggregation.AVERAGE:
-        return np.full(len(distances), 1.0 / len(distances))
-    weights = np.zeros(len(distances))
-    weights[0] = 1.0
+        return np.full(distances.shape, 1.0 / distances.shape[-1])
+    weights = np.zeros(distances.shape)
+    weights[..., 0] = 1.0
     return weights
 
 
-def _select_and_blend(rows, keys, candidates, config: SmoothingConfig):
-    """Blend every row of ``rows`` (L, D) with its k nearest candidates.
+def _l2_distances(query, candidates) -> np.ndarray:
+    """l2 distance of each row of ``candidates`` (N, d) to ``query``, one
+    (d,) row or (N, d) row by row. Each is the square root of a BLAS dot
+    product, exactly as ``np.linalg.norm`` of the difference computes it."""
+    diff = candidates - query
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
-    ``candidates[l]`` is (values (N, D), keys (N, d) or None, pair (N,),
-    patch (N,), negentropy (N,) or None) for row l. With ``keys`` None,
-    distances are the config's divergence between candidate values, whose
-    ``negentropy`` the caller computed once, and the row; otherwise they
-    are l2 distances between candidate keys and ``keys[l]``. Neighbors are the
-    first k by (distance, pair index, patch index); a row without
-    candidates is returned unchanged. Returns the (L, D) blend and, per
-    row, the (pair, patch, distance, weight) of every chosen neighbor.
+
+def _select_and_blend(rows, distances, values, position, patch, pair, config: SmoothingConfig):
+    """Blend every row of ``rows`` (R, D) with its k nearest candidates.
+
+    ``distances``, ``position``, ``patch`` and ``pair`` are (R, N):
+    candidate n of row r is ``values[position[r, n], patch[r, n]]``, comes
+    from pair ``pair[r, n]`` and lies ``distances[r, n]`` away. Neighbors
+    are the first k by (distance, pair index, patch index). Returns the
+    (R, D) blend and the (R, k) ``pair``, ``patch``, ``distance`` and
+    ``weight`` of the chosen neighbors, nearest first.
     """
-    out = np.empty_like(rows)
-    diagnostics = []
-    row_negentropy = negentropy(rows) if keys is None else None
-    for l, s in enumerate(rows):
-        values, cand_keys, pair, patch, cand_negentropy = candidates[l]
-        if len(values) == 0:
-            out[l] = s
-            diagnostics.append(())
-            continue
-        if keys is None:
-            distances = pairwise_divergence(
-                s, values, kind=config.divergence.value,
-                query_negentropy=row_negentropy[l], pool_negentropy=cand_negentropy,
-            )
-        else:
-            distances = np.array([np.linalg.norm(key - keys[l]) for key in cand_keys])
-        # distance, then pair index, then patch index; infinities sort last
-        chosen = np.lexsort((patch, pair, distances))[: config.k]
-        weights = _aggregation_weights(distances[chosen], config)
-        if config.aggregation is Aggregation.NEAREST:
-            pooled = values[chosen[0]] * weights[0]
-        else:
-            pooled = np.zeros_like(s)
-            for w, j in zip(weights, chosen):
-                pooled += w * values[j]
-        out[l] = (1.0 - config.alpha) * s + config.alpha * pooled
-        diagnostics.append(tuple(
-            (int(pair[j]), int(patch[j]), float(distances[j]), float(w))
-            for j, w in zip(chosen, weights)
-        ))
-    return out, tuple(diagnostics)
+    k = min(config.k, distances.shape[1])
+    # distance, then pair index, then patch index; infinities sort last
+    order = np.lexsort((patch, pair, distances), axis=-1)[:, :k]
+    position = np.take_along_axis(position, order, axis=-1)
+    patch = np.take_along_axis(patch, order, axis=-1)
+    pair = np.take_along_axis(pair, order, axis=-1)
+    distance = np.take_along_axis(distances, order, axis=-1)
+    weight = _aggregation_weights(distance, config)
+    # one neighbor rank at a time: each row sums in rank order, and the
+    # temporaries stay (R, D)
+    pooled = np.zeros(rows.shape)
+    for i in range(k):
+        pooled += weight[:, i, None] * values[position[:, i], patch[:, i]]
+    blended = (1.0 - config.alpha) * rows + config.alpha * pooled
+    return blended, {"pair": pair, "patch": patch, "distance": distance, "weight": weight}
 
 
 def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
@@ -215,7 +232,7 @@ def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
 
 
 def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig) -> SmoothedGrid:
-    """Apply neighbor selection and blending independently at every patch."""
+    """Select every patch's neighbors and blend them in, all patches at once."""
     if len(query_grid) != pool.patch_count:
         raise DimensionError(
             f"query grid has {len(query_grid)} patches, pool has {pool.patch_count}"
@@ -226,52 +243,71 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         )
     query_keys, pool_keys = _selection_keys(query_grid, pool, config)
     width, patches = pool.width, pool.patch_count
-    # (W, L), computed once for all the patches that compare against it
-    pool_negentropy = negentropy(pool.probs) if pool_keys is None else None
-    if config.scope is PoolScope.ALL_PATCH:
-        merged = (
-            pool.probs.reshape(width * patches, -1),
-            None if pool_keys is None else pool_keys.reshape(width * patches, -1),
-            np.repeat(pool.pair_indices, patches),
-            np.tile(np.arange(patches), width),
-            None if pool_negentropy is None else pool_negentropy.reshape(width * patches),
-        )
-        candidates = [merged] * patches
+    # Negentropies the calls would recompute are passed in, computed once.
+    cached = {}
+    if pool_keys is not None:
+        query, candidates, distance = query_keys, pool_keys, _l2_distances
     else:
-        candidates = [
-            (pool.probs[:, l], None if pool_keys is None else pool_keys[:, l],
-             pool.pair_indices, np.full(width, l),
-             None if pool_negentropy is None else pool_negentropy[:, l])
-            for l in range(patches)
-        ]
-    blended, diagnostics = _select_and_blend(query_grid.probs, query_keys, candidates, config)
+        query, candidates = query_grid.probs, pool.probs
+        distance = functools.partial(pairwise_divergence, kind=config.divergence.value)
+    # Fill the (L, N) distance matrix.
+    if config.scope is PoolScope.ALL_PATCH:
+        # candidate n is pool entry (n // L, n % L); one call per patch.
+        # The matrix and its sort index grow as W * L**2.
+        flat = candidates.reshape(width * patches, -1)
+        if pool_keys is None:
+            cached["pool_negentropy"] = negentropy(flat)
+        distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
+        position, patch = np.divmod(np.arange(width * patches), patches)
+    else:
+        # candidate j of patch l is pool entry (j, l); one call per pair,
+        # comparing all L patches row by row (so KL takes the query's logs
+        # once per pair)
+        if pool_keys is None and config.divergence is DivergenceKind.JS:
+            cached["query_negentropy"] = negentropy(query)
+        distances = np.stack([distance(query, candidates[j], **cached) for j in range(width)],
+                             axis=1)
+        position, patch = np.arange(width), np.arange(patches)[:, None]
+    pair = np.broadcast_to(pool.pair_indices[position], distances.shape)
+    position = np.broadcast_to(position, distances.shape)
+    patch = np.broadcast_to(patch, distances.shape)
+    blended, selection = _select_and_blend(
+        query_grid.probs, distances, pool.probs, position, patch, pair, config
+    )
     # The blend is convex, so it lies on the simplex up to float drift.
     totals = blended.sum(axis=1, keepdims=True)
     drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
     blended[drifted] /= totals[drifted]
-    return SmoothedGrid(probs=blended, diagnostics=diagnostics)
+    return SmoothedGrid(probs=blended, **selection)
 
 
 def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarray:
     """The same blending over unconstrained vectors with l2 distances.
 
     ``query_features`` is (L, dim); ``pools[l]`` the candidate vectors for
-    patch l. No simplex postcondition applies.
+    patch l, any number of them. Each patch runs the selection kernel on
+    its own (1, N_l) distance row; a patch without candidates is returned
+    unchanged. No simplex postcondition applies.
     """
     query = np.asarray(query_features, dtype=np.float64)
     if query.ndim != 2:
         raise DimensionError(f"query features must be (L, dim), got shape {query.shape}")
     if len(pools) != query.shape[0]:
         raise DimensionError(f"{len(pools)} pools for {query.shape[0]} patches")
-    candidates = []
+    out = query.copy()
     for l, pool in enumerate(pools):
         vectors = np.asarray(pool, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != query.shape[1]:
             raise DimensionError(
                 f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
-        candidates.append((vectors, vectors, np.arange(len(vectors)), np.zeros(len(vectors)), None))
-    return _select_and_blend(query, query, candidates, config)[0]
+        if len(vectors):
+            index = np.arange(len(vectors))[None]
+            out[l] = _select_and_blend(
+                query[l:l + 1], _l2_distances(query[l], vectors)[None], vectors[:, None],
+                index, np.zeros_like(index), index, config,
+            )[0][0]
+    return out
 
 
 def aggregate_sequences(grids: Sequence[ScoreGrid], config: SmoothingConfig) -> SmoothedGrid:
@@ -288,7 +324,7 @@ def aggregate_sequences(grids: Sequence[ScoreGrid], config: SmoothingConfig) -> 
         if len(g) != len(first) or g.codebook_size != first.codebook_size:
             raise DimensionError("sequence grids disagree in patch count or codebook size")
     if len(grids) == 1:
-        return SmoothedGrid(probs=first.probs, diagnostics=())
+        return SmoothedGrid(probs=first.probs)
     pool = PromptPool(
         probs=np.stack([g.probs for g in grids[1:]]),
         pair_indices=np.arange(1, len(grids)),

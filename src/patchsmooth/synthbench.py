@@ -285,10 +285,24 @@ def _bf_distance(pool: PromptPool, j: int, l: int, query_probs, query_feature, q
     return _bf_l2(list(pool.patch_keys[j, l]), query_patch)
 
 
+def _bf_weights(distances, config: SmoothingConfig) -> list:
+    if config.aggregation is Aggregation.NEAREST:
+        return [1.0] + [0.0] * (len(distances) - 1)
+    if config.aggregation is Aggregation.AVERAGE:
+        return [1.0 / len(distances)] * len(distances)
+    lowest = min((d for d in distances if math.isfinite(d)), default=math.inf)
+    if lowest == math.inf:
+        raise ValidationError("softmax weights need at least one finite distance")
+    raw = [math.exp(-(d - lowest) / config.tau) if math.isfinite(d) else 0.0 for d in distances]
+    total = sum(raw)
+    return [r / total for r in raw]
+
+
 def brute_force_smooth(
     query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
 ) -> SmoothedGrid:
-    """Independent reference implementation of grid smoothing."""
+    """Independent reference implementation of grid smoothing; it reports
+    its selection in the same four (L, k) arrays as ``smooth_grid``."""
     if len(query_grid) != pool.patch_count:
         raise ValidationError("query grid and pool disagree in patch count")
 
@@ -298,7 +312,7 @@ def brute_force_smooth(
     else:
         candidate_sets = [[(j, l) for j in range(pool.width)] for l in range(pool.patch_count)]
 
-    smoothed = []
+    smoothed, selected = [], []
     for l in range(pool.patch_count):
         s = list(query_grid.probs[l])
         qf = None if query_grid.feature_keys is None else list(query_grid.feature_keys[l])
@@ -309,22 +323,8 @@ def brute_force_smooth(
         ]
         scored.sort(key=lambda t: (t[0], t[1], t[2]))
         chosen = scored[: min(config.k, len(scored))]
-
-        if config.aggregation is Aggregation.NEAREST:
-            weights = [1.0] + [0.0] * (len(chosen) - 1)
-        elif config.aggregation is Aggregation.AVERAGE:
-            weights = [1.0 / len(chosen)] * len(chosen)
-        else:
-            finite = [d for d, *_ in chosen if math.isfinite(d)]
-            if not finite:
-                raise ValidationError("softmax weights need at least one finite distance")
-            lowest = min(finite)
-            raw = [
-                math.exp(-(d - lowest) / config.tau) if math.isfinite(d) else 0.0
-                for d, *_ in chosen
-            ]
-            total = sum(raw)
-            weights = [r / total for r in raw]
+        distances, pairs, patches, _ = zip(*chosen)
+        weights = _bf_weights(distances, config)
 
         size = len(s)
         out = [0.0] * size
@@ -337,7 +337,10 @@ def brute_force_smooth(
         if abs(drift - 1.0) > 1e-9:
             out = [x / drift for x in out]
         smoothed.append(out)
-    return SmoothedGrid(probs=np.array(smoothed), diagnostics=())
+        selected.append((pairs, patches, distances, weights))
+    pair, patch, distance, weight = zip(*selected)
+    return SmoothedGrid(probs=np.array(smoothed), pair=pair, patch=patch, distance=distance,
+                        weight=weight)
 
 
 def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
@@ -354,15 +357,7 @@ def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
             key=lambda t: (t[0], t[1]),
         )
         chosen = scored[: min(config.k, len(scored))]
-        if config.aggregation is Aggregation.NEAREST:
-            weights = [1.0] + [0.0] * (len(chosen) - 1)
-        elif config.aggregation is Aggregation.AVERAGE:
-            weights = [1.0 / len(chosen)] * len(chosen)
-        else:
-            lowest = min(d for d, _, _ in chosen)
-            raw = [math.exp(-(d - lowest) / config.tau) for d, _, _ in chosen]
-            total = sum(raw)
-            weights = [r / total for r in raw]
+        weights = _bf_weights([d for d, _, _ in chosen], config)
         blended = []
         for dim in range(len(q)):
             pooled = sum(w * vec[dim] for w, (_, _, vec) in zip(weights, chosen))

@@ -62,3 +62,12 @@ def distribution_pairs(draw, min_len=2, max_len=64):
     a = draw(prob_vectors(min_len=min_len, max_len=max_len))
     b = draw(prob_vectors(min_len=len(a), max_len=len(a)))
     return CodebookDistribution(a), CodebookDistribution(b)
+
+
+def assert_same_selection(fast, slow, atol=1e-9):
+    """The fast path and the oracle chose the same neighbors, in the same
+    order, at the same distances and weights."""
+    np.testing.assert_array_equal(fast.pair, slow.pair)
+    np.testing.assert_array_equal(fast.patch, slow.patch)
+    np.testing.assert_allclose(fast.distance, slow.distance, rtol=0, atol=atol)
+    np.testing.assert_allclose(fast.weight, slow.weight, rtol=0, atol=atol)

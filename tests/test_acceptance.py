@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import assert_same_selection
 from patchsmooth.divergence import LN2, CodebookDistribution, js_divergence, kl_divergence
 from patchsmooth.metrics import iou, mean_iou, mse, pixel_accuracy
 from patchsmooth.pipeline import load_config, run_pipeline
@@ -145,6 +146,7 @@ def test_oracle_equivalence():
                 fast = smooth_grid(query, pool, config)
                 slow = brute_force_smooth(query, pool, config)
                 worst = max(worst, float(np.max(np.abs(fast.probs - slow.probs))))
+                assert_same_selection(fast, slow)
                 instances += 1
         assert instances >= 1000
         assert worst <= 1e-9

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import distribution_pairs, prob_vectors
@@ -307,12 +307,15 @@ class TestEntropyKernel:
             assert got == 0.0
 
     @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
+    @example(139975, "js")  # draws two all-zero rows
     @settings(max_examples=30, deadline=None)
     def test_blocks_agree_exactly_with_single_rows(self, seed, kind):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, 40))
         pool = rng.dirichlet(np.full(size, 0.3), size=int(rng.integers(1, 30)))
         pool[rng.random(pool.shape) < 0.2] = 0.0
+        dead = ~pool.any(axis=1)  # a fully zeroed row gets one entry back
+        pool[dead, rng.integers(size, size=int(dead.sum()))] = 1.0
         pool = simplex_rows(pool / pool.sum(axis=1, keepdims=True))
         query = pool[int(rng.integers(len(pool)))]
         expected = [pairwise_divergence(query, row[None], kind=kind)[0] for row in pool]
@@ -327,6 +330,36 @@ class TestEntropyKernel:
             got, pairwise_divergence(query, pool, kind=kind,
                                      query_negentropy=negentropy(query),
                                      pool_negentropy=negentropy(pool)))
+
+    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
+    @settings(max_examples=30, deadline=None)
+    def test_row_by_row_query_matches_single_rows(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 40))
+        rows = rng.dirichlet(np.full(size, 0.3), size=(2, int(rng.integers(1, 30))))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        dead = ~rows.any(axis=-1)  # a fully zeroed row gets one entry back
+        rows[dead, rng.integers(size, size=int(dead.sum()))] = 1.0
+        query, pool = simplex_rows(rows / rows.sum(axis=-1, keepdims=True))
+        expected = [pairwise_divergence(q, p[None], kind=kind)[0] for q, p in zip(query, pool)]
+        blocked = divergence.BLOCK_ELEMENTS
+        try:
+            divergence.BLOCK_ELEMENTS = 3 * size  # three rows per block
+            got = pairwise_divergence(query, pool, kind=kind)
+        finally:
+            divergence.BLOCK_ELEMENTS = blocked
+        assert list(got) == expected
+        np.testing.assert_array_equal(
+            got, pairwise_divergence(query, pool, kind=kind,
+                                     query_negentropy=negentropy(query),
+                                     pool_negentropy=negentropy(pool)))
+
+    def test_row_by_row_shapes_checked(self):
+        pool = rows(dist(0.5, 0.5), dist(0.2, 0.8))
+        with pytest.raises(DimensionError):
+            pairwise_divergence(pool[:1], pool)
+        with pytest.raises(DimensionError):
+            pairwise_divergence(pool, pool, query_negentropy=0.0)
 
     def test_negentropy_rows(self):
         rows = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [5e-324, 1.0]]])

@@ -233,6 +233,10 @@ class TestCliFlow:
         assert meta["config"]["alpha"] == 1.0
         diag = json.loads((tmp_path / "diag.json").read_text())
         assert len(diag["per_patch"]) == 4
+        for l, neighbors in enumerate(diag["per_patch"]):  # k = min(5, m) = 3
+            assert [n["patch"] for n in neighbors] == [l] * 3
+            assert sorted(n["pair"] for n in neighbors) == [1, 2, 3]
+            assert sum(n["weight"] for n in neighbors) == pytest.approx(1.0, abs=1e-9)
 
         code = run_cli([
             "decode", "--in", str(tmp_path / "smoothed.pnct"),

@@ -143,23 +143,22 @@ class TestMergeAllPatches:
     def test_cardinality(self):
         pool = build_pool(StubScorer(), retrieved_set(["a", "b", "c"]), "q")
         out = self.all_patch_neighbors(pool)
-        assert all(len(diag) == pool.patch_count * 3 for diag in out.diagnostics)
+        assert out.pair.shape == out.patch.shape == (pool.patch_count, pool.patch_count * 3)
 
     def test_grouping_roundtrip(self):
         pool = build_pool(StubScorer(), retrieved_set(["a", "b"]), "q")
         out = self.all_patch_neighbors(pool)
-        for diag in out.diagnostics:
+        for pairs_row, patch_row in zip(out.pair, out.patch):
             for l in range(pool.patch_count):
-                pairs = sorted(pair for pair, patch, _, _ in diag if patch == l)
+                pairs = sorted(pairs_row[patch_row == l].tolist())
                 assert pairs == pool.pair_indices.tolist()
         mean = pool.probs.reshape(-1, pool.codebook_size).mean(axis=0)
         np.testing.assert_allclose(out.probs, np.tile(mean, (pool.patch_count, 1)), atol=1e-12)
 
     def test_single_entry_pool(self):
         pool = build_pool(StubScorer(grid_shape=(1, 1)), retrieved_set(["a"]), "q")
-        assert [[n[:2] for n in diag] for diag in self.all_patch_neighbors(pool).diagnostics] == [
-            [(1, 0)]
-        ]
+        out = self.all_patch_neighbors(pool)
+        assert (out.pair.tolist(), out.patch.tolist()) == ([[1]], [[0]])
 
 
 class TestPoolInvariants:

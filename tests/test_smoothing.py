@@ -33,11 +33,11 @@ def one_patch_pool(*rows, feature_keys=None):
 
 
 def smooth_one_patch(query, pool, config, feature_keys=None):
-    """Smooth a one-patch grid; returns (smoothed row, neighbor diagnostics)."""
+    """Smooth a one-patch grid; returns (smoothed row, the whole SmoothedGrid)."""
     keys = None if feature_keys is None else np.array([feature_keys], dtype=np.float64)
     grid = ScoreGrid(probs=np.array([query], dtype=np.float64), feature_keys=keys)
     out = smooth_grid(grid, pool, config)
-    return out.probs[0], out.diagnostics[0]
+    return out.probs[0], out
 
 
 def random_pool(rng, width, patches, size):
@@ -110,33 +110,61 @@ class TestSoftmaxWeights:
         assert abs(w.sum() - 1.0) <= 1e-9
         assert w[0] > w[1] > 0
 
+    @given(st.integers(0, 10**6), st.floats(0.01, 100), st.booleans())
+    @settings(max_examples=100)
+    def test_columns_equal_one_dimensional_calls(self, seed, tau, transposed):
+        # up to 20 ranks, so the sums are long enough for numpy's pairwise summation
+        rng = np.random.default_rng(seed)
+        k, patches = int(rng.integers(1, 21)), int(rng.integers(1, 6))
+        distances = rng.uniform(0, 5, size=(k, patches))
+        distances[rng.random(distances.shape) < 0.3] = math.inf
+        distances[rng.integers(k, size=patches), np.arange(patches)] = 0.5
+        if transposed:  # the layout smoothing passes: an (L, k) array's transpose
+            distances = np.ascontiguousarray(distances.T).T
+        w = softmax_weights(distances, tau)
+        assert w.shape == distances.shape
+        for column, d in zip(w.T, distances.T):
+            assert column.tobytes() == softmax_weights(d, tau).tobytes()
+
+    def test_axis_zero_ranks_neighbors(self):
+        w = softmax_weights([[0.0, math.inf], [LN2, 0.0]], tau=1.0)
+        np.testing.assert_allclose(w, [[2 / 3, 0.0], [1 / 3, 1.0]], atol=1e-12)
+
+    def test_all_infinite_column_rejected(self):
+        with pytest.raises(ValidationError):
+            softmax_weights([[0.1, math.inf], [0.2, math.inf]], tau=1.0)
+
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(DimensionError):
+            softmax_weights(np.zeros((2, 2, 2)), tau=1.0)
+
 
 class TestKnnSelect:
-    """Neighbor selection, read from the smoothing diagnostics."""
+    """Neighbor selection, read from the selection arrays of the result."""
 
     def test_query_itself_ranks_first(self):
         pool = one_patch_pool([0.7, 0.3], [0.3, 0.7], [0.5, 0.5])
         _, got = smooth_one_patch([0.3, 0.7], pool, SmoothingConfig(m=3, k=1))
-        assert got[0][0] == 2
-        assert got[0][2] == 0.0
+        assert got.pair[0, 0] == 2
+        assert got.distance[0, 0] == 0.0
 
     def test_derived_js_ordering(self):
         pool = one_patch_pool([0.5, 0.5], [0, 1], [1, 0])  # A, B, C
         _, got = smooth_one_patch([1, 0], pool, SmoothingConfig(m=3, k=2))
-        assert [n[0] for n in got] == [3, 1]
-        assert got[0][2] == 0.0
-        assert got[1][2] == pytest.approx(0.215761554339, abs=1e-9)
+        assert got.pair[0].tolist() == [3, 1]
+        assert got.distance[0, 0] == 0.0
+        assert got.distance[0, 1] == pytest.approx(0.215761554339, abs=1e-9)
 
     def test_k_equal_pool_size_returns_all_sorted(self):
         pool = one_patch_pool([0, 1], [1, 0], [0.5, 0.5])
         _, got = smooth_one_patch([1, 0], pool, SmoothingConfig(m=3, k=3))
-        assert [n[0] for n in got] == [2, 3, 1]
-        d = [n[2] for n in got]
+        assert got.pair[0].tolist() == [2, 3, 1]
+        d = got.distance[0]
         assert all(d[i] <= d[i + 1] for i in range(len(d) - 1))
 
     def test_k_clamps_to_pool_size(self):
         _, got = smooth_one_patch([1, 0], one_patch_pool([0.5, 0.5]), SmoothingConfig(m=1, k=10))
-        assert len(got) == 1
+        assert got.pair.shape == got.patch.shape == got.distance.shape == got.weight.shape == (1, 1)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):
@@ -146,22 +174,22 @@ class TestKnnSelect:
     def test_tie_break_by_pair_index(self):
         pool = one_patch_pool([0.4, 0.6], [0.4, 0.6])
         _, got = smooth_one_patch([0.5, 0.5], pool, SmoothingConfig(m=2, k=1))
-        assert got[0][0] == 1
+        assert got.pair[0, 0] == 1
 
     def test_kl_infinite_sorts_last(self):
         config = SmoothingConfig(m=2, divergence=DivergenceKind.KL)
         pool = one_patch_pool([0.5, 0.5], [1, 0])
         _, got = smooth_one_patch([1, 0], pool, config)
-        assert got[0][0] == 2
-        assert got[1][2] == math.inf
-        assert got[1][3] == 0.0
+        assert got.pair[0, 0] == 2
+        assert got.distance[0, 1] == math.inf
+        assert got.weight[0, 1] == 0.0
 
     def test_feature_key_l2(self):
         config = SmoothingConfig(m=2, key=NeighborKey.FEATURE)
         pool = one_patch_pool([1, 0], [0, 1], feature_keys=[[3.0, 4.0], [0.0, 1.0]])
         _, got = smooth_one_patch([0.5, 0.5], pool, config, feature_keys=[0.0, 0.0])
-        assert [n[0] for n in got] == [2, 1]
-        assert got[1][2] == pytest.approx(5.0)
+        assert got.pair[0].tolist() == [2, 1]
+        assert got.distance[0, 1] == pytest.approx(5.0)
 
     def test_feature_key_requires_keys(self):
         config = SmoothingConfig(m=1, key=NeighborKey.FEATURE)
@@ -188,7 +216,7 @@ class TestSmoothPatch:
 
     def test_derived_single_neighbor_blend(self):
         out, got = smooth_one_patch([1, 0], one_patch_pool([0, 1]), SmoothingConfig(m=1, alpha=0.5))
-        assert got[0][2] == pytest.approx(LN2, abs=1e-12)
+        assert got.distance[0, 0] == pytest.approx(LN2, abs=1e-12)
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
     def test_empty_neighbors_returns_s(self):
@@ -262,8 +290,9 @@ class TestSmoothGrid:
         backend = StubScorer()
         query_grid, pool = grids_for(backend, ["a", "b", "c"])
         out = smooth_grid(query_grid, pool, SmoothingConfig(m=3, k=2))
-        for l, diag in enumerate(out.diagnostics):
-            assert all(patch == l for _, patch, _, _ in diag)
+        assert out.patch.shape == (pool.patch_count, 2)
+        for l, patches in enumerate(out.patch):
+            assert all(patch == l for patch in patches)
 
     def test_all_patch_scope_can_cross_patches(self):
         backend = StubScorer()
@@ -272,8 +301,8 @@ class TestSmoothGrid:
             query_grid, pool, SmoothingConfig(m=3, k=4, scope=PoolScope.ALL_PATCH)
         )
         crossed = any(
-            any(patch != l for _, patch, _, _ in diag)
-            for l, diag in enumerate(out.diagnostics)
+            any(patch != l for patch in patches)
+            for l, patches in enumerate(out.patch)
         )
         assert crossed
 
@@ -292,7 +321,7 @@ class TestSmoothGrid:
             weights = [math.exp(-(distances[j] - distances[order[0]]) / config.tau) for j in order]
             pooled = sum(w / sum(weights) * pool.probs[slots[j][0] - 1, slots[j][1]]
                          for w, j in zip(weights, order))
-            assert [(pair, patch) for pair, patch, _, _ in out.diagnostics[l]] == [
+            assert list(zip(out.pair[l].tolist(), out.patch[l].tolist())) == [
                 slots[j] for j in order
             ]
             np.testing.assert_allclose(out.probs[l], (1 - config.alpha) * s + config.alpha * pooled,
@@ -302,8 +331,8 @@ class TestSmoothGrid:
         backend = StubScorer()
         query_grid, pool = grids_for(backend, ["a", "b", "c"])
         out = smooth_grid(query_grid, pool, SmoothingConfig(m=3))
-        for diag in out.diagnostics:
-            assert sum(w for *_, w in diag) == pytest.approx(1.0, abs=1e-9)
+        for weights in out.weight:
+            assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_patch_count_mismatch(self):
         backend = StubScorer()
@@ -361,6 +390,21 @@ class TestSmoothFeatures:
             fast = smooth_features(query, pools, config)
             slow = brute_force_smooth_features(query, pools, config)
             assert np.max(np.abs(fast - slow)) <= 1e-9
+
+    def test_ragged_pools_match_oracle(self):
+        from patchsmooth.synthbench import brute_force_smooth_features
+
+        rng = np.random.default_rng(7)
+        sizes = [0, 1, 2, 3, 5, 9]  # empty, single, fewer than k, k, more than k
+        for agg in Aggregation:
+            query = rng.normal(size=(len(sizes), 4))
+            pools = [rng.normal(size=(n, 4)) for n in sizes]
+            pools[-1][4] = pools[-1][1]  # an exact tie
+            config = SmoothingConfig(m=9, k=3, alpha=0.7, tau=1.5, aggregation=agg)
+            fast = smooth_features(query, pools, config)
+            slow = brute_force_smooth_features(query, pools, config)
+            assert np.max(np.abs(fast - slow)) <= 1e-9
+            np.testing.assert_array_equal(fast[0], query[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

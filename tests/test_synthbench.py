@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import assert_same_selection
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
@@ -234,6 +235,33 @@ class TestBruteForceOracle:
                 fast = smooth_grid(query, pool, config)
                 slow = brute_force_smooth(query, pool, config)
                 assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-9
+                assert_same_selection(fast, slow)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_ties_break_alike(self, seed):
+        # Every pool entry is a copy of one of three rows (keys included), so
+        # equal distances recur across pairs and patches, also at the k-th
+        # place; both paths must cut them by (distance, pair, patch).
+        rng = np.random.default_rng(seed)
+        patches, size, width = 6, 5, 4
+        bank_probs = rng.dirichlet(np.ones(size), size=3)
+        bank_feature, bank_patch = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
+        pick = rng.integers(3, size=(width, patches))
+        pool = PromptPool(probs=bank_probs[pick], pair_indices=rng.permutation(width) + 1,
+                          prompts=(), mode=PoolMode.Q, m=width,
+                          feature_keys=bank_feature[pick], patch_keys=bank_patch[pick])
+        query = ScoreGrid(probs=rng.dirichlet(np.ones(size), size=patches),
+                          feature_keys=rng.normal(size=(patches, 2)),
+                          patch_keys=rng.normal(size=(patches, 3)))
+        combos = itertools.product(DivergenceKind, Aggregation, PoolScope, NeighborKey)
+        for divergence, aggregation, scope, key in combos:
+            for k in (1, 2, 3, 5, 7):
+                config = SmoothingConfig(m=width, k=k, alpha=0.6, tau=0.5, divergence=divergence,
+                                         aggregation=aggregation, scope=scope, key=key)
+                fast = smooth_grid(query, pool, config)
+                slow = brute_force_smooth(query, pool, config)
+                assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-9
+                assert_same_selection(fast, slow)
 
 
 class TestBiasExperiment:
