@@ -72,44 +72,66 @@ class CodebookSpec:
             raise ValidationError(f"codebook size must be >= 2, got {self.size}")
 
 
+def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
+    """Row sums (last axis, kept) of ``values``, whose entries must be
+    finite and nonnegative.
+
+    Finite sums prove the entries finite, so one ``min()`` completes the
+    proof. Otherwise the element checks run, and they and the sum fail as
+    they would on their own, with the same errors and warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = values.sum(axis=-1, keepdims=True)
+    if values.size and np.isfinite(totals).all() and values.min() >= 0.0:
+        return totals
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{subject} non-finite entries")
+    if np.any(values < 0.0):
+        raise ValidationError(f"{subject} negative entries")
+    return values.sum(axis=-1, keepdims=True)
+
+
 def simplex_rows(values) -> np.ndarray:
     """Check that every row (last axis) of ``values`` is a distribution.
 
     Entries must be finite and nonnegative, and each row must sum to 1
     within ``SUM_TOLERANCE``; a row whose sum drifts beyond
     ``RENORM_THRESHOLD`` is divided by its sum. Returns a read-only
-    float64 copy, so the caller's array is never frozen.
+    float64 array, made with at most one copy: a writable array or a view
+    is copied, so the caller's array is never frozen or written to, and so
+    is a read-only array with a row to divide. A read-only array that owns
+    its buffer is otherwise returned as it is.
     """
-    probs = np.array(values, dtype=np.float64)
+    probs = np.asarray(values, dtype=np.float64)
     if probs.ndim < 1 or probs.shape[-1] < 2:
         raise ValidationError(f"expected rows of length >= 2, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError("distribution contains non-finite entries")
-    if np.any(probs < 0.0):
-        raise ValidationError("distribution contains negative entries")
-    totals = probs.sum(axis=-1, keepdims=True)
+    totals = _row_sums(probs, "distribution contains")
     drift = np.abs(totals - 1.0)
     if np.any(drift > SUM_TOLERANCE):
         total = float(totals[drift > SUM_TOLERANCE][0])
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
     renorm = drift[..., 0] > RENORM_THRESHOLD
-    probs[renorm] /= totals[renorm]
+    converted = probs is not values and probs.flags.owndata
+    frozen = not probs.flags.writeable and probs.flags.owndata
+    if not converted and (not frozen or renorm.any()):
+        probs = probs.copy()
+    if renorm.any():
+        probs[renorm] /= totals[renorm]
     probs.flags.writeable = False
     return probs
 
 
 def normalize_scores(values) -> np.ndarray:
     """Scale each row of raw nonnegative scores to unit mass. The result
-    is not checked: the constructor it is passed to runs ``simplex_rows``."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("scores contain non-finite entries")
-    if np.any(values < 0.0):
-        raise ValidationError("scores contain negative entries")
-    totals = values.sum(axis=-1, keepdims=True)
+    is a new read-only array and is not checked: the constructor it is
+    passed to runs ``simplex_rows``, which then need not copy it."""
+    values = np.array(values, dtype=np.float64)
+    totals = _row_sums(values, "scores contain")
     if np.any(totals <= 0.0):
         raise ValidationError("scores have zero total mass")
-    return values / totals
+    values /= totals
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)

@@ -220,8 +220,10 @@ def build_pool(
             indices.append(pos + 1)
 
     grids = [score_prompt(backend, p) for p in prompts]
+    probs = np.stack([g.probs for g in grids])
+    probs.flags.writeable = False  # frozen and owned: the pool keeps it uncopied
     return PromptPool(
-        probs=np.stack([g.probs for g in grids]),
+        probs=probs,
         pair_indices=indices,
         prompts=tuple(prompts),
         mode=mode,
@@ -288,15 +290,16 @@ class FileScorerBackend:
 
 def meta_field(meta, name: str, source, kind: type, length: int | None = None,
                items: type | None = None):
-    """``meta[name]`` if it is a ``kind`` (of ``length`` entries, each an
-    ``items``); otherwise a FormatError naming the field."""
+    """``meta[name]`` if it is a ``kind`` (of ``length`` entries, each of
+    type exactly ``items``, as JSON decodes them: a bool is no int);
+    otherwise a FormatError naming the field."""
     value = meta.get(name) if isinstance(meta, dict) else None
     entries = value.values() if isinstance(value, dict) else value
     if not (
         isinstance(value, kind)
         and not isinstance(value, bool)
         and (length is None or len(value) == length)
-        and (items is None or all(isinstance(v, items) and not isinstance(v, bool) for v in entries))
+        and (items is None or set(map(type, entries)) <= {items})
     ):
         raise FormatError(
             f"{source}: field {name!r} is missing, short or not a {kind.__name__}: {value!r}"

@@ -143,8 +143,9 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
         raise DimensionError(f"query dim {query.values.size} != index dim {index.dim}")
     # One dot per row, not a single gemv: blocked gemv kernels can give
     # bit-identical rows different scores, which would defeat the
-    # insertion-order tie rule.
-    scores = np.array([np.dot(row, query.values) for row in index.matrix])
+    # insertion-order tie rule. A stack of (1, dim) @ (dim, 1) products
+    # runs the same per-row dot without a Python loop.
+    scores = (index.matrix[:, None, :] @ query.values[:, None])[:, 0, 0]
     order = np.argsort(-scores, kind="stable")[: min(m, len(index))]
     ids = index.ids
     return RetrievedSet(

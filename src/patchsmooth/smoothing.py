@@ -278,6 +278,7 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
     totals = blended.sum(axis=1, keepdims=True)
     drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
     blended[drifted] /= totals[drifted]
+    blended.flags.writeable = False  # frozen and owned: the grid keeps it uncopied
     return SmoothedGrid(probs=blended, **selection)
 
 

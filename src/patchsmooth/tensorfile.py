@@ -20,6 +20,7 @@ is renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -46,7 +47,11 @@ def _dtype_code(array: np.ndarray) -> int:
 
 
 def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) -> None:
-    """Serialize one array plus its JSON sidecar, atomically."""
+    """Serialize one array plus its JSON sidecar, atomically.
+
+    Floats are stored as f32, so float64 input is narrowed (rounded to
+    nearest); integers are stored as u32 and must fit it.
+    """
     path = Path(path)
     array = np.asarray(array)
     code = _dtype_code(array)
@@ -54,7 +59,8 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
         raise FormatError(
             f"integer values [{array.min()}, {array.max()}] do not fit the u32 container"
         )
-    payload = np.ascontiguousarray(array.astype(_DTYPE_CODES[code], copy=False)).tobytes()
+    # written through the buffer protocol: no bytes copy of the payload
+    payload = np.ascontiguousarray(array.astype(_DTYPE_CODES[code], copy=False))
 
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8") if meta else b""
     header = bytearray()
@@ -63,14 +69,14 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
     header += struct.pack("<I", len(meta_bytes))
     header += meta_bytes
-
-    blob = bytes(header) + payload
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF)
 
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(header)
+            fh.write(payload)
+            fh.write(crc)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,7 +99,11 @@ def atomic_write_text(text: str, path: str | Path) -> None:
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Read an array and its sidecar; verifies magic, version, length, CRC."""
+    """Read an array and its sidecar; verifies magic, version, length, CRC.
+
+    The array is read-only: it is built over the file's bytes, not copied
+    out of them.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < 20:
@@ -114,9 +124,9 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
     offset += 4
 
     dtype = _DTYPE_CODES[code]
-    payload_len = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-    if rank == 0:
-        payload_len = dtype.itemsize
+    # Python ints: a product of u64 dims must not wrap
+    count = math.prod(dims)
+    payload_len = count * dtype.itemsize
     expected = offset + meta_len + payload_len + 4
     if len(blob) != expected:
         raise FormatError(
@@ -125,7 +135,7 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
         )
 
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise FormatError(
             f"{path}: checksum mismatch at offset {len(blob) - 4}: "
@@ -137,7 +147,13 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
         meta = json.loads(meta_bytes.decode("utf-8")) if meta_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON sidecar at offset {offset}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: JSON sidecar at offset {offset} is not an object")
 
-    start = offset + meta_len
-    array = np.frombuffer(blob[start : start + payload_len], dtype=dtype).reshape(dims)
-    return array, meta
+    array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset + meta_len)
+    try:
+        # numpy refuses dims whose nonzero product exceeds its index range,
+        # even for an empty array
+        return array.reshape(dims), meta
+    except ValueError as exc:
+        raise FormatError(f"{path}: dims {dims} at offset 16 describe no array: {exc}") from exc

@@ -21,6 +21,7 @@ from patchsmooth.divergence import (
     simplex_rows,
 )
 from patchsmooth.errors import DimensionError, ValidationError
+from patchsmooth.pool import PromptPool, ScoreGrid
 from patchsmooth.synthbench import _bf_js, _bf_kl
 
 # Frozen from a 50-digit evaluation of the defining sums (natural log).
@@ -83,6 +84,131 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             CodebookSpec(size=1)
         assert CodebookSpec(size=2).size == 2
+
+
+def _grid_probs(values):
+    return ScoreGrid(probs=values).probs
+
+
+def _pool_probs(values):
+    return PromptPool(probs=values[None], pair_indices=[1], prompts=(), mode=None, m=1).probs[0]
+
+
+# The four entry points that check score rows, and the error each raises
+# for a malformed input: (exception, message) or None for "accepted".
+_CHECKERS = {"normalize": normalize_scores, "simplex": simplex_rows,
+             "grid": _grid_probs, "pool": _pool_probs}
+_NON_FINITE = {"normalize": (ValidationError, "scores contain non-finite entries"),
+               **dict.fromkeys(("simplex", "grid", "pool"),
+                               (ValidationError, "distribution contains non-finite entries"))}
+_NEGATIVE = {"normalize": (ValidationError, "scores contain negative entries"),
+             **dict.fromkeys(("simplex", "grid", "pool"),
+                             (ValidationError, "distribution contains negative entries"))}
+_ZERO_MASS = {"normalize": (ValidationError, "scores have zero total mass"),
+              **dict.fromkeys(("simplex", "grid", "pool"),
+                              (ValidationError, "probabilities sum to 0.0, expected 1 within 1e-06"))}
+_MALFORMED = [
+    ("nan", [[0.5, np.nan], [0.5, 0.5]], _NON_FINITE),
+    ("inf", [[0.5, 0.5], [np.inf, 0.0]], _NON_FINITE),
+    ("-inf", [[-np.inf, 1.0]], _NON_FINITE),
+    ("nan-and-negative", [[np.nan, -1.0]], _NON_FINITE),
+    ("inf-and-negative", [[-1.0, np.inf]], _NON_FINITE),
+    ("negative", [[0.5, 0.5], [1.5, -0.5]], _NEGATIVE),
+    ("zero-mass", [[0.5, 0.5], [0.0, 0.0]], _ZERO_MASS),
+    ("negative-zero-mass", [[-0.0, -0.0]], _ZERO_MASS),
+    ("sum-overflow", [[1e308, 1e308]],
+     dict.fromkeys(_CHECKERS, (RuntimeWarning, "overflow encountered in reduce"))),
+    ("empty-vector", np.zeros(0), {
+        "normalize": (ValidationError, "scores have zero total mass"),
+        "simplex": (ValidationError, r"expected rows of length >= 2, got shape \(0,\)"),
+        "grid": (DimensionError, r"score grid must be \(L, \|V\|\), got shape \(0,\)"),
+        "pool": (DimensionError, r"pool must be \(W, L, \|V\|\), got shape \(1, 0\)")}),
+    ("no-rows", np.zeros((0, 3)), {
+        "normalize": None, "simplex": None,
+        "grid": (ValidationError, "score grid has no patches"),
+        "pool": (ValidationError, "pool has no entries")}),
+]
+
+
+class TestValidationContract:
+    """What each checker does with malformed rows, and whose arrays it
+    copies: pinned so the checks can get cheaper without changing."""
+
+    @pytest.mark.parametrize("checker", sorted(_CHECKERS))
+    @pytest.mark.parametrize("case, values, expected", _MALFORMED, ids=[c[0] for c in _MALFORMED])
+    def test_malformed_rows(self, checker, case, values, expected):
+        values = np.array(values, dtype=np.float64)
+        outcome = expected[checker]
+        if outcome is None:
+            result = _CHECKERS[checker](values)
+            assert result.shape == values.shape and result.dtype == np.float64
+            return
+        error, message = outcome
+        with warnings.catch_warnings(), pytest.raises(error, match=f"^{message}$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            _CHECKERS[checker](values)
+
+    @pytest.mark.parametrize("checker", sorted(_CHECKERS))
+    def test_sum_overflow_without_warnings(self, checker):
+        # Entries are finite and nonnegative but the row sum is inf: the
+        # scores scale to zero, and a distribution check names the sum.
+        values = np.array([[1e308, 1e308]])
+        with np.errstate(over="ignore"):
+            if checker == "normalize":
+                assert normalize_scores(values).tolist() == [[0.0, 0.0]]
+                return
+            with pytest.raises(ValidationError, match="^probabilities sum to inf, expected 1"):
+                _CHECKERS[checker](values)
+
+    @pytest.mark.parametrize("checker", sorted(_CHECKERS))
+    def test_negative_zero_is_accepted(self, checker):
+        values = np.array([[-0.0, 1.0], [0.25, 0.75]])
+        result = _CHECKERS[checker](values)
+        assert result.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("checker", ["simplex", "grid", "pool"])
+    @pytest.mark.parametrize("drift", [0.0, 4e-7])
+    def test_writable_caller_array_is_copied(self, checker, drift):
+        values = np.array([[0.25 + drift, 0.75], [0.5, 0.5]])
+        probs = _CHECKERS[checker](values)
+        before = probs.copy()
+        values[:] = 0.5
+        assert values.flags.writeable
+        assert not probs.flags.writeable
+        assert probs.tobytes() == before.tobytes()
+
+    def test_normalize_scores_leaves_caller_array_alone(self):
+        values = np.array([[3.0, 1.0]])
+        probs = normalize_scores(values)
+        values[:] = 7.0
+        assert values.flags.writeable
+        assert probs.tolist() == [[0.75, 0.25]]
+
+    @pytest.mark.parametrize("checker", ["simplex", "grid", "pool"])
+    def test_read_only_input_is_not_renormalized_in_place(self, checker):
+        values = np.array([[0.25 + 4e-7, 0.75], [0.5, 0.5]])
+        values.flags.writeable = False
+        original = values.tobytes()
+        probs = _CHECKERS[checker](values)
+        assert values.tobytes() == original
+        assert probs[0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert probs[0].tobytes() != values[0].tobytes()
+
+    def test_frozen_array_owning_its_buffer_is_kept(self):
+        values = np.array([[0.25, 0.75], [0.5, 0.5]])
+        values.flags.writeable = False
+        assert simplex_rows(values) is values
+        assert ScoreGrid(probs=values).probs is values
+        view = values[:1]
+        assert simplex_rows(view) is not view
+
+    def test_normalized_scores_pass_to_constructors_uncopied(self):
+        probs = normalize_scores(np.array([[3.0, 1.0], [1.0, 1.0]], dtype=np.float32))
+        assert not probs.flags.writeable and probs.flags.owndata
+        assert ScoreGrid(probs=probs).probs is probs
+        stacked = normalize_scores(np.ones((2, 3, 4)))
+        pool = PromptPool(probs=stacked, pair_indices=[1, 2], prompts=(), mode=None, m=2)
+        assert pool.probs is stacked
 
 
 class TestKL:

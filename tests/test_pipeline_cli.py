@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -480,6 +482,15 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_overflowing_shape_is_3(self, tmp_path):
+        # 40 bytes: rank 2, dims (2**32, 2**32), no sidecar, valid CRC; the
+        # element count wraps to 0 in int64
+        body = b"PNCL" + struct.pack("<IIIQQI", 1, 1, 2, 2**32, 2**32, 0)
+        (tmp_path / "f.pnct").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run_cli(["decode", "--in", str(tmp_path / "f.pnct"), "--out", str(tmp_path / "g")])
+        assert code == 3
+        assert not (tmp_path / "g").exists()
+
     def test_dimension_error_is_4(self, tmp_path):
         rng = np.random.default_rng(0)
         grid = random_grid(rng, 2, 5)  # two patches
@@ -511,6 +522,7 @@ class TestExitCodes:
         ("manifest", "pairs", ["s0", "s1"]),
         ("manifest", "prompts", MISSING),
         ("manifest", "patch_order", "column-major"),
+        ("pool", "pair_indices", [True, 2]),
     ])
     def test_malformed_field_is_format_error(self, tmp_path, target, field, value):
         rng = np.random.default_rng(0)

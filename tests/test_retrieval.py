@@ -131,6 +131,23 @@ class TestTopM:
         expected = brute_force_top_m(query, index, m)
         assert list(got.ids) == [ident for ident, _ in expected]
 
+    @pytest.mark.parametrize("n, dim", [(1, 1), (7, 3), (64, 257), (300, 4096), (33, 1000)])
+    def test_scores_are_per_row_dots_bitwise(self, n, dim):
+        rng = np.random.default_rng([n, dim])
+        vectors = rng.normal(size=(n, dim)).astype(np.float32).astype(np.float64)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        if n >= 7:
+            # copies of the query's row at three positions tie at the top
+            vectors[[2, n // 2, n - 1]] = vectors[n // 3]
+        index = RetrievalIndex([FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)])
+        query = FeatureVector(vectors[n // 3], "q")
+        got = top_m(query, index, m=n)
+        dots = {ident: float(np.dot(row, query.values)) for ident, row in zip(index.ids, index.matrix)}
+        assert [score for _, score in got.items] == [dots[ident] for ident in got.ids]
+        if n >= 7:
+            tied = sorted(f"item{i:04d}" for i in {2, n // 3, n // 2, n - 1})
+            assert list(got.ids[:len(tied)]) == tied
+
 
 class TestRecallAtK:
     def rset(self, qid, ids):
