@@ -27,6 +27,7 @@ from .pool import (
     PoolMode,
     build_pool,
     grid_from_tensor,
+    grid_shape,
     load_grid,
     load_pool,
     meta_field,
@@ -161,11 +162,10 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     grid, pool = _attach_keys(grid, pool, query_keys_path, pool_keys_path)
     sconfig = smoothing_config(config, m=pool.m)
     result = smooth_grid(grid, pool, sconfig)
-    shape = grid.prompt.masked_region if grid.prompt is not None else (1, len(grid))
     write_tensor(
         result.probs.astype(np.float32),
         out_path,
-        meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()},
+        meta={"kind": "smoothed-grid", "grid": list(grid_shape(grid)), "config": sconfig.echo()},
     )
     if diag_path is not None:
         _write_json(
@@ -193,14 +193,9 @@ def decode(in_path, out_path):
     """Argmax-decode a score or smoothed grid into a token grid."""
     array, meta = read_tensor(in_path)
     grid = grid_from_tensor(array, meta, source=in_path)
-    if "grid" in meta:
-        shape = tuple(meta_field(meta, "grid", in_path, list, 2, int))
-    elif grid.prompt is not None:
-        shape = grid.prompt.masked_region
-    else:
-        shape = (1, len(grid))
-    pred = decode_argmax(grid, shape=shape)
-    write_tensor(pred.as_array(), out_path, meta={"kind": "token-grid", "grid": list(shape)})
+    shape = grid_shape(grid, meta, source=in_path)
+    write_tensor(decode_argmax(grid).reshape(shape), out_path,
+                 meta={"kind": "token-grid", "grid": list(shape)})
 
 
 @cli.command("eval")

@@ -74,11 +74,10 @@ class CodebookSpec:
 
 def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
     """Row sums (last axis, kept) of ``values``, whose entries must be
-    finite and nonnegative.
+    finite and nonnegative and whose sums must be finite.
 
     Finite sums prove the entries finite, so one ``min()`` completes the
-    proof. Otherwise the element checks run, and they and the sum fail as
-    they would on their own, with the same errors and warnings.
+    proof. Otherwise the element checks run, and then the sums' own check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         totals = values.sum(axis=-1, keepdims=True)
@@ -88,7 +87,9 @@ def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
         raise ValidationError(f"{subject} non-finite entries")
     if np.any(values < 0.0):
         raise ValidationError(f"{subject} negative entries")
-    return values.sum(axis=-1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise ValidationError(f"{subject} a row whose sum overflows float64")
+    return totals
 
 
 def simplex_rows(values) -> np.ndarray:
@@ -151,17 +152,8 @@ class CodebookDistribution:
             )
         object.__setattr__(self, "probs", simplex_rows(self.probs))
 
-    @classmethod
-    def from_scores(cls, values) -> "CodebookDistribution":
-        """Normalize raw nonnegative scores of any positive total mass."""
-        return cls(normalize_scores(values))
-
     def __len__(self) -> int:
         return self.probs.size
-
-    def argmax(self) -> int:
-        """Index of the largest entry; ties resolve to the lowest token id."""
-        return int(np.argmax(self.probs))
 
 
 def _check_pair(a: CodebookDistribution, b: CodebookDistribution):

@@ -17,43 +17,9 @@ from .pool import ScoreGrid
 from .smoothing import SmoothedGrid
 
 
-@dataclass(frozen=True)
-class PredictionGrid:
-    """Decoded token ids for every patch of one output grid."""
-
-    tokens: tuple[int, ...]
-    grid: tuple[int, int]
-    codebook_size: int
-
-    def __post_init__(self):
-        if len(self.tokens) != self.grid[0] * self.grid[1]:
-            raise DimensionError(
-                f"{len(self.tokens)} tokens for a {self.grid[0]}x{self.grid[1]} grid"
-            )
-        if any(t < 0 or t >= self.codebook_size for t in self.tokens):
-            raise ValidationError("token id outside codebook range")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.tokens, dtype=np.uint32).reshape(self.grid)
-
-
-class TokenValueDecoder:
-    """Synthetic decoder: each token id is its own output value."""
-
-    def decode(self, prediction: PredictionGrid) -> np.ndarray:
-        return prediction.as_array().astype(np.float64)
-
-
-def decode_argmax(grid: ScoreGrid | SmoothedGrid, shape: tuple[int, int] | None = None) -> PredictionGrid:
-    """Per-patch argmax; ties resolve to the lowest token id."""
-    if shape is None:
-        prompt = getattr(grid, "prompt", None)
-        shape = prompt.masked_region if prompt is not None else (1, len(grid.probs))
-    return PredictionGrid(
-        tokens=tuple(int(t) for t in np.argmax(grid.probs, axis=1)),
-        grid=shape,
-        codebook_size=grid.probs.shape[1],
-    )
+def decode_argmax(grid: ScoreGrid | SmoothedGrid) -> np.ndarray:
+    """The (L,) per-patch argmax token ids; ties resolve to the lowest id."""
+    return np.argmax(grid.probs, axis=1)
 
 
 def _as_grid_pair(pred, gt):
@@ -103,8 +69,6 @@ class EvalReport:
     per_item: tuple[tuple[str, float], ...]
     aggregate: float
     config: dict
-    tolerance: float | None = None
-    group_key: str | None = None
 
     def __post_init__(self):
         if not self.per_item:
@@ -116,15 +80,13 @@ class EvalReport:
             )
 
     @classmethod
-    def from_items(cls, metric, items, config, tolerance=None, group_key=None) -> "EvalReport":
+    def from_items(cls, metric, items, config) -> "EvalReport":
         items = tuple((str(i), float(v)) for i, v in items)
         return cls(
             metric=metric,
             per_item=items,
             aggregate=float(np.mean([v for _, v in items])),
             config=dict(config),
-            tolerance=tolerance,
-            group_key=group_key,
         )
 
     def to_dict(self) -> dict:
@@ -133,6 +95,4 @@ class EvalReport:
             "per_item": [[i, v] for i, v in self.per_item],
             "aggregate": self.aggregate,
             "config": self.config,
-            "tolerance": self.tolerance,
-            "group_key": self.group_key,
         }

@@ -14,11 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 from .metrics import EvalReport, decode_argmax, mse, pixel_accuracy
-from .pool import load_grid, load_pool
+from .pool import grid_shape, load_grid, load_pool
 from .smoothing import (
     Aggregation,
     DivergenceKind,
@@ -164,10 +162,6 @@ class PipelineReport:
         raise KeyError(metric)
 
 
-def _token_mse(a, b) -> float:
-    return mse(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
 def _eval_reports(rows: list[dict], echo: dict) -> tuple[EvalReport, ...]:
     """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``
     when the rows carry ``js_to_truth``. Each row holds ``query``,
@@ -178,7 +172,7 @@ def _eval_reports(rows: list[dict], echo: dict) -> tuple[EvalReport, ...]:
             [(r["query"], fn(r[f"{arm}_tokens"], r["truth"])) for r in rows],
             echo,
         )
-        for metric, fn in (("accuracy", pixel_accuracy), ("mse", _token_mse))
+        for metric, fn in (("accuracy", pixel_accuracy), ("mse", mse))
         for arm in ("baseline", "smoothed")
     ]
     if "js_to_truth" in rows[0]:
@@ -236,17 +230,14 @@ def _file_pipeline(config: dict) -> PipelineReport:
     smoothed = smooth_grid(query_grid, pool, smoothing)
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
 
-    if query_grid.prompt is not None:
-        shape = query_grid.prompt.masked_region
-    else:
-        shape = (1, len(query_grid))
-    baseline_pred = decode_argmax(query_grid, shape=shape)
-    smoothed_pred = decode_argmax(smoothed, shape=shape)
+    shape = grid_shape(query_grid)
+    baseline_tokens = decode_argmax(query_grid)
+    smoothed_tokens = decode_argmax(smoothed)
 
     artifacts = {}
     if "out_tokens" in files:
         write_tensor(
-            smoothed_pred.as_array(),
+            smoothed_tokens.reshape(shape),
             files["out_tokens"],
             meta={"kind": "token-grid", "grid": list(shape), "config": echo["smoothing"]},
         )
@@ -257,8 +248,8 @@ def _file_pipeline(config: dict) -> PipelineReport:
         gt, _ = read_tensor(files["gt_tokens"])
         reports = _eval_reports([{
             "query": files.get("item_id", "item0"),
-            "baseline_tokens": baseline_pred.tokens,
-            "smoothed_tokens": smoothed_pred.tokens,
+            "baseline_tokens": baseline_tokens,
+            "smoothed_tokens": smoothed_tokens,
             "truth": gt.reshape(-1),
         }], echo)
     return PipelineReport(config=echo, reports=reports, artifacts=artifacts)

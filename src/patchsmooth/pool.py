@@ -377,6 +377,22 @@ def grid_from_tensor(array: np.ndarray, meta: dict, source="tensor") -> ScoreGri
     return ScoreGrid(probs=normalize_scores(array), prompt=prompt)
 
 
+def grid_shape(grid, meta: dict | None = None, source="tensor") -> tuple[int, int]:
+    """The (rows, cols) a grid's L patches form: the sidecar's ``grid`` if
+    ``meta`` has one, else the prompt's masked region, else (1, L)."""
+    if meta is not None and "grid" in meta:
+        rows, cols = meta_field(meta, "grid", source, list, 2, int)
+        if rows < 1 or cols < 1:
+            raise FormatError(f"{source}: field 'grid' must be at least 1x1, got {[rows, cols]}")
+    elif getattr(grid, "prompt", None) is not None:
+        rows, cols = grid.prompt.masked_region
+    else:
+        rows, cols = 1, len(grid)
+    if rows * cols != len(grid):
+        raise DimensionError(f"{source}: {len(grid)} patches for a {rows}x{cols} grid")
+    return rows, cols
+
+
 def load_grid(path: str | Path) -> ScoreGrid:
     array, meta = read_tensor(path)
     return grid_from_tensor(array, meta, source=path)

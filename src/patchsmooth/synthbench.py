@@ -27,7 +27,7 @@ import numpy as np
 
 from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
 from .errors import ConfigError, MissingItemError, ValidationError
-from .metrics import pixel_accuracy
+from .metrics import decode_argmax, pixel_accuracy
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
 from .smoothing import (
@@ -373,9 +373,7 @@ def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
 
 def _js_to_truth(probs, truth) -> float:
     onehots = np.eye(probs.shape[1])[np.asarray(truth)]
-    return float(np.mean([
-        pairwise_divergence(row, onehot[None])[0] for row, onehot in zip(probs, onehots)
-    ]))
+    return float(np.mean(pairwise_divergence(probs, onehots)))
 
 
 def _pool_prefix(pool: PromptPool, m: int) -> PromptPool:
@@ -404,8 +402,8 @@ def _query_outcome(query_id: str, pool: PromptPool, truth, config: SmoothingConf
         patch_keys=None if pool.patch_keys is None else pool.patch_keys[0],
     )
     smoothed = smooth_grid(baseline, _pool_prefix(pool, config.m), config)
-    baseline_tokens = [int(t) for t in np.argmax(baseline.probs, axis=1)]
-    smoothed_tokens = [int(t) for t in np.argmax(smoothed.probs, axis=1)]
+    baseline_tokens = decode_argmax(baseline).tolist()
+    smoothed_tokens = decode_argmax(smoothed).tolist()
     return {
         "query": query_id,
         "baseline_tokens": baseline_tokens,

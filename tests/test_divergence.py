@@ -51,12 +51,12 @@ class TestConstruction:
             CodebookDistribution([np.inf, 0.0])
 
     def test_from_scores_normalizes_any_mass(self):
-        d = CodebookDistribution.from_scores([3.0, 1.0])
-        np.testing.assert_allclose(d.probs, [0.75, 0.25])
+        # Raw nonnegative scores of any total become a distribution.
+        np.testing.assert_allclose(normalize_scores([3.0, 1.0]), [0.75, 0.25])
 
     def test_from_scores_rejects_zero_mass(self):
         with pytest.raises(ValidationError):
-            CodebookDistribution.from_scores([0.0, 0.0])
+            normalize_scores([0.0, 0.0])
 
     def test_probs_are_immutable(self):
         d = dist(0.5, 0.5)
@@ -107,6 +107,9 @@ _NEGATIVE = {"normalize": (ValidationError, "scores contain negative entries"),
 _ZERO_MASS = {"normalize": (ValidationError, "scores have zero total mass"),
               **dict.fromkeys(("simplex", "grid", "pool"),
                               (ValidationError, "probabilities sum to 0.0, expected 1 within 1e-06"))}
+_SUM_OVERFLOW = {"normalize": (ValidationError, "scores contain a row whose sum overflows float64"),
+                 **dict.fromkeys(("simplex", "grid", "pool"), (
+                     ValidationError, "distribution contains a row whose sum overflows float64"))}
 _MALFORMED = [
     ("nan", [[0.5, np.nan], [0.5, 0.5]], _NON_FINITE),
     ("inf", [[0.5, 0.5], [np.inf, 0.0]], _NON_FINITE),
@@ -116,8 +119,7 @@ _MALFORMED = [
     ("negative", [[0.5, 0.5], [1.5, -0.5]], _NEGATIVE),
     ("zero-mass", [[0.5, 0.5], [0.0, 0.0]], _ZERO_MASS),
     ("negative-zero-mass", [[-0.0, -0.0]], _ZERO_MASS),
-    ("sum-overflow", [[1e308, 1e308]],
-     dict.fromkeys(_CHECKERS, (RuntimeWarning, "overflow encountered in reduce"))),
+    ("sum-overflow", [[1e308, 1e308]], _SUM_OVERFLOW),
     ("empty-vector", np.zeros(0), {
         "normalize": (ValidationError, "scores have zero total mass"),
         "simplex": (ValidationError, r"expected rows of length >= 2, got shape \(0,\)"),
@@ -151,14 +153,12 @@ class TestValidationContract:
     @pytest.mark.parametrize("checker", sorted(_CHECKERS))
     def test_sum_overflow_without_warnings(self, checker):
         # Entries are finite and nonnegative but the row sum is inf: the
-        # scores scale to zero, and a distribution check names the sum.
-        values = np.array([[1e308, 1e308]])
-        with np.errstate(over="ignore"):
-            if checker == "normalize":
-                assert normalize_scores(values).tolist() == [[0.0, 0.0]]
-                return
-            with pytest.raises(ValidationError, match="^probabilities sum to inf, expected 1"):
-                _CHECKERS[checker](values)
+        # same typed error as with warnings as errors, not zeroed scores.
+        error, message = _SUM_OVERFLOW[checker]
+        with np.errstate(all="ignore"), warnings.catch_warnings(), \
+                pytest.raises(error, match=f"^{message}$"):
+            warnings.simplefilter("ignore")
+            _CHECKERS[checker](np.array([[1e308, 1e308]]))
 
     @pytest.mark.parametrize("checker", sorted(_CHECKERS))
     def test_negative_zero_is_accepted(self, checker):

@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from patchsmooth.errors import DimensionError, ValidationError
+from patchsmooth.errors import DimensionError, FormatError, ValidationError
 from patchsmooth.metrics import (
     EvalReport,
-    PredictionGrid,
-    TokenValueDecoder,
     decode_argmax,
     iou,
     mean_iou,
     mse,
     pixel_accuracy,
 )
-from patchsmooth.pool import ScoreGrid
+from patchsmooth.pool import PromptSpec, ScoreGrid, grid_shape
 
 
 def grid_of(*rows):
@@ -23,12 +21,11 @@ def grid_of(*rows):
 
 class TestDecodeArgmax:
     def test_one_hot(self):
-        pred = decode_argmax(grid_of([0, 1, 0], [0, 0, 1], [1, 0, 0]), shape=(1, 3))
-        assert pred.tokens == (1, 2, 0)
+        tokens = decode_argmax(grid_of([0, 1, 0], [0, 0, 1], [1, 0, 0]))
+        assert tokens.shape == (3,) and tokens.tolist() == [1, 2, 0]
 
     def test_tie_resolves_to_lowest_token(self):
-        pred = decode_argmax(grid_of([0.5, 0.5]), shape=(1, 1))
-        assert pred.tokens == (0,)
+        assert decode_argmax(grid_of([0.5, 0.5])).tolist() == [0]
 
     def test_composes_with_nearest_smoothing(self):
         from patchsmooth.pool import PoolMode, PromptPool
@@ -40,26 +37,29 @@ class TestDecodeArgmax:
         out = smooth_grid(
             s, pool, SmoothingConfig(m=1, alpha=1.0, aggregation=Aggregation.NEAREST)
         )
-        assert decode_argmax(out, shape=(1, 1)).tokens == (int(np.argmax(u)),)
+        assert decode_argmax(out).tolist() == [int(np.argmax(u))]
 
     def test_monotone_rescaling_invariance(self):
         rng = np.random.default_rng(3)
         probs = rng.dirichlet(np.ones(6))
         rescaled = np.exp(probs)  # strictly monotone map
         rescaled /= rescaled.sum()
-        a = decode_argmax(grid_of(probs), shape=(1, 1))
-        b = decode_argmax(grid_of(rescaled), shape=(1, 1))
-        assert a.tokens == b.tokens
+        np.testing.assert_array_equal(decode_argmax(grid_of(probs)), decode_argmax(grid_of(rescaled)))
 
-    def test_prediction_grid_validation(self):
+    def test_grid_shape_rule(self):
+        grid = grid_of([0.5, 0.5], [1, 0], [0, 1], [1, 0])
+        assert grid_shape(grid) == (1, 4)
+        assert grid_shape(grid, {"grid": [2, 2]}) == (2, 2)
         with pytest.raises(DimensionError):
-            PredictionGrid(tokens=(0, 1), grid=(1, 3), codebook_size=4)
-        with pytest.raises(ValidationError):
-            PredictionGrid(tokens=(0, 9), grid=(1, 2), codebook_size=4)
+            grid_shape(grid, {"grid": [1, 3]})
+        for bad in ([0, 4], [-2, -2], [2], [2.0, 2]):
+            with pytest.raises(FormatError):
+                grid_shape(grid, {"grid": bad})
 
-    def test_token_value_decoder(self):
-        pred = PredictionGrid(tokens=(1, 2, 3, 0), grid=(2, 2), codebook_size=4)
-        np.testing.assert_array_equal(TokenValueDecoder().decode(pred), [[1.0, 2.0], [3.0, 0.0]])
+    def test_tokens_reshape_to_prompt_region(self):
+        grid = ScoreGrid(probs=np.eye(4)[[1, 2, 3, 0]], prompt=PromptSpec("x", "y", "q", (2, 2)))
+        assert grid_shape(grid) == (2, 2)
+        assert decode_argmax(grid).reshape(grid_shape(grid)).tolist() == [[1, 2], [3, 0]]
 
 
 class TestIoU:
@@ -147,8 +147,7 @@ class TestEvalReport:
             EvalReport(metric="accuracy", per_item=(), aggregate=0.0, config={})
 
     def test_to_dict_roundtrips_fields(self):
-        report = EvalReport.from_items("mse", [("a", 0.25)], config={"alpha": 1.0}, tolerance=1e-9)
-        d = report.to_dict()
-        assert d["metric"] == "mse"
-        assert d["per_item"] == [["a", 0.25]]
-        assert d["tolerance"] == 1e-9
+        report = EvalReport.from_items("mse", [("a", 0.25)], config={"alpha": 1.0})
+        assert report.to_dict() == {
+            "metric": "mse", "per_item": [["a", 0.25]], "aggregate": 0.25, "config": {"alpha": 1.0},
+        }

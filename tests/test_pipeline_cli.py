@@ -502,6 +502,11 @@ class TestExitCodes:
             "--out", str(tmp_path / "s.pnct"),
         ])
         assert code == 4
+        # a sidecar grid whose rows x cols is not the patch count
+        save_grid(random_grid(rng, 4, 5), tmp_path / "g4.pnct", extra_meta={"grid": [3, 3]})
+        code = run_cli(["decode", "--in", str(tmp_path / "g4.pnct"), "--out", str(tmp_path / "t")])
+        assert code == 4
+        assert not (tmp_path / "t").exists()
 
     MISSING = "<missing>"
 
@@ -523,6 +528,8 @@ class TestExitCodes:
         ("manifest", "prompts", MISSING),
         ("manifest", "patch_order", "column-major"),
         ("pool", "pair_indices", [True, 2]),
+        ("grid", "grid", [-2, -2]),
+        ("grid", "grid", [0, 4]),
     ])
     def test_malformed_field_is_format_error(self, tmp_path, target, field, value):
         rng = np.random.default_rng(0)
