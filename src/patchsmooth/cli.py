@@ -26,12 +26,11 @@ from .pool import (
     FileScorerBackend,
     PoolMode,
     build_pool,
-    grid_from_tensor,
-    grid_shape,
     load_grid,
     load_pool,
     meta_field,
     save_pool,
+    save_tokens,
 )
 from .retrieval import FeatureMap, FeatureVector, RetrievalIndex, RetrievedSet, flatten_normalize, top_m
 from .smoothing import smooth_grid
@@ -66,7 +65,7 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     """Rank support items by dot similarity of normalized feature maps."""
     config = load_config(config_path)
     if m is None:
-        m = int(config["retrieval"]["m"])
+        m = config["retrieval"]["m"]
     array, meta = read_tensor(index_path)
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
     index = RetrievalIndex([_feature_vector(row, ident) for row, ident in zip(array, ids)])
@@ -157,7 +156,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
         if value is not None
     }
     config = load_config(config_path, overrides={"smoothing": overrides})
-    grid = load_grid(query_path)
+    grid, shape = load_grid(query_path)
     pool = load_pool(pool_path)
     grid, pool = _attach_keys(grid, pool, query_keys_path, pool_keys_path)
     sconfig = smoothing_config(config, m=pool.m)
@@ -165,7 +164,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     write_tensor(
         result.probs.astype(np.float32),
         out_path,
-        meta={"kind": "smoothed-grid", "grid": list(grid_shape(grid)), "config": sconfig.echo()},
+        meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()},
     )
     if diag_path is not None:
         _write_json(
@@ -191,11 +190,8 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def decode(in_path, out_path):
     """Argmax-decode a score or smoothed grid into a token grid."""
-    array, meta = read_tensor(in_path)
-    grid = grid_from_tensor(array, meta, source=in_path)
-    shape = grid_shape(grid, meta, source=in_path)
-    write_tensor(decode_argmax(grid).reshape(shape), out_path,
-                 meta={"kind": "token-grid", "grid": list(shape)})
+    grid, shape = load_grid(in_path)
+    save_tokens(decode_argmax(grid), shape, out_path)
 
 
 @cli.command("eval")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .metrics import EvalReport, decode_argmax, mse, pixel_accuracy
-from .pool import grid_shape, load_grid, load_pool
+from .pool import load_grid, load_pool, save_tokens
 from .smoothing import (
     Aggregation,
     DivergenceKind,
@@ -26,7 +26,7 @@ from .smoothing import (
     smooth_grid,
 )
 from .synthbench import BiasedScorerParams, SyntheticWorld, generate_world, run_bias_experiment
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import read_tensor
 
 DEFAULT_CONFIG = {
     "backend": "synth",
@@ -185,34 +185,14 @@ def _eval_reports(rows: list[dict], echo: dict) -> tuple[EvalReport, ...]:
 def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
     """The synthetic world and scorer weights a config's world and scorer
     sections describe."""
-    w = config["world"]
-    world = generate_world(
-        seed=int(w["seed"]),
-        rows=int(w["rows"]),
-        cols=int(w["cols"]),
-        codebook_size=int(w["codebook_size"]),
-        n_items=int(w["n_items"]),
-        task_family=w["task_family"],
-    )
-    s = config["scorer"]
-    params = BiasedScorerParams(
-        beta_truth=float(s["beta_truth"]),
-        beta_pair=float(s["beta_pair"]),
-        epsilon_noise=float(s["epsilon_noise"]),
-        similarity_coupling=float(s.get("similarity_coupling", 0.0)),
-    )
-    return world, params
+    return generate_world(**config["world"]), BiasedScorerParams(**config["scorer"])
 
 
 def _synth_pipeline(config: dict) -> PipelineReport:
     world, params = synth_world(config)
-    smoothing = smoothing_config(config, m=int(config["retrieval"]["m"]))
+    smoothing = smoothing_config(config, m=config["retrieval"]["m"])
     experiment = run_bias_experiment(
-        world,
-        params,
-        [smoothing],
-        n_queries=int(config["queries"]["n"]),
-        seed=int(config["queries"]["seed"]),
+        world, params, [smoothing], n_queries=config["queries"]["n"], seed=config["queries"]["seed"]
     )
     rows = experiment["configs"][0]["per_query"]
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
@@ -224,24 +204,19 @@ def _file_pipeline(config: dict) -> PipelineReport:
     for required in ("query_scores", "pool"):
         if required not in files:
             raise ConfigError(f"file backend needs files.{required}")
-    query_grid = load_grid(files["query_scores"])
+    query_grid, shape = load_grid(files["query_scores"])
     pool = load_pool(files["pool"])
     smoothing = smoothing_config(config, m=pool.m)
     smoothed = smooth_grid(query_grid, pool, smoothing)
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
 
-    shape = grid_shape(query_grid)
     baseline_tokens = decode_argmax(query_grid)
     smoothed_tokens = decode_argmax(smoothed)
 
     artifacts = {}
     if "out_tokens" in files:
-        write_tensor(
-            smoothed_tokens.reshape(shape),
-            files["out_tokens"],
-            meta={"kind": "token-grid", "grid": list(shape), "config": echo["smoothing"]},
-        )
-        artifacts["out_tokens"] = str(files["out_tokens"])
+        save_tokens(smoothed_tokens, shape, files["out_tokens"], config=echo["smoothing"])
+        artifacts["out_tokens"] = files["out_tokens"]
 
     reports = ()
     if "gt_tokens" in files:
@@ -256,12 +231,10 @@ def _file_pipeline(config: dict) -> PipelineReport:
 
 
 def run_pipeline(config: dict | str | Path) -> PipelineReport:
-    """Run the full pipeline for one config (dict or JSON file path); a
-    dict is checked as ``load_config`` checks its result."""
-    if not isinstance(config, dict):
-        config = load_config(config)
-    _check_config(config, _SCHEMA)
-    backend = config.get("backend", "synth")
+    """Run the full pipeline for one config: a JSON file path, or a dict
+    that ``load_config`` merges over the defaults and checks."""
+    config = load_config(overrides=config) if isinstance(config, dict) else load_config(config)
+    backend = config["backend"]
     if backend == "synth":
         return _synth_pipeline(config)
     if backend == "file":

@@ -44,14 +44,18 @@ class PromptSpec:
 
 
 def _frozen_keys(keys, leading: tuple[int, ...], name: str):
-    """Optional key array whose leading axes must match ``leading``."""
+    """Optional key array whose leading axes must match ``leading``, as a
+    read-only float64 array. As in ``simplex_rows``, a writable caller
+    array or a view is copied, so the caller's array is never frozen."""
     if keys is None:
         return None
-    keys = np.asarray(keys, dtype=np.float64)
-    if keys.ndim != len(leading) + 1 or keys.shape[:-1] != leading:
-        raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {keys.shape}")
-    keys.flags.writeable = False
-    return keys
+    array = np.asarray(keys, dtype=np.float64)
+    if array.ndim != len(leading) + 1 or array.shape[:-1] != leading:
+        raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {array.shape}")
+    if not array.flags.owndata or (array is keys and array.flags.writeable):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -279,13 +283,13 @@ class FileScorerBackend:
         key = f"{prompt.in_context_input}__{prompt.in_context_output}__{prompt.anchor}"
         if key not in self._prompt_files:
             raise MissingItemError(f"no exported scores for prompt {key!r}")
-        array, _ = read_tensor(self._dir / self._prompt_files[key])
-        if array.ndim != 2 or array.shape != (prompt.patch_count, self._codebook.size):
+        probs, _ = _read_scores(self._dir / self._prompt_files[key], 2)
+        if probs.shape != (prompt.patch_count, self._codebook.size):
             raise DimensionError(
-                f"exported tensor {key!r} has shape {array.shape}, "
+                f"exported tensor {key!r} has shape {probs.shape}, "
                 f"expected {(prompt.patch_count, self._codebook.size)}"
             )
-        return ScoreGrid(probs=normalize_scores(array), prompt=prompt)
+        return ScoreGrid(probs=probs, prompt=prompt)
 
 
 def meta_field(meta, name: str, source, kind: type, length: int | None = None,
@@ -338,20 +342,29 @@ def save_pool(pool: PromptPool, path: str | Path) -> None:
     write_tensor(pool.probs.astype(np.float32), path, meta=meta)
 
 
-def load_pool(path: str | Path) -> PromptPool:
+def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[np.ndarray, dict]:
+    """The f32 score tensor of ``rank`` in ``path``, rows normalized, and
+    its sidecar, whose ``kind`` must be ``kind`` if that is given."""
     array, meta = read_tensor(path)
-    if meta.get("kind") != "prompt-pool":
-        raise ValidationError(f"{path} is not a pool file")
-    if array.ndim != 3:
-        raise DimensionError(f"pool tensor must be rank 3, got shape {array.shape}")
+    if kind is not None and meta.get("kind") != kind:
+        raise ValidationError(f"{path} is not a {kind} file")
+    if array.dtype.kind != "f":
+        raise FormatError(f"{path}: scores must be f32, got {array.dtype.name}")
+    if array.ndim != rank:
+        raise DimensionError(f"{path}: score tensor must be rank {rank}, got shape {array.shape}")
+    return normalize_scores(array), meta
+
+
+def load_pool(path: str | Path) -> PromptPool:
+    probs, meta = _read_scores(path, 3, kind="prompt-pool")
     try:
         mode = PoolMode(meta["mode"]) if meta.get("mode") else None
     except ValueError as exc:
         raise FormatError(f"{path}: field 'mode': {exc}") from exc
     prompts = meta_field(meta, "prompts", path, list, items=dict)
     return PromptPool(
-        probs=normalize_scores(array),
-        pair_indices=meta_field(meta, "pair_indices", path, list, len(array), int),
+        probs=probs,
+        pair_indices=meta_field(meta, "pair_indices", path, list, len(probs), int),
         prompts=tuple(_prompt_from_meta(p, path) for p in prompts),
         mode=mode,
         m=meta_field(meta, "m", path, int),
@@ -368,31 +381,27 @@ def save_grid(grid: ScoreGrid, path: str | Path, extra_meta: dict | None = None)
     write_tensor(grid.probs.astype(np.float32), path, meta=meta)
 
 
-def grid_from_tensor(array: np.ndarray, meta: dict, source="tensor") -> ScoreGrid:
-    """The score grid held by one read (array, sidecar) pair; rows are
-    renormalized."""
-    if array.ndim != 2:
-        raise DimensionError(f"score grid tensor must be rank 2, got shape {array.shape}")
-    prompt = _prompt_from_meta(meta["prompt"], source) if "prompt" in meta else None
-    return ScoreGrid(probs=normalize_scores(array), prompt=prompt)
-
-
-def grid_shape(grid, meta: dict | None = None, source="tensor") -> tuple[int, int]:
-    """The (rows, cols) a grid's L patches form: the sidecar's ``grid`` if
-    ``meta`` has one, else the prompt's masked region, else (1, L)."""
-    if meta is not None and "grid" in meta:
-        rows, cols = meta_field(meta, "grid", source, list, 2, int)
+def load_grid(path: str | Path) -> tuple[ScoreGrid, tuple[int, int]]:
+    """The score grid in ``path`` and the (rows, cols) its L patches form:
+    the sidecar's ``grid``, else the prompt's masked region, else (1, L)."""
+    probs, meta = _read_scores(path, 2)
+    prompt = _prompt_from_meta(meta["prompt"], path) if "prompt" in meta else None
+    grid = ScoreGrid(probs=probs, prompt=prompt)
+    rows, cols = prompt.masked_region if prompt is not None else (1, len(grid))
+    if "grid" in meta:
+        rows, cols = meta_field(meta, "grid", path, list, 2, int)
         if rows < 1 or cols < 1:
-            raise FormatError(f"{source}: field 'grid' must be at least 1x1, got {[rows, cols]}")
-    elif getattr(grid, "prompt", None) is not None:
-        rows, cols = grid.prompt.masked_region
-    else:
-        rows, cols = 1, len(grid)
+            raise FormatError(f"{path}: field 'grid' must be at least 1x1, got {[rows, cols]}")
     if rows * cols != len(grid):
-        raise DimensionError(f"{source}: {len(grid)} patches for a {rows}x{cols} grid")
-    return rows, cols
+        raise DimensionError(f"{path}: {len(grid)} patches for a {rows}x{cols} grid")
+    return grid, (rows, cols)
 
 
-def load_grid(path: str | Path) -> ScoreGrid:
-    array, meta = read_tensor(path)
-    return grid_from_tensor(array, meta, source=path)
+def save_tokens(tokens: np.ndarray, shape: tuple[int, int], path: str | Path,
+                config: dict | None = None) -> None:
+    """Write (L,) decoded tokens as a (rows, cols) u32 token grid, with the
+    smoothing config that produced them if given."""
+    meta = {"kind": "token-grid", "grid": list(shape)}
+    if config is not None:
+        meta["config"] = config
+    write_tensor(tokens.reshape(shape), path, meta=meta)

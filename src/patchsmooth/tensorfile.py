@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"PNCL"
 VERSION = 1
@@ -71,41 +71,43 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     header += meta_bytes
     crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF)
 
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-            fh.write(crc)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, header, payload, crc)
 
 
 def atomic_write_text(text: str, path: str | Path) -> None:
     """Write text via a temp file in the target directory plus rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    _atomic_write(Path(path), text.encode("utf-8"))
+
+
+def _atomic_write(path: Path, *chunks) -> None:
+    """Write ``chunks`` to a temp file in ``path``'s directory, then rename
+    it to ``path``; a path that cannot be written is a ConfigError."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read an array and its sidecar; verifies magic, version, length, CRC.
 
     The array is read-only: it is built over the file's bytes, not copied
-    out of them.
+    out of them. A path that cannot be read is a ConfigError.
     """
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if len(blob) < 20:
         raise FormatError(f"{path}: file too short ({len(blob)} bytes) for header")
     if blob[:4] != MAGIC:

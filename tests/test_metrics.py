@@ -12,7 +12,7 @@ from patchsmooth.metrics import (
     mse,
     pixel_accuracy,
 )
-from patchsmooth.pool import PromptSpec, ScoreGrid, grid_shape
+from patchsmooth.pool import PromptSpec, ScoreGrid, load_grid, save_grid
 
 
 def grid_of(*rows):
@@ -46,20 +46,27 @@ class TestDecodeArgmax:
         rescaled /= rescaled.sum()
         np.testing.assert_array_equal(decode_argmax(grid_of(probs)), decode_argmax(grid_of(rescaled)))
 
-    def test_grid_shape_rule(self):
+    def test_grid_shape_rule(self, tmp_path):
         grid = grid_of([0.5, 0.5], [1, 0], [0, 1], [1, 0])
-        assert grid_shape(grid) == (1, 4)
-        assert grid_shape(grid, {"grid": [2, 2]}) == (2, 2)
+
+        def shape_of(extra_meta=None):
+            save_grid(grid, tmp_path / "g.pnct", extra_meta=extra_meta)
+            return load_grid(tmp_path / "g.pnct")[1]
+
+        assert shape_of() == (1, 4)
+        assert shape_of({"grid": [2, 2]}) == (2, 2)
         with pytest.raises(DimensionError):
-            grid_shape(grid, {"grid": [1, 3]})
+            shape_of({"grid": [1, 3]})
         for bad in ([0, 4], [-2, -2], [2], [2.0, 2]):
             with pytest.raises(FormatError):
-                grid_shape(grid, {"grid": bad})
+                shape_of({"grid": bad})
 
-    def test_tokens_reshape_to_prompt_region(self):
+    def test_tokens_reshape_to_prompt_region(self, tmp_path):
         grid = ScoreGrid(probs=np.eye(4)[[1, 2, 3, 0]], prompt=PromptSpec("x", "y", "q", (2, 2)))
-        assert grid_shape(grid) == (2, 2)
-        assert decode_argmax(grid).reshape(grid_shape(grid)).tolist() == [[1, 2], [3, 0]]
+        save_grid(grid, tmp_path / "g.pnct")
+        loaded, shape = load_grid(tmp_path / "g.pnct")
+        assert shape == (2, 2)
+        assert decode_argmax(loaded).reshape(shape).tolist() == [[1, 2], [3, 0]]
 
 
 class TestIoU:

@@ -1,9 +1,14 @@
 import json
+import re
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchsmooth.cli import main
 from patchsmooth.errors import ConfigError
@@ -76,6 +81,9 @@ class TestConfig:
         config["queries"]["n"] = 1.5
         with pytest.raises(ConfigError, match="queries.n"):
             run_pipeline(config)
+
+    def test_run_pipeline_fills_a_partial_dict_with_defaults(self):
+        assert run_pipeline({"backend": "synth"}) == run_pipeline(load_config())
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -150,7 +158,7 @@ class TestFilePipeline:
     def test_matches_library_smoothing(self, tmp_path):
         config = load_config(overrides=self.make_inputs(tmp_path))
         run_pipeline(config)
-        grid = load_grid(tmp_path / "query.pnct")
+        grid, _ = load_grid(tmp_path / "query.pnct")
         pool = load_pool(tmp_path / "pool.pnct")
         expected = smooth_grid(grid, pool, SmoothingConfig(m=3))
         tokens, _ = read_tensor(tmp_path / "out.pnct")
@@ -272,7 +280,7 @@ class TestCliFlow:
         assert code == 0
         out, _ = read_tensor(tmp_path / "s.pnct")
         expected = smooth_grid(
-            load_grid(tmp_path / "g.pnct"), load_pool(tmp_path / "p.pnct"),
+            load_grid(tmp_path / "g.pnct")[0], load_pool(tmp_path / "p.pnct"),
             SmoothingConfig(m=2, alpha=0.6),
         )
         np.testing.assert_allclose(out, expected.probs.astype(np.float32), atol=1e-6)
@@ -372,6 +380,32 @@ class TestCliFlow:
         tokens, _ = read_tensor(tmp_path / "t.pnct")
         assert tokens.shape == (3, 2)
         assert list(tokens.reshape(-1)) == np.argmax(grid.probs, axis=1).tolist()
+
+    def test_sidecar_grid_survives_smooth_and_run(self, tmp_path):
+        rng = np.random.default_rng(8)
+        query, pool = str(tmp_path / "q.pnct"), str(tmp_path / "p.pnct")
+        save_grid(random_grid(rng, 4, 5), query, extra_meta={"grid": [2, 2]})
+        save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), pool)
+        assert run_cli(["decode", "--in", query, "--out", str(tmp_path / "tq.pnct")]) == 0
+        assert run_cli(["smooth", "--query", query, "--pool", pool, "--alpha", "0",
+                        "--out", str(tmp_path / "s.pnct")]) == 0
+        assert run_cli(["decode", "--in", str(tmp_path / "s.pnct"),
+                        "--out", str(tmp_path / "ts.pnct")]) == 0
+        direct, direct_meta = read_tensor(tmp_path / "tq.pnct")
+        smoothed, smoothed_meta = read_tensor(tmp_path / "ts.pnct")
+        assert direct.shape == (2, 2) and direct_meta == {"kind": "token-grid", "grid": [2, 2]}
+        np.testing.assert_array_equal(smoothed, direct)
+        assert smoothed_meta == direct_meta
+
+        (tmp_path / "c.json").write_text(json.dumps({
+            "backend": "file", "smoothing": {"alpha": 0.0},
+            "files": {"query_scores": query, "pool": pool, "out_tokens": str(tmp_path / "tr.pnct")},
+        }))
+        assert run_cli(["run", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "r.json")]) == 0
+        tokens, meta = read_tensor(tmp_path / "tr.pnct")
+        assert meta["grid"] == [2, 2]
+        np.testing.assert_array_equal(tokens, direct)
 
     def test_eval_iou_and_mse(self, tmp_path):
         write_tensor(np.array([[1, 1], [0, 0]], dtype=np.uint32), tmp_path / "pred.pnct")
@@ -508,6 +542,50 @@ class TestExitCodes:
         assert code == 4
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("case", ["config-query-scores", "manifest-prompt", "decode-out",
+                                      "decode-out-directory"])
+    def test_unreadable_path_is_2(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(0)
+        missing = tmp_path / "no-such-dir" / "t.pnct"
+        if case == "config-query-scores":
+            save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), tmp_path / "p.pnct")
+            (tmp_path / "c.json").write_text(json.dumps({"backend": "file", "files": {
+                "query_scores": str(missing), "pool": str(tmp_path / "p.pnct")}}))
+            argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o.json")]
+        elif case == "manifest-prompt":
+            scores = TestCliFlow().setup_scores_dir(tmp_path, rng, ["s0", "s1"])
+            missing = scores / "s1.pnct"
+            missing.unlink()
+            (tmp_path / "r.json").write_text(json.dumps(
+                {"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.json")]
+        else:
+            if case == "decode-out-directory":
+                missing = tmp_path / "out"
+                missing.mkdir()
+            save_grid(random_grid(rng, 4, 5), tmp_path / "g.pnct")
+            argv = ["decode", "--in", str(tmp_path / "g.pnct"), "--out", str(missing)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err
+        assert not re.search(r"\.pnct\S+\.tmp", err)  # names the path, not its temp file
+        assert not (tmp_path / "o.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["decode", "smooth"])
+    @pytest.mark.parametrize("meta", [{"kind": "token-grid"}, {"kind": "token-grid", "grid": [2, 3]}],
+                             ids=["no-grid", "grid"])
+    def test_token_grid_as_scores_is_3(self, tmp_path, command, meta):
+        tokens = tmp_path / "t.pnct"
+        write_tensor(np.array([[2, 0, 1], [2, 2, 0]], dtype=np.uint32), tokens, meta=meta)
+        save_pool(random_pool(np.random.default_rng(0), 6, 3, width=2, region=(2, 3)),
+                  tmp_path / "p.pnct")
+        argv = ["decode", "--in", str(tokens)] if command == "decode" else [
+            "smooth", "--query", str(tokens), "--pool", str(tmp_path / "p.pnct")]
+        assert run_cli(argv + ["--out", str(tmp_path / "o.pnct")]) == 3
+        assert not (tmp_path / "o.pnct").exists()
+
     MISSING = "<missing>"
 
     @pytest.mark.parametrize("target, field, value", [
@@ -562,3 +640,82 @@ class TestExitCodes:
             if target == "grid":
                 argv = ["decode", "--in", str(path), "--out", str(tmp_path / "t.pnct")]
         assert run_cli(argv) == 3
+
+
+# -- fuzzing the JSON documents that point at files -------------------------
+
+PROMPT_KEY = "s0__s0.gt__query"
+MANIFEST_SLOTS = [("grid",), ("codebook_size",), ("patch_order",), ("pairs",), ("pairs", "s0"),
+                  ("prompts",), ("prompts", PROMPT_KEY), ("schema_version",)]
+CONFIG_SLOTS = [("backend",), ("files",), ("files", "query_scores"), ("files", "pool"),
+                ("files", "gt_tokens"), ("files", "out_tokens"), ("files", "item_id")]
+# no plain strings: a relative path would be written outside the test's directory
+RETYPED = [None, True, 7, -1, 2.5, [], [2, 2], {}, {"s0": "s0.gt"}]
+# manifest entries are relative to the scores directory, config paths are absolute
+PATH_TARGETS = {
+    "missing": ("missing.pnct", "missing/f.pnct"),
+    "token-grid": ("../tokens.pnct", "tokens.pnct"),
+    "pool": ("../p.pnct", "p.pnct"),
+    "grid": ("../g.pnct", "g.pnct"),
+    "directory": (".", "scores"),
+}
+
+
+def file_backend_setup(tmp: Path) -> tuple[Path, dict, dict]:
+    """Exported scores with their manifest, a retrieved set, a query grid, a
+    pool and a ground-truth token grid, all valid; returns the scores
+    directory, the manifest and a file-backend run config."""
+    rng = np.random.default_rng(0)
+    scores = TestCliFlow().setup_scores_dir(tmp, rng, ["s0", "s1"])
+    (tmp / "r.json").write_text(json.dumps({"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
+    region = (2, 2)
+    save_grid(random_grid(rng, 4, 5, prompt=PromptSpec("s0", "s0.gt", "query", region)), tmp / "g.pnct")
+    save_pool(random_pool(rng, 4, 5, width=2, region=region), tmp / "p.pnct")
+    write_tensor(rng.integers(0, 5, size=region).astype(np.uint32), tmp / "tokens.pnct",
+                 meta={"kind": "token-grid"})
+    config = {"backend": "file", "files": {
+        "query_scores": str(tmp / "g.pnct"), "pool": str(tmp / "p.pnct"),
+        "gt_tokens": str(tmp / "tokens.pnct"), "out_tokens": str(tmp / "out.pnct"),
+        "item_id": "query",
+    }}
+    return scores, json.loads((scores / "manifest.json").read_text()), config
+
+
+MUTATIONS = st.one_of(
+    st.just(("drop", None)),
+    st.tuples(st.just("retype"), st.sampled_from(RETYPED)),
+    st.tuples(st.just("path"), st.sampled_from(sorted(PATH_TARGETS))),
+)
+
+
+@given(
+    target=st.sampled_from([("manifest", slot) for slot in MANIFEST_SLOTS]
+                           + [("config", slot) for slot in CONFIG_SLOTS]),
+    mutation=MUTATIONS,
+)
+@settings(max_examples=100, deadline=None)
+def test_mutated_documents_end_in_an_exit_code(target, mutation):
+    """One mutated key in a manifest or a run config: the CLI exits through
+    its own handlers (a typed error or success), never with a traceback."""
+    (document, (*parents, key)), (op, value) = target, mutation
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        scores, manifest, config = file_backend_setup(tmp)
+        section = manifest if document == "manifest" else config
+        for parent in parents:
+            section = section[parent]
+        if op == "drop":
+            del section[key]
+        elif op == "retype":
+            section[key] = value
+        else:
+            relative, absolute = PATH_TARGETS[value]
+            section[key] = relative if document == "manifest" else str(tmp / absolute)
+        if document == "manifest":
+            (scores / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp / "r.json"), "--out", str(tmp / "o.pnct")]
+        else:
+            (tmp / "c.json").write_text(json.dumps(config))
+            argv = ["run", "--config", str(tmp / "c.json"), "--out", str(tmp / "report.json")]
+        assert run_cli(argv) in (0, 1, 2, 3, 4)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import StubScorer
-from patchsmooth.errors import ConfigError, DimensionError, MissingItemError, ValidationError
+from patchsmooth.errors import (
+    ConfigError,
+    DimensionError,
+    FormatError,
+    MissingItemError,
+    ValidationError,
+)
 from patchsmooth.pool import (
     FileScorerBackend,
     PoolMode,
@@ -201,7 +207,8 @@ class TestPoolSerialization:
         grid = score_prompt(backend, PromptSpec("a", "a.out", "q", (2, 2)))
         path = tmp_path / "grid.pnct"
         save_grid(grid, path)
-        back = load_grid(path)
+        back, shape = load_grid(path)
+        assert shape == (2, 2)
         assert back.prompt == grid.prompt
         np.testing.assert_allclose(back.probs, grid.probs, atol=1e-6)
 
@@ -241,7 +248,41 @@ class TestFileBackend:
         with pytest.raises(MissingItemError):
             FileScorerBackend(tmp_path / "empty")
 
+    def test_token_tensor_rejected(self, tmp_path):
+        backend = self.make_export(tmp_path, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        write_tensor(np.ones((2, 3), dtype=np.uint32), tmp_path / "score_000.pnct")
+        with pytest.raises(FormatError, match="f32"):
+            backend.score(PromptSpec("imgA", "maskA", "query1", (1, 2)))
+
     def test_wrong_shape_rejected(self, tmp_path):
         backend = self.make_export(tmp_path, [[1.0, 1.0, 1.0]])
         with pytest.raises(DimensionError):
             backend.score(PromptSpec("imgA", "maskA", "query1", (1, 2)))
+
+
+class TestKeyOwnership:
+    @pytest.mark.parametrize("owner", ["grid", "pool"])
+    def test_caller_keys_stay_writable_and_unshared(self, owner):
+        rng = np.random.default_rng(3)
+        probs = rng.dirichlet(np.ones(4), size=(2, 3))
+        keys = rng.normal(size=(2, 3, 5))
+        if owner == "grid":
+            probs, keys = probs[0], keys[0]
+            made = ScoreGrid(probs=probs, feature_keys=keys, patch_keys=keys)
+        else:
+            made = PromptPool(probs=probs, pair_indices=[1, 2], prompts=(), mode=None, m=2,
+                              feature_keys=keys, patch_keys=keys)
+        before = keys.copy()
+        assert keys.flags.writeable
+        keys[...] = 7.0
+        for held in (made.feature_keys, made.patch_keys):
+            assert not held.flags.writeable
+            np.testing.assert_array_equal(held, before)
+
+    def test_frozen_owned_keys_kept_uncopied(self):
+        keys = np.random.default_rng(4).normal(size=(3, 5))
+        keys.flags.writeable = False
+        grid = ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=keys)
+        assert grid.feature_keys is keys
+        view = keys[:, :4]  # read-only, but a view of someone else's buffer
+        assert ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=view).feature_keys is not view
