@@ -35,7 +35,7 @@ from .pool import (
 from .retrieval import FeatureMap, FeatureVector, RetrievalIndex, RetrievedSet, flatten_normalize, top_m
 from .smoothing import smooth_grid
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import atomic_write_text, read_tensor, write_tensor
+from .tensorfile import atomic_write_text, read_json, read_tensor, write_tensor
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -83,10 +83,7 @@ def retrieve(index_path, query_path, m, out_path, config_path):
 
 
 def _retrieved_from_json(path) -> RetrievedSet:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path, FormatError)
     query = meta_field(payload, "query", path, str)
     items = meta_field(payload, "items", path, list, items=list)
     for entry in items:
@@ -118,13 +115,20 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
     save_pool(pool, out_path)
 
 
+def _read_keys(path) -> np.ndarray:
+    # converted once, read-only and owned: both key fields keep it uncopied
+    keys = np.array(read_tensor(path)[0], dtype=np.float64)
+    keys.flags.writeable = False
+    return keys
+
+
 def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
     # one tensor serves whichever key type the config selects
     if query_keys_path is not None:
-        keys, _ = read_tensor(query_keys_path)
+        keys = _read_keys(query_keys_path)
         grid = dataclasses.replace(grid, feature_keys=keys, patch_keys=keys)
     if pool_keys_path is not None:
-        keys, _ = read_tensor(pool_keys_path)
+        keys = _read_keys(pool_keys_path)
         pool = dataclasses.replace(pool, feature_keys=keys, patch_keys=keys)
     return grid, pool
 

@@ -30,6 +30,15 @@ exactly 0 and JS is exactly symmetric. Candidate rows are processed in
 blocks of ``BLOCK_ELEMENTS`` elements through two reused buffers, so the
 temporaries do not grow with N; only KL's log of the query is as large
 as the query. Both results are clamped at 0 against rounding.
+
+``screened_js`` finds each of R query rows' k JS-nearest among N
+candidates without the exact kernel on all R * N pairs. One float32 pass
+ranks every pair, with a proven per-pair error bound eps (derived in
+``_screen_band``); a candidate survives when its lower bound reaches its
+row's k-th smallest upper bound, and only survivors go through
+``pairwise_divergence``, so their distances are bit-identical to the
+dense ones. KL, and every JS comparison outside ``screened_js``, run on
+the dense kernel alone.
 """
 
 from __future__ import annotations
@@ -278,3 +287,162 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, kind: str = "js", *
         z *= 0.5
         _xlogx_sums(z, sums[start:stop], work[:len(block)])
     return np.maximum(0.5 * (pool_negentropy + query_negentropy) - sums, 0.0)
+
+
+#: Elements in each float32 scratch buffer of ``screened_js``: the pass
+#: takes this many candidate elements at a time, whatever R and N are.
+SCREEN_ELEMENTS = 1 << 16
+
+#: Factor by which the screen's band exceeds its derived error bound.
+SCREEN_SAFETY = 2.0
+
+#: The smallest normal float32. Screened rows are clipped to it once, so
+#: every sum of two of them is normal and has a finite log.
+_F32_TINY = float(np.finfo(np.float32).tiny)
+
+#: The float32 unit roundoff.
+_U32 = 2.0 ** -24
+
+#: sum_j |y_j ln y_j| <= _SPREAD - A for the screen's sums A (``_screen_band``).
+_SPREAD = 2.78
+
+
+def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
+    """Half-width eps of the band that holds the exact JS of each pair
+    whose float32 sum is ``sums`` (A below), over rows of ``width`` (V)
+    entries.
+
+    The screen takes JS(p, q) = (n(p) + n(q)) / 2 - (A / 2 - ln 2), with
+    A = sum_j fl(y_j fl(ln y_j)) summed in float64, y = fl(p' + q') and
+    p' = max(fl32(p), t), t = 2**-126; n(p), n(q) are the exact cached
+    negentropies, shared with the dense kernel. With u = 2**-24 and the
+    exact y = p + q, f(y) = y ln y:
+
+    * rounding to float32 and clipping: |p' - p| <= u p + t; then the
+      add: y' = y (1 + eta) + a, |eta| <= 2u + u**2, |a| <= 2t (1 + u).
+    * For y >= 2**-100, 2t <= u y / 2, so |y' - y| <= 2.6 u y and the mean
+      value theorem gives |f(y') - f(y)| <= 2.6 u (y + |f(y)|). For
+      y < 2**-100, |f(y)| and |f(y')| are both below 2**-93, so they
+      differ by less than 2**-92.
+    * float32 ``log`` is within 4 ulp of the rounded result (numpy's
+      ``umath-validation-set-log.csv`` tests float32 at 4), so within
+      4.5 ulp <= 9u |ln y'| of ln y'; with the multiply's u,
+      |fl(y' fl(ln y')) - f(y')| <= 10.1 u |f(y')|.
+    * The float64 sum of V products adds at most (V - 1) 2**-53 times
+      their absolute sum, in any order.
+
+    So, with H = sum_j |f(y_j)| and Y = sum_j y_j <= 2.0001,
+    |A - sum_j f(y_j)| <= (12.8 u + V 2**-53) H + 5.3 u + V 2**-92. Only
+    terms with y_j > 1 are positive, and each y_j <= Y, so
+    H <= -sum_j f(y_j) + 2 Y ln Y <= -A + 2.7736 + |A - sum_j f(y_j)|,
+    which gives H <= _SPREAD - A.
+
+    The rest is float64. sum_j y_j = 2 within 2 (``RENORM_THRESHOLD`` +
+    V 2**-53), since rows reach here through ``simplex_rows``, and JS
+    takes ln 2 / 2 of that drift. The dense kernel's own error (one
+    rounding per add, halving, 1-ulp ``log`` and product, and its sum)
+    and the last subtractions of both paths stay below
+    2**-52 (V + 32) (H + 2 ln V + 2), as |n(p)|, |n(q)| <= ln V. Halving
+    the A terms,
+
+        eps = SAFETY (7u (_SPREAD - A) + 3u + ln 2 RENORM_THRESHOLD
+                      + 2**-52 (V + 32) (_SPREAD - A + 2 ln V + 2)),
+
+    for any V below 2**30. ``screened_js`` checks every survivor against
+    its band all the same, and a row with an escapee is recomputed densely.
+    """
+    f64 = 2.0 ** -52 * (width + 32)
+    slope = 7.0 * _U32 + f64
+    floor = 3.0 * _U32 + LN2 * RENORM_THRESHOLD + f64 * (2.0 * np.log(width) + 2.0)
+    band = _SPREAD - sums
+    band *= slope
+    band += floor
+    band *= SCREEN_SAFETY
+    return band
+
+
+def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The (R, N) float64 sums A[r, n] = sum_j y ln y over the float32
+    y = max(query[r], t) + max(pool[n], t), t the smallest normal float32.
+
+    Each operand is cast to float32 and clipped once; the pass works on
+    blocks of at most ``SCREEN_ELEMENTS`` candidate elements per query row.
+    """
+    rows, width = query.shape
+    n = len(pool)
+    step = min(n, max(1, SCREEN_ELEMENTS // width))
+    query_step = min(rows, max(1, SCREEN_ELEMENTS // (step * width)))
+    query32 = query.astype(np.float32)
+    np.maximum(query32, _F32_TINY, out=query32)
+    block32 = np.empty((step, width), np.float32)
+    mixture = np.empty((query_step, step, width), np.float32)
+    logs = np.empty_like(mixture)
+    sums = np.empty((rows, n))
+    for start in range(0, n, step):
+        block = block32[:min(step, n - start)]
+        stop = start + len(block)
+        block[...] = pool[start:stop]
+        np.maximum(block, _F32_TINY, out=block)
+        for first in range(0, rows, query_step):
+            rows32 = query32[first:first + query_step]
+            y = mixture[:len(rows32), :len(block)]
+            ln_y = logs[:len(rows32), :len(block)]
+            np.add(rows32[:, None], block, out=y)
+            np.log(y, out=ln_y)
+            ln_y *= y
+            ln_y.sum(axis=-1, dtype=np.float64, out=sums[first:first + len(rows32), start:stop])
+    return sums
+
+
+def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
+                pool_negentropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """JS from each row of the (R, V) ``query`` to those of the (N, V)
+    ``pool`` rows that can be among its k nearest.
+
+    Returns (R, S) ``distances`` and ``candidates``: row r lists, in
+    ascending pool order, every pool row whose band (``_screen_band``)
+    reaches the k-th smallest upper end of its row's bands, and its exact
+    JS as ``pairwise_divergence`` gives it. Shorter rows are padded with
+    distance +inf and candidate 0. Every pool row within the k-th smallest
+    exact distance of row r is listed -- the k rows with the lowest upper
+    ends have exact distances at most that k-th upper end -- so the k
+    nearest by (distance, any tie-break) are the same over S as over N.
+    Both operands must be distributions (``simplex_rows``), the pool
+    nonempty; the negentropies are ``negentropy`` of each.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    pool = np.asarray(pool, dtype=np.float64)
+    (rows, width), n = query.shape, len(pool)
+    kth = min(k, n) - 1
+    sums = _screen_sums(query, pool)
+    found = []  # (query row, pool row, exact JS) triples
+    # rows per block: the (rows, N) bands and the survivors' gathered rows
+    # (about k per row) each stay near BLOCK_ELEMENTS
+    step = max(1, BLOCK_ELEMENTS // max(n, k * width))
+    for first in range(0, rows, step):
+        block = sums[first:first + step]
+        band = _screen_band(block, width)
+        estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
+        estimate -= 0.5 * block - LN2
+        reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
+        r, c = np.nonzero(estimate - band <= reach)
+        q = first + r
+        d = pairwise_divergence(query[q], pool[c], query_negentropy=query_negentropy[q],
+                                pool_negentropy=pool_negentropy[c])
+        escaped = np.unique(q[np.abs(d - estimate[r, c]) > band[r, c]])
+        kept = ~np.isin(q, escaped)
+        found.append((q[kept], c[kept], d[kept]))
+        for e in escaped:  # the bound failed: this row goes dense
+            found.append((np.full(n, e), np.arange(n), pairwise_divergence(
+                query[e], pool, query_negentropy=query_negentropy[e],
+                pool_negentropy=pool_negentropy)))
+    q, c, d = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((c, q))
+    q, c, d = q[order], c[order], d[order]
+    counts = np.bincount(q, minlength=rows)
+    slot = np.arange(len(q)) - np.repeat(np.cumsum(counts) - counts, counts)
+    distances = np.full((rows, counts.max()), np.inf)
+    candidates = np.zeros(distances.shape, np.int64)
+    distances[q, slot] = d
+    candidates[q, slot] = c
+    return distances, candidates

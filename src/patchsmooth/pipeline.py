@@ -26,7 +26,7 @@ from .smoothing import (
     smooth_grid,
 )
 from .synthbench import BiasedScorerParams, SyntheticWorld, generate_world, run_bias_experiment
-from .tensorfile import read_tensor
+from .tensorfile import read_json, read_tensor
 
 DEFAULT_CONFIG = {
     "backend": "synth",
@@ -82,10 +82,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     result shares no nested dict with the defaults or the inputs."""
     config = DEFAULT_CONFIG
     if path is not None:
-        try:
-            loaded = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        loaded = read_json(path, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         config = _deep_merge(config, loaded)

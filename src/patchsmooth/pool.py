@@ -11,7 +11,6 @@ prompt twice yields bitwise-identical grids, which makes pools cacheable.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -21,7 +20,7 @@ import numpy as np
 from .divergence import CodebookSpec, normalize_scores, simplex_rows
 from .errors import ConfigError, DimensionError, FormatError, MissingItemError, ValidationError
 from .retrieval import RetrievedSet
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import read_json, read_tensor, write_tensor
 
 
 @dataclass(frozen=True)
@@ -256,10 +255,7 @@ class FileScorerBackend:
         manifest_path = self._dir / "manifest.json"
         if not manifest_path.exists():
             raise MissingItemError(f"no manifest.json in {self._dir}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+        manifest = read_json(manifest_path, FormatError)
         rows, cols = meta_field(manifest, "grid", manifest_path, list, 2, int)
         self._grid = (rows, cols)
         self._codebook = CodebookSpec(size=meta_field(manifest, "codebook_size", manifest_path, int))

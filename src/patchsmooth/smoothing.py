@@ -17,6 +17,15 @@ patch to its N candidates, one row-wise sort by (distance, pair index,
 patch index), per-patch weights, and a blend over the k neighbor ranks.
 What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 ``pair``, ``patch``, ``distance`` and ``weight``.
+
+In the all-patch scope each patch has W * L candidates. For JS over score
+keys, ``divergence.screened_js`` first ranks them all in one float32 pass
+with a proven per-pair error bound eps, and the matrix holds only the
+candidates whose band reaches the k-th smallest upper bound (about k per
+patch on typical scores), each with its exact float64 distance; a row
+whose exact distance escapes its band is recomputed in full. Selection
+and blend are therefore bit-identical to the dense matrix. The per-patch
+scope (W candidates), KL and the l2 keys fill the dense matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import negentropy, pairwise_divergence, simplex_rows
+from .divergence import negentropy, pairwise_divergence, screened_js, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -252,13 +261,20 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         distance = functools.partial(pairwise_divergence, kind=config.divergence.value)
     # Fill the (L, N) distance matrix.
     if config.scope is PoolScope.ALL_PATCH:
-        # candidate n is pool entry (n // L, n % L); one call per patch.
-        # The matrix and its sort index grow as W * L**2.
+        # candidate n is pool entry (n // L, n % L)
         flat = candidates.reshape(width * patches, -1)
         if pool_keys is None:
             cached["pool_negentropy"] = negentropy(flat)
-        distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
-        position, patch = np.divmod(np.arange(width * patches), patches)
+        if pool_keys is None and config.divergence is DivergenceKind.JS:
+            # only the candidates the float32 screen cannot rule out
+            distances, index = screened_js(
+                query, flat, config.k, query_negentropy=negentropy(query), **cached
+            )
+        else:
+            # one call per patch; the matrix and its sort index grow as W * L**2
+            distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
+            index = np.arange(width * patches)
+        position, patch = np.divmod(index, patches)
     else:
         # candidate j of patch l is pool entry (j, l); one call per pair,
         # comparing all L patches row by row (so KL takes the query's logs

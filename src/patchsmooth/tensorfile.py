@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, PatchSmoothError
 
 MAGIC = b"PNCL"
 VERSION = 1
@@ -97,6 +97,24 @@ def _atomic_write(path: Path, *chunks) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def read_json(path: str | Path, invalid: type[PatchSmoothError]):
+    """The JSON document at ``path``. A path that cannot be read (missing,
+    a directory, no permission) is a ConfigError; bytes that are not UTF-8
+    JSON raise ``invalid``. Both messages name the path."""
+    path = Path(path)
+    try:
+        return json.loads(_read_bytes(path).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise invalid(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read an array and its sidecar; verifies magic, version, length, CRC.
 
@@ -104,10 +122,7 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
     out of them. A path that cannot be read is a ConfigError.
     """
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    blob = _read_bytes(path)
     if len(blob) < 20:
         raise FormatError(f"{path}: file too short ({len(blob)} bytes) for header")
     if blob[:4] != MAGIC:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchsmooth.cli import main
+from patchsmooth.cli import _attach_keys, main
 from patchsmooth.errors import ConfigError
 from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline
 from patchsmooth.pool import (
@@ -312,6 +312,23 @@ class TestCliFlow:
         b, _ = read_tensor(tmp_path / "s_patch.pnct")
         np.testing.assert_array_equal(a, b)
 
+    def test_attached_keys_are_one_array_for_both_key_types(self, tmp_path):
+        rng = np.random.default_rng(12)
+        region = (2, 2)
+        grid = random_grid(rng, 4, 5, prompt=PromptSpec("x0", "x0.out", "query", region))
+        pool = random_pool(rng, 4, 5, width=3, region=region)
+        query_keys = rng.normal(size=(4, 6)).astype(np.float32)
+        pool_keys = rng.normal(size=(3, 4, 6)).astype(np.float32)
+        write_tensor(query_keys, tmp_path / "qk.pnct")
+        write_tensor(pool_keys, tmp_path / "pk.pnct")
+        grid, pool = _attach_keys(grid, pool, tmp_path / "qk.pnct", tmp_path / "pk.pnct")
+        for owner, keys in ((grid, query_keys), (pool, pool_keys)):
+            assert owner.feature_keys is owner.patch_keys
+            assert np.shares_memory(owner.feature_keys, owner.patch_keys)
+            assert owner.feature_keys.dtype == np.float64
+            assert not owner.feature_keys.flags.writeable
+            np.testing.assert_array_equal(owner.feature_keys, keys)
+
     def test_no_temp_files_after_cli_writes(self, tmp_path):
         code = run_cli(["run", "--out", str(tmp_path / "r.json")])
         assert code == 0
@@ -470,6 +487,29 @@ class TestExitCodes:
         code = run_cli(["run", "--config", str(config_path), "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("document", ["config", "manifest", "retrieved"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_json_document(self, tmp_path, document, kind):
+        scores, _, config = file_backend_setup(tmp_path)
+        paths = {"config": tmp_path / "c.json", "manifest": scores / "manifest.json",
+                 "retrieved": tmp_path / "r.json"}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        path = paths[document]
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        if document == "config":
+            argv = ["run", "--config", str(path), "--out", str(tmp_path / "report.json")]
+        else:
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.pnct")]
+        # an unreadable path is a configuration error, undecodable bytes are
+        # what invalid JSON is at that site
+        expected = 2 if kind == "directory" or document == "config" else 3
+        assert run_cli(argv) == expected
 
     @pytest.mark.parametrize("text", [
         '{"items": [["item0000", 0.9]]}',
@@ -685,6 +725,8 @@ MUTATIONS = st.one_of(
     st.just(("drop", None)),
     st.tuples(st.just("retype"), st.sampled_from(RETYPED)),
     st.tuples(st.just("path"), st.sampled_from(sorted(PATH_TARGETS))),
+    # the document itself repointed: a directory, or bytes that are not UTF-8
+    st.tuples(st.just("document"), st.sampled_from(["directory", "non-utf8"])),
 )
 
 
@@ -708,14 +750,21 @@ def test_mutated_documents_end_in_an_exit_code(target, mutation):
             del section[key]
         elif op == "retype":
             section[key] = value
-        else:
+        elif op == "path":
             relative, absolute = PATH_TARGETS[value]
             section[key] = relative if document == "manifest" else str(tmp / absolute)
+        path = scores / "manifest.json" if document == "manifest" else tmp / "c.json"
+        text = json.dumps(manifest if document == "manifest" else config)
+        path.write_text(text)
+        if op == "document":
+            path.unlink()
+            if value == "directory":
+                path.mkdir()
+            else:
+                path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
         if document == "manifest":
-            (scores / "manifest.json").write_text(json.dumps(manifest))
             argv = ["pool", "--backend", "file", "--scores", str(scores),
                     "--retrieved", str(tmp / "r.json"), "--out", str(tmp / "o.pnct")]
         else:
-            (tmp / "c.json").write_text(json.dumps(config))
-            argv = ["run", "--config", str(tmp / "c.json"), "--out", str(tmp / "report.json")]
+            argv = ["run", "--config", str(path), "--out", str(tmp / "report.json")]
         assert run_cli(argv) in (0, 1, 2, 3, 4)

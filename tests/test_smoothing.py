@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StubScorer
-from patchsmooth.divergence import LN2
+from patchsmooth import divergence
+from patchsmooth.divergence import LN2, negentropy, pairwise_divergence, screened_js
 from patchsmooth.errors import ConfigError, DimensionError, ValidationError
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from patchsmooth.retrieval import RetrievedSet
@@ -15,7 +17,9 @@ from patchsmooth.smoothing import (
     DivergenceKind,
     NeighborKey,
     PoolScope,
+    SmoothedGrid,
     SmoothingConfig,
+    _select_and_blend,
     aggregate_sequences,
     smooth_features,
     smooth_grid,
@@ -361,6 +365,122 @@ class TestSmoothGrid:
         for row in out.probs:
             assert abs(row.sum() - 1.0) <= 1e-9
             assert np.all(row >= 0.0)
+
+
+def dense_all_patch_js(query_grid, pool, config):
+    """The all-patch JS smoothing as it ran without the float32 screen:
+    the exact kernel on every (patch, candidate) pair, then the shared
+    selection and blend."""
+    width, patches = pool.width, pool.patch_count
+    flat = pool.probs.reshape(width * patches, -1)
+    cached = negentropy(flat)
+    distances = np.stack([pairwise_divergence(query_grid.probs[l], flat, pool_negentropy=cached)
+                          for l in range(patches)])
+    position, patch = np.divmod(np.arange(width * patches), patches)
+    pair = np.broadcast_to(pool.pair_indices[position], distances.shape)
+    position = np.broadcast_to(position, distances.shape)
+    patch = np.broadcast_to(patch, distances.shape)
+    blended, selection = _select_and_blend(
+        query_grid.probs, distances, pool.probs, position, patch, pair, config
+    )
+    totals = blended.sum(axis=1, keepdims=True)
+    drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
+    blended[drifted] /= totals[drifted]
+    return SmoothedGrid(probs=blended, **selection)
+
+
+@st.composite
+def screen_instances(draw):
+    """A query grid, an all-patch JS config and a pool built to stress the
+    screen: zero and subnormal entries, one-hot rows, duplicated entries,
+    near-ties and pools of at most k candidates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size, patches = draw(st.integers(2, 24)), draw(st.integers(1, 5))
+    width = draw(st.integers(1, 4))
+    rows = rng.dirichlet(np.full(size, draw(st.sampled_from([0.05, 0.5, 20.0]))),
+                         size=(width + 1) * patches)
+    rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    tiny = rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.2]))
+    rows[tiny] = rng.choice([5e-324, 1e-310, 1e-300, 1e-40], size=int(tiny.sum()))
+    hot = rng.random(len(rows)) < draw(st.sampled_from([0.0, 0.4]))
+    hot |= ~(rows > 1e-300).any(axis=1)  # no row is left without a normal entry
+    rows[hot] = 0.0
+    rows[hot, rng.integers(size, size=int(hot.sum()))] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 6))):  # duplicates, exact or nudged
+        source, target = rng.integers(len(rows), size=2)
+        rows[target] = rows[source]
+        if draw(st.booleans()):
+            i, j = rng.choice(size, 2, replace=False)
+            moved = rows[target, i] * 10.0 ** -draw(st.integers(6, 15))
+            rows[target, i] -= moved
+            rows[target, j] += moved
+    config = SmoothingConfig(
+        m=width, k=draw(st.integers(1, 8)), alpha=draw(st.sampled_from([1.0, 0.7])),
+        tau=draw(st.sampled_from([1.0, 0.01])),
+        aggregation=draw(st.sampled_from(list(Aggregation))),
+        scope=PoolScope.ALL_PATCH,
+    )
+    pool = PromptPool(probs=rows[patches:].reshape(width, patches, size),
+                      pair_indices=rng.permutation(width) + 1, prompts=(), mode=PoolMode.Q, m=width)
+    return ScoreGrid(probs=rows[:patches]), pool, config
+
+
+def assert_same_bits(got, expected):
+    for name in ("probs", "pair", "patch", "distance", "weight"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestJsScreen:
+    """The float32 screen of the all-patch JS path keeps the dense output."""
+
+    @given(screen_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_every_nearest_candidate_and_the_dense_output(self, instance):
+        query_grid, pool, config = instance
+        flat = pool.probs.reshape(pool.width * pool.patch_count, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            distances, candidates = screened_js(
+                query_grid.probs, flat, config.k,
+                query_negentropy=negentropy(query_grid.probs), pool_negentropy=negentropy(flat))
+            expected = dense_all_patch_js(query_grid, pool, config)
+            got = smooth_grid(query_grid, pool, config)
+        cached = negentropy(flat)
+        for l, row in enumerate(query_grid.probs):
+            dense = pairwise_divergence(row, flat, pool_negentropy=cached)
+            listed = np.isfinite(distances[l])
+            kept = candidates[l, listed]
+            assert np.all(np.diff(kept) > 0)
+            assert distances[l, listed].tobytes() == dense[kept].tobytes()
+            nearest = np.flatnonzero(dense <= np.sort(dense)[min(config.k, len(dense)) - 1])
+            assert set(nearest) <= set(kept.tolist())
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_guard_recomputes_rows_whose_band_fails(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        width, patches, size = 3, 12, 48
+        query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
+        config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
+        expected = dense_all_patch_js(query_grid, pool, config)
+        dense_rows = []
+
+        def counting(query, *args, **kwargs):
+            if np.ndim(query) == 1:
+                dense_rows.append(query)
+            return pairwise_divergence(query, *args, **kwargs)
+
+        # a zero-width band: every exact distance falls outside its band
+        monkeypatch.setattr(divergence, "SCREEN_SAFETY", 0.0)
+        monkeypatch.setattr(divergence, "pairwise_divergence", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_grid(query_grid, pool, config)
+        assert len(dense_rows) == patches
+        assert_same_bits(got, expected)
 
 
 class TestSmoothFeatures:
