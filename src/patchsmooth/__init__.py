@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 from .divergence import (
     CodebookDistribution,
     CodebookSpec,
-    js_divergence,
-    kl_divergence,
     pairwise_divergence,
 )
 from .errors import (
@@ -25,7 +23,6 @@ from .metrics import (
     EvalReport,
     decode_argmax,
     iou,
-    mean_iou,
     mse,
     pixel_accuracy,
 )
@@ -50,7 +47,6 @@ from .retrieval import (
     RetrievalIndex,
     RetrievedSet,
     flatten_normalize,
-    recall_at_k,
     top_m,
 )
 from .smoothing import (
@@ -69,8 +65,6 @@ from .synthbench import (
     BiasedScorerParams,
     SyntheticScorerBackend,
     SyntheticWorld,
-    brute_force_smooth,
-    brute_force_smooth_features,
     generate_world,
     run_bias_experiment,
     run_seed_sweep,
@@ -109,24 +103,18 @@ __all__ = [
     "SyntheticWorld",
     "ValidationError",
     "aggregate_sequences",
-    "brute_force_smooth",
-    "brute_force_smooth_features",
     "build_pool",
     "decode_argmax",
     "flatten_normalize",
     "generate_world",
     "iou",
-    "js_divergence",
-    "kl_divergence",
     "load_config",
     "load_grid",
     "load_pool",
-    "mean_iou",
     "mse",
     "pairwise_divergence",
     "pixel_accuracy",
     "read_tensor",
-    "recall_at_k",
     "run_bias_experiment",
     "run_pipeline",
     "run_seed_sweep",

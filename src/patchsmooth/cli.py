@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import FormatError, PatchSmoothError
+from .errors import DimensionError, FormatError, PatchSmoothError
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
 from .pool import (
@@ -42,11 +42,20 @@ def _write_json(payload: dict, path: str | Path) -> None:
     atomic_write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
+def _read_features(path, ranks: tuple[int, int]) -> tuple[np.ndarray, dict]:
+    """The feature tensor in ``path`` and its sidecar; its rank must be
+    one of ``ranks``: flat vectors or (C, H, W) maps, one or a stack."""
+    array, meta = read_tensor(path)
+    if array.ndim not in ranks:
+        raise DimensionError(
+            f"{path}: feature tensor must be rank {ranks[0]} or {ranks[1]}, got shape {array.shape}"
+        )
+    return array, meta
+
+
 def _feature_vector(array: np.ndarray, ident: str) -> FeatureVector:
     if array.ndim == 1:
         array = array.reshape(1, 1, -1)
-    if array.ndim != 3:
-        raise click.UsageError(f"feature tensor for {ident!r} must be rank 1 or 3, got rank {array.ndim}")
     return flatten_normalize(FeatureMap(np.asarray(array, dtype=np.float64), identifier=ident))
 
 
@@ -66,10 +75,10 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     config = load_config(config_path)
     if m is None:
         m = config["retrieval"]["m"]
-    array, meta = read_tensor(index_path)
+    array, meta = _read_features(index_path, (2, 4))
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
     index = RetrievalIndex([_feature_vector(row, ident) for row, ident in zip(array, ids)])
-    q_array, q_meta = read_tensor(query_path)
+    q_array, q_meta = _read_features(query_path, (1, 3))
     query = _feature_vector(q_array, q_meta.get("id", "query"))
     result = top_m(query, index, m)
     _write_json(

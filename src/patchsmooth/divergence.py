@@ -144,6 +144,7 @@ def normalize_scores(values) -> np.ndarray:
     return values
 
 
+# Kept only for the benchmark tracer, until it retires divergence.distributions_built.
 @dataclass(frozen=True)
 class CodebookDistribution:
     """A probability vector over the codebook tokens.
@@ -160,32 +161,6 @@ class CodebookDistribution:
                 f"expected a 1-d vector of length >= 2, got shape {np.shape(self.probs)}"
             )
         object.__setattr__(self, "probs", simplex_rows(self.probs))
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-
-def _check_pair(a: CodebookDistribution, b: CodebookDistribution):
-    if len(a) != len(b):
-        raise DimensionError(f"distribution lengths differ: {len(a)} vs {len(b)}")
-
-
-def kl_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
-    """KL(a || b) = sum a_i * ln(a_i / b_i), in nats.
-
-    Returns +inf when b lacks support somewhere a has mass.
-    """
-    _check_pair(a, b)
-    return float(pairwise_divergence(b.probs, a.probs[None], kind="kl")[0])
-
-
-def js_divergence(a: CodebookDistribution, b: CodebookDistribution) -> float:
-    """Symmetric Jensen-Shannon divergence, in nats; bounded by ln 2.
-
-    JS(a, b) = (KL(a || z) + KL(b || z)) / 2 with z = (a + b) / 2.
-    """
-    _check_pair(a, b)
-    return float(pairwise_divergence(b.probs, a.probs[None], kind="js")[0])
 
 
 def _xlogx_sums(rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
@@ -230,8 +205,7 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, kind: str = "js", *
     (see ``simplex_rows``). A caller that compares the same rows again
     passes their ``negentropy`` (a float or an (N,) vector for the query,
     an (N,) vector for the pool) instead of having it recomputed. An empty
-    pool yields an empty vector. The scalar ``js_divergence``/``kl_divergence``
-    are this function on a one-row pool, so they agree with it exactly.
+    pool yields an empty vector.
     """
     if kind not in ("js", "kl"):
         raise ValidationError(f"unknown divergence kind {kind!r}")

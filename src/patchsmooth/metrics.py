@@ -1,14 +1,14 @@
 """Decoding and evaluation metrics.
 
 IoU convention for empty masks: 1.0 when both prediction and ground truth
-are empty, 0.0 when exactly one is. Mean IoU here is the per-item mean;
-callers needing class-wise folding can group report rows by key.
+are empty, 0.0 when exactly one is. Mean IoU is the per-item mean, the
+``aggregate`` of an ``EvalReport`` of IoU values; callers needing
+class-wise folding can group report rows by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,8 @@ def _as_grid_pair(pred, gt):
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        raise DimensionError(f"metric inputs have no elements: shape {pred.shape}")
     return pred, gt
 
 
@@ -39,13 +41,6 @@ def iou(pred_mask, gt_mask) -> float:
     if union == 0:
         return 1.0
     return float(np.logical_and(pred, gt).sum() / union)
-
-
-def mean_iou(pairs: Sequence[tuple]) -> float:
-    """Arithmetic mean of per-item IoU."""
-    if not pairs:
-        raise ValidationError("mean IoU over zero items is undefined")
-    return float(np.mean([iou(p, g) for p, g in pairs]))
 
 
 def mse(pred, gt) -> float:

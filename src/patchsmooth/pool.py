@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .divergence import CodebookSpec, normalize_scores, simplex_rows
+from .divergence import normalize_scores, simplex_rows
 from .errors import ConfigError, DimensionError, FormatError, MissingItemError, ValidationError
 from .retrieval import RetrievedSet
 from .tensorfile import read_json, read_tensor, write_tensor
@@ -257,8 +257,16 @@ class FileScorerBackend:
             raise MissingItemError(f"no manifest.json in {self._dir}")
         manifest = read_json(manifest_path, FormatError)
         rows, cols = meta_field(manifest, "grid", manifest_path, list, 2, int)
+        if rows < 1 or cols < 1:
+            raise FormatError(
+                f"{manifest_path}: field 'grid' must be at least 1x1, got {rows}x{cols}"
+            )
         self._grid = (rows, cols)
-        self._codebook = CodebookSpec(size=meta_field(manifest, "codebook_size", manifest_path, int))
+        self._codebook_size = meta_field(manifest, "codebook_size", manifest_path, int)
+        if self._codebook_size < 2:
+            raise FormatError(
+                f"{manifest_path}: field 'codebook_size' must be >= 2, got {self._codebook_size}"
+            )
         self._pairs = meta_field(manifest, "pairs", manifest_path, dict, items=str)
         self._prompt_files = meta_field(manifest, "prompts", manifest_path, dict, items=str)
         if manifest.get("patch_order", "row-major") != "row-major":
@@ -280,10 +288,10 @@ class FileScorerBackend:
         if key not in self._prompt_files:
             raise MissingItemError(f"no exported scores for prompt {key!r}")
         probs, _ = _read_scores(self._dir / self._prompt_files[key], 2)
-        if probs.shape != (prompt.patch_count, self._codebook.size):
+        expected = (prompt.patch_count, self._codebook_size)
+        if probs.shape != expected:
             raise DimensionError(
-                f"exported tensor {key!r} has shape {probs.shape}, "
-                f"expected {(prompt.patch_count, self._codebook.size)}"
+                f"exported tensor {key!r} has shape {probs.shape}, expected {expected}"
             )
         return ScoreGrid(probs=probs, prompt=prompt)
 

@@ -10,7 +10,7 @@ buy nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,25 +152,3 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
         items=tuple((ids[i], float(scores[i])) for i in order),
         query_id=query.identifier,
     )
-
-
-def recall_at_k(
-    retrievals: Sequence[RetrievedSet],
-    relevant: Mapping[str, set[str]],
-    k: int,
-) -> float:
-    """Fraction of queries whose top-k retrieved ids include a relevant one."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if not retrievals:
-        raise ValidationError("recall over an empty retrieval list is undefined")
-    hits = 0
-    for retrieved in retrievals:
-        if retrieved.query_id not in relevant:
-            raise ValidationError(f"no relevant set for query {retrieved.query_id!r}")
-        targets = relevant[retrieved.query_id]
-        if not targets:
-            raise ValidationError(f"empty relevant set for query {retrieved.query_id!r}")
-        if any(item in targets for item in retrieved.ids[:k]):
-            hits += 1
-    return hits / len(retrievals)

@@ -20,24 +20,16 @@ numbers are claimed or reproduced here.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
-from .errors import ConfigError, MissingItemError, ValidationError
+from .errors import ConfigError, MissingItemError
 from .metrics import decode_argmax, pixel_accuracy
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
-from .smoothing import (
-    Aggregation,
-    NeighborKey,
-    PoolScope,
-    SmoothedGrid,
-    SmoothingConfig,
-    smooth_grid,
-)
+from .smoothing import SmoothingConfig, smooth_grid
 
 RNG_FAMILY = "numpy-pcg64"
 FEATURE_NOISE = 0.05
@@ -238,132 +230,6 @@ class SyntheticScorerBackend:
 
     def score(self, prompt: PromptSpec) -> ScoreGrid:
         return synthetic_score(self.world, self.params, prompt)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle. Deliberately shares no kernels with the main path:
-# pure-Python math, explicit sorts, literal formulas.
-# ---------------------------------------------------------------------------
-
-
-def _bf_kl(p, q) -> float:
-    total = 0.0
-    for a, b in zip(p, q):
-        if a > 0.0:
-            if b == 0.0:
-                return math.inf
-            # a / b overflows when b is subnormal; the log difference cannot
-            total += a * (math.log(a) - math.log(b))
-    return max(total, 0.0)
-
-
-def _bf_js(p, q) -> float:
-    z = [(a + b) / 2.0 for a, b in zip(p, q)]
-    total = 0.0
-    for side in (p, q):
-        for a, mid in zip(side, z):
-            # mid > 0 whenever a > 0 except for subnormal underflow, whose
-            # true contribution rounds to zero anyway
-            if a > 0.0 and mid > 0.0:
-                total += a * math.log(a / mid)
-    return max(0.5 * total, 0.0)
-
-
-def _bf_l2(u, v) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-
-
-def _bf_distance(pool: PromptPool, j: int, l: int, query_probs, query_feature, query_patch,
-                 config) -> float:
-    if config.key is NeighborKey.SCORE:
-        pool_probs = list(pool.probs[j, l])
-        if config.divergence.value == "kl":
-            return _bf_kl(pool_probs, query_probs)
-        return _bf_js(pool_probs, query_probs)
-    if config.key is NeighborKey.FEATURE:
-        return _bf_l2(list(pool.feature_keys[j, l]), query_feature)
-    return _bf_l2(list(pool.patch_keys[j, l]), query_patch)
-
-
-def _bf_weights(distances, config: SmoothingConfig) -> list:
-    if config.aggregation is Aggregation.NEAREST:
-        return [1.0] + [0.0] * (len(distances) - 1)
-    if config.aggregation is Aggregation.AVERAGE:
-        return [1.0 / len(distances)] * len(distances)
-    lowest = min((d for d in distances if math.isfinite(d)), default=math.inf)
-    if lowest == math.inf:
-        raise ValidationError("softmax weights need at least one finite distance")
-    raw = [math.exp(-(d - lowest) / config.tau) if math.isfinite(d) else 0.0 for d in distances]
-    total = sum(raw)
-    return [r / total for r in raw]
-
-
-def brute_force_smooth(
-    query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
-) -> SmoothedGrid:
-    """Independent reference implementation of grid smoothing; it reports
-    its selection in the same four (L, k) arrays as ``smooth_grid``."""
-    if len(query_grid) != pool.patch_count:
-        raise ValidationError("query grid and pool disagree in patch count")
-
-    if config.scope is PoolScope.ALL_PATCH:
-        every_slot = [(j, l) for l in range(pool.patch_count) for j in range(pool.width)]
-        candidate_sets = [every_slot] * pool.patch_count
-    else:
-        candidate_sets = [[(j, l) for j in range(pool.width)] for l in range(pool.patch_count)]
-
-    smoothed, selected = [], []
-    for l in range(pool.patch_count):
-        s = list(query_grid.probs[l])
-        qf = None if query_grid.feature_keys is None else list(query_grid.feature_keys[l])
-        qp = None if query_grid.patch_keys is None else list(query_grid.patch_keys[l])
-        scored = [
-            (_bf_distance(pool, j, lc, s, qf, qp, config), int(pool.pair_indices[j]), lc, j)
-            for j, lc in candidate_sets[l]
-        ]
-        scored.sort(key=lambda t: (t[0], t[1], t[2]))
-        chosen = scored[: min(config.k, len(scored))]
-        distances, pairs, patches, _ = zip(*chosen)
-        weights = _bf_weights(distances, config)
-
-        size = len(s)
-        out = [0.0] * size
-        for v in range(size):
-            pooled = 0.0
-            for w, (_, _, lc, j) in zip(weights, chosen):
-                pooled += w * float(pool.probs[j, lc, v])
-            out[v] = (1.0 - config.alpha) * s[v] + config.alpha * pooled
-        drift = sum(out)
-        if abs(drift - 1.0) > 1e-9:
-            out = [x / drift for x in out]
-        smoothed.append(out)
-        selected.append((pairs, patches, distances, weights))
-    pair, patch, distance, weight = zip(*selected)
-    return SmoothedGrid(probs=np.array(smoothed), pair=pair, patch=patch, distance=distance,
-                        weight=weight)
-
-
-def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
-    """Independent reference for feature-vector smoothing."""
-    out = []
-    for l, q in enumerate(query_features):
-        q = [float(x) for x in q]
-        candidates = [[float(x) for x in vec] for vec in pools[l]]
-        if not candidates:
-            out.append(q)
-            continue
-        scored = sorted(
-            ((_bf_l2(vec, q), j, vec) for j, vec in enumerate(candidates)),
-            key=lambda t: (t[0], t[1]),
-        )
-        chosen = scored[: min(config.k, len(scored))]
-        weights = _bf_weights([d for d, _, _ in chosen], config)
-        blended = []
-        for dim in range(len(q)):
-            pooled = sum(w * vec[dim] for w, (_, _, vec) in zip(weights, chosen))
-            blended.append((1.0 - config.alpha) * q[dim] + config.alpha * pooled)
-        out.append(blended)
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 from hypothesis import strategies as st
 
-from patchsmooth.divergence import CodebookDistribution, CodebookSpec
+from patchsmooth.divergence import CodebookSpec, pairwise_divergence, simplex_rows
 from patchsmooth.pool import PromptSpec, ScoreGrid
 
 
@@ -56,12 +56,17 @@ def prob_vectors(draw, min_len=2, max_len=64):
     return arr / arr.sum()
 
 
+def divergence_of(kind, a, b):
+    """KL(a || b) or JS(a, b) of two distributions: the kernel on a one-row pool."""
+    return float(pairwise_divergence(b, a[None], kind=kind)[0])
+
+
 @st.composite
 def distribution_pairs(draw, min_len=2, max_len=64):
     """Two distributions over the same codebook."""
     a = draw(prob_vectors(min_len=min_len, max_len=max_len))
     b = draw(prob_vectors(min_len=len(a), max_len=len(a)))
-    return CodebookDistribution(a), CodebookDistribution(b)
+    return simplex_rows(a), simplex_rows(b)
 
 
 def assert_same_selection(fast, slow, atol=1e-9):

@@ -13,9 +13,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import assert_same_selection
-from patchsmooth.divergence import LN2, CodebookDistribution, js_divergence, kl_divergence
-from patchsmooth.metrics import iou, mean_iou, mse, pixel_accuracy
+from conftest import assert_same_selection, divergence_of
+from oracle import brute_force_smooth
+from patchsmooth.divergence import LN2, simplex_rows
+from patchsmooth.metrics import EvalReport, iou, mse, pixel_accuracy
 from patchsmooth.pipeline import load_config, run_pipeline
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.retrieval import FeatureMap, FeatureVector, RetrievalIndex, flatten_normalize, top_m
@@ -27,7 +28,7 @@ from patchsmooth.smoothing import (
     SmoothingConfig,
     smooth_grid,
 )
-from patchsmooth.synthbench import DEFAULT_SWEEP_SEEDS, brute_force_smooth, run_seed_sweep
+from patchsmooth.synthbench import DEFAULT_SWEEP_SEEDS, run_seed_sweep
 from patchsmooth.tensorfile import read_tensor, write_tensor
 
 
@@ -49,7 +50,7 @@ def random_distribution(rng, size):
         if probs[~mask].sum() > 0:
             probs = np.where(mask, 0.0, probs)
             probs = probs / probs.sum()
-    return CodebookDistribution(probs)
+    return simplex_rows(probs)
 
 
 def test_divergence_correctness():
@@ -68,8 +69,8 @@ def test_divergence_correctness():
         quarter = [mp.mpf(1) / 4, mp.mpf(3) / 4]
         point = [mp.mpf(1), mp.mpf(0)]
 
-        got_js = js_divergence(CodebookDistribution([1, 0]), CodebookDistribution([0.5, 0.5]))
-        got_kl = kl_divergence(CodebookDistribution([0.5, 0.5]), CodebookDistribution([0.25, 0.75]))
+        got_js = divergence_of("js", simplex_rows([1, 0]), simplex_rows([0.5, 0.5]))
+        got_kl = divergence_of("kl", simplex_rows([0.5, 0.5]), simplex_rows([0.25, 0.75]))
         assert abs(got_js - float(mp_js(point, half))) < 1e-12
         assert abs(got_kl - float(mp_kl(half, quarter))) < 1e-12
         assert got_js == pytest.approx(0.215762, abs=1e-6)
@@ -81,8 +82,8 @@ def test_divergence_correctness():
             size = int(rng.integers(2, 257))
             a = random_distribution(rng, size)
             b = random_distribution(rng, size)
-            v = js_divergence(a, b)
-            assert v == js_divergence(b, a)
+            v = divergence_of("js", a, b)
+            assert v == divergence_of("js", b, a)
             assert 0.0 <= v <= LN2 + 1e-12
         print(f"  {trials} random pairs: js symmetric and within [0, ln 2]")
 
@@ -98,7 +99,7 @@ def random_oracle_instance(rng, scope, max_patches, max_size):
         if strictly_positive:
             dists = [rng.dirichlet(np.ones(size)) for _ in range(patches)]
         else:
-            dists = [random_distribution(rng, size).probs for _ in range(patches)]
+            dists = [random_distribution(rng, size) for _ in range(patches)]
         return (
             np.stack(dists),
             rng.normal(size=(patches, feat_dim)),
@@ -318,7 +319,8 @@ def test_metric_correctness():
             for _ in range(50)
         ]
         values = [iou(p, g) for p, g in pairs]
-        assert abs(mean_iou(pairs) - math.fsum(values) / len(values)) <= 1e-12
+        report = EvalReport.from_items("iou", enumerate(values), config={})
+        assert abs(report.aggregate - math.fsum(values) / len(values)) <= 1e-12
         print("  iou, mse, pixel accuracy reproduce hand-derived values; mean within 1e-12")
 
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distribution_pairs, prob_vectors
+from conftest import distribution_pairs, divergence_of, prob_vectors
+from oracle import js as oracle_js, kl as oracle_kl
 from patchsmooth import divergence
 from patchsmooth.divergence import (
     LN2,
     CodebookDistribution,
     CodebookSpec,
-    js_divergence,
-    kl_divergence,
     negentropy,
     normalize_scores,
     pairwise_divergence,
@@ -22,7 +21,6 @@ from patchsmooth.divergence import (
 )
 from patchsmooth.errors import DimensionError, ValidationError
 from patchsmooth.pool import PromptPool, ScoreGrid
-from patchsmooth.synthbench import _bf_js, _bf_kl
 
 # Frozen from a 50-digit evaluation of the defining sums (natural log).
 KL_HALF_VS_QUARTER = 0.143841036226
@@ -30,7 +28,7 @@ JS_POINT_VS_UNIFORM = 0.215761554339
 
 
 def dist(*values):
-    return CodebookDistribution(np.array(values, dtype=np.float64))
+    return simplex_rows(np.array(values, dtype=np.float64))
 
 
 class TestConstruction:
@@ -59,7 +57,7 @@ class TestConstruction:
             normalize_scores([0.0, 0.0])
 
     def test_probs_are_immutable(self):
-        d = dist(0.5, 0.5)
+        d = CodebookDistribution([0.5, 0.5])
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
@@ -213,56 +211,55 @@ class TestValidationContract:
 
 class TestKL:
     def test_identical_is_zero(self):
-        assert kl_divergence(dist(0.5, 0.5), dist(0.5, 0.5)) == 0.0
+        assert divergence_of("kl", dist(0.5, 0.5), dist(0.5, 0.5)) == 0.0
 
     def test_derived_value(self):
-        v = kl_divergence(dist(0.5, 0.5), dist(0.25, 0.75))
+        v = divergence_of("kl", dist(0.5, 0.5), dist(0.25, 0.75))
         assert v == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-9)
 
     def test_disjoint_support_is_infinite(self):
-        assert kl_divergence(dist(1, 0), dist(0, 1)) == math.inf
+        assert divergence_of("kl", dist(1, 0), dist(0, 1)) == math.inf
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            kl_divergence(dist(1, 0), dist(0.5, 0.25, 0.25))
+            divergence_of("kl", dist(1, 0), dist(0.5, 0.25, 0.25))
 
     @given(distribution_pairs())
     @settings(max_examples=200)
     def test_gibbs_nonnegative(self, pair):
         a, b = pair
-        assert kl_divergence(a, b) >= 0.0
-        assert kl_divergence(a, a) == 0.0
+        assert divergence_of("kl", a, b) >= 0.0
+        assert divergence_of("kl", a, a) == 0.0
 
 
 class TestJS:
     def test_self_divergence_zero(self):
         d = dist(0.2, 0.3, 0.5)
-        assert js_divergence(d, d) == 0.0
+        assert divergence_of("js", d, d) == 0.0
 
     def test_derived_value(self):
-        v = js_divergence(dist(1, 0), dist(0.5, 0.5))
+        v = divergence_of("js", dist(1, 0), dist(0.5, 0.5))
         assert v == pytest.approx(JS_POINT_VS_UNIFORM, abs=1e-9)
 
     def test_maximal_divergence(self):
-        assert js_divergence(dist(1, 0), dist(0, 1)) == pytest.approx(LN2, abs=1e-12)
+        assert divergence_of("js", dist(1, 0), dist(0, 1)) == pytest.approx(LN2, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            js_divergence(dist(1, 0), dist(1, 0, 0))
+            divergence_of("js", dist(1, 0), dist(1, 0, 0))
 
     @given(distribution_pairs(max_len=256))
     @settings(max_examples=300)
     def test_symmetric_and_bounded(self, pair):
         a, b = pair
-        v = js_divergence(a, b)
-        assert v == js_divergence(b, a)
+        v = divergence_of("js", a, b)
+        assert v == divergence_of("js", b, a)
         assert 0.0 <= v <= LN2 + 1e-12
 
     @given(prob_vectors(max_len=256))
     @settings(max_examples=200)
     def test_identical_gives_exact_zero(self, p):
-        d = CodebookDistribution(p)
-        assert js_divergence(d, CodebookDistribution(p.copy())) == 0.0
+        assert divergence_of("js", simplex_rows(p), simplex_rows(p.copy())) == 0.0
 
     @given(prob_vectors(max_len=128), st.integers(0, 10**6))
     @settings(max_examples=200)
@@ -272,16 +269,16 @@ class TestJS:
         q = p + rng.uniform(-0.5e-9, 0.5e-9, size=p.size)
         q = np.clip(q, 0.0, None)
         q = q / q.sum()
-        a, b = CodebookDistribution(p), CodebookDistribution(q)
-        if np.max(np.abs(a.probs - b.probs)) < 1e-9:
-            assert js_divergence(a, b) <= a.probs.size * 1e-9
+        a, b = simplex_rows(p), simplex_rows(q)
+        if np.max(np.abs(a - b)) < 1e-9:
+            assert divergence_of("js", a, b) <= a.size * 1e-9
 
     @given(distribution_pairs(max_len=256))
     @settings(max_examples=300)
     def test_zero_implies_equality(self, pair):
         a, b = pair
-        if js_divergence(a, b) == 0.0:
-            assert np.max(np.abs(a.probs - b.probs)) < 1e-9
+        if divergence_of("js", a, b) == 0.0:
+            assert np.max(np.abs(a - b)) < 1e-9
 
     @given(prob_vectors(max_len=64), st.integers(0, 10**6))
     @settings(max_examples=200)
@@ -289,52 +286,51 @@ class TestJS:
         rng = np.random.default_rng(seed)
         q = rng.dirichlet(np.ones(p.size))
         if np.max(np.abs(p - q)) >= 1e-6:
-            assert js_divergence(CodebookDistribution(p), CodebookDistribution(q)) > 0.0
+            assert divergence_of("js", simplex_rows(p), simplex_rows(q)) > 0.0
 
 
 def rows(*dists):
-    return np.stack([d.probs for d in dists])
+    return np.stack(dists)
 
 
 class TestPairwise:
     def test_trivial_single_entry(self):
-        out = pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.5, 0.5)))
+        out = pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)))
         np.testing.assert_array_equal(out, [0.0])
 
     def test_derived_js_row(self):
         query = dist(1, 0)
         pool = rows(dist(1, 0), dist(0.5, 0.5), dist(0, 1))
-        out = pairwise_divergence(query.probs, pool, kind="js")
+        out = pairwise_divergence(query, pool, kind="js")
         np.testing.assert_allclose(out, [0.0, JS_POINT_VS_UNIFORM, LN2], atol=1e-9)
 
     def test_empty_pool_gives_empty_vector(self):
-        out = pairwise_divergence(dist(0.5, 0.5).probs, np.empty((0, 2)))
+        out = pairwise_divergence(dist(0.5, 0.5), np.empty((0, 2)))
         assert out.shape == (0,)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            pairwise_divergence(dist(0.5, 0.5).probs, np.empty((0, 2)), kind="hellinger")
+            pairwise_divergence(dist(0.5, 0.5), np.empty((0, 2)), kind="hellinger")
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.2, 0.3, 0.5)))
+            pairwise_divergence(dist(0.5, 0.5), rows(dist(0.2, 0.3, 0.5)))
 
     @given(distribution_pairs(), st.sampled_from(["js", "kl"]))
     @settings(max_examples=100)
     def test_matches_scalar_calls_exactly(self, pair, kind):
         query, other = pair
         pool = [other, query, other]
-        out = pairwise_divergence(query.probs, rows(*pool), kind=kind)
-        fn = js_divergence if kind == "js" else kl_divergence
-        expected = [fn(entry, query) for entry in pool]
+        out = pairwise_divergence(query, rows(*pool), kind=kind)
+        expected = [divergence_of(kind, entry, query) for entry in pool]
         assert list(out) == expected
 
     @given(distribution_pairs())
     @settings(max_examples=100)
     def test_js_swap_invariance(self, pair):
         a, b = pair
-        assert list(pairwise_divergence(a.probs, rows(b), kind="js")) == list(
-            pairwise_divergence(b.probs, rows(a), kind="js")
+        assert list(pairwise_divergence(a, rows(b), kind="js")) == list(
+            pairwise_divergence(b, rows(a), kind="js")
         )
 
 
@@ -410,7 +406,7 @@ class TestEntropyKernel:
         assert got == swapped
         assert 0.0 <= got <= LN2 + 1e-12
         assert abs(got - mp_js(p, q)) <= 1e-12
-        assert abs(got - _bf_js(list(p), list(q))) <= 1e-12
+        assert abs(got - oracle_js(list(p), list(q))) <= 1e-12
         if np.array_equal(p, q):
             assert got == 0.0
         if not np.any((p > 0.0) & (q > 0.0)):
@@ -423,7 +419,7 @@ class TestEntropyKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pairwise_divergence(s, u[None], kind="kl")[0]
-        expected, oracle = mp_kl(u, s), _bf_kl(list(u), list(s))
+        expected, oracle = mp_kl(u, s), oracle_kl(list(u), list(s))
         if math.isinf(expected):
             assert got == math.inf and oracle == math.inf
         else:
@@ -496,4 +492,4 @@ class TestEntropyKernel:
 
     def test_cached_negentropy_shape_checked(self):
         with pytest.raises(DimensionError):
-            pairwise_divergence(dist(0.5, 0.5).probs, rows(dist(0.5, 0.5)), pool_negentropy=[0.0, 0.0])
+            pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)), pool_negentropy=[0.0, 0.0])

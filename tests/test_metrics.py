@@ -8,7 +8,6 @@ from patchsmooth.metrics import (
     EvalReport,
     decode_argmax,
     iou,
-    mean_iou,
     mse,
     pixel_accuracy,
 )
@@ -97,7 +96,15 @@ class TestIoU:
             (np.array([[1, 0]]), np.array([[0, 1]])),
         ]
         values = [iou(p, g) for p, g in pairs]
-        assert abs(mean_iou(pairs) - math.fsum(values) / len(values)) <= 1e-12
+        report = EvalReport.from_items("iou", enumerate(values), config={})
+        assert abs(report.aggregate - math.fsum(values) / len(values)) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", [pixel_accuracy, mse, iou])
+def test_zero_size_inputs_are_rejected(metric):
+    # the mean of no elements would be NaN
+    with pytest.raises(DimensionError):
+        metric(np.zeros(0), np.zeros(0))
 
 
 class TestMSE:

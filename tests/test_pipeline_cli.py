@@ -541,6 +541,36 @@ class TestExitCodes:
         assert code == 3
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("role, shape", [
+        ("index", ()), ("index", (3,)), ("index", (3, 2, 4)), ("query", ()), ("query", (2, 4)),
+    ], ids=["index-rank0", "index-rank1", "index-rank3", "query-rank0", "query-rank2"])
+    def test_feature_tensor_of_wrong_rank_is_4(self, tmp_path, capsys, role, shape):
+        # the index holds rank-2 or rank-4 stacks, the query one rank-1 or rank-3 tensor
+        vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        tensors = {"index": vectors, "query": vectors[0]}
+        tensors[role] = np.ones(shape, dtype=np.float32)
+        paths = {name: tmp_path / f"{name}.pnct" for name in tensors}
+        ids = [f"i{n}" for n in range(len(tensors["index"]) if tensors["index"].ndim else 0)]
+        write_tensor(tensors["index"], paths["index"], meta={"ids": ids})
+        write_tensor(tensors["query"], paths["query"], meta={"id": "q"})
+        code = run_cli([
+            "retrieve", "--index", str(paths["index"]), "--query", str(paths["query"]),
+            "--m", "2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 4
+        assert str(paths[role]) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("metric", ["accuracy", "mse", "iou"])
+    def test_eval_of_empty_tensors_is_4(self, tmp_path, metric):
+        for name in ("pred", "gt"):
+            write_tensor(np.zeros(0, dtype=np.uint32), tmp_path / f"{name}.pnct")
+        code = run_cli(["eval", "--pred", str(tmp_path / "pred.pnct"),
+                        "--gt", str(tmp_path / "gt.pnct"), "--metric", metric,
+                        "--out", str(tmp_path / "eval.json")])
+        assert code == 4
+        assert not (tmp_path / "eval.json").exists()
+
     def test_format_error_is_3(self, tmp_path):
         rng = np.random.default_rng(0)
         pool = random_pool(rng, 4, 5, width=2, region=(2, 2))
@@ -648,6 +678,8 @@ class TestExitCodes:
         ("pool", "pair_indices", [True, 2]),
         ("grid", "grid", [-2, -2]),
         ("grid", "grid", [0, 4]),
+        ("manifest", "codebook_size", 1),
+        ("manifest", "grid", [0, 2]),
     ])
     def test_malformed_field_is_format_error(self, tmp_path, target, field, value):
         rng = np.random.default_rng(0)

@@ -10,7 +10,6 @@ from patchsmooth.retrieval import (
     RetrievalIndex,
     RetrievedSet,
     flatten_normalize,
-    recall_at_k,
     top_m,
 )
 
@@ -147,42 +146,6 @@ class TestTopM:
         if n >= 7:
             tied = sorted(f"item{i:04d}" for i in {2, n // 3, n // 2, n - 1})
             assert list(got.ids[:len(tied)]) == tied
-
-
-class TestRecallAtK:
-    def rset(self, qid, ids):
-        return RetrievedSet(tuple((i, 1.0 - 0.01 * n) for n, i in enumerate(ids)), query_id=qid)
-
-    def test_all_top1_relevant(self):
-        retrievals = [self.rset("q0", ["a", "b"]), self.rset("q1", ["c", "d"])]
-        relevant = {"q0": {"a"}, "q1": {"c"}}
-        assert recall_at_k(retrievals, relevant, k=1) == 1.0
-
-    def test_nothing_relevant(self):
-        retrievals = [self.rset("q0", ["a", "b"])]
-        assert recall_at_k(retrievals, {"q0": {"z"}}, k=2) == 0.0
-
-    def test_derived_two_of_three(self):
-        retrievals = [
-            self.rset("q0", ["a", "b", "c", "d", "e"]),
-            self.rset("q1", ["f", "g", "h", "i", "j"]),
-            self.rset("q2", ["k", "l", "m", "n", "o"]),
-        ]
-        relevant = {"q0": {"e"}, "q1": {"f"}, "q2": {"zzz"}}
-        assert recall_at_k(retrievals, relevant, k=5) == pytest.approx(2 / 3, abs=1e-9)
-
-    def test_k_limits_window(self):
-        retrievals = [self.rset("q0", ["a", "b", "c"])]
-        assert recall_at_k(retrievals, {"q0": {"c"}}, k=2) == 0.0
-        assert recall_at_k(retrievals, {"q0": {"c"}}, k=3) == 1.0
-
-    def test_empty_retrieval_list_rejected(self):
-        with pytest.raises(ValidationError):
-            recall_at_k([], {}, k=1)
-
-    def test_empty_relevant_set_rejected(self):
-        with pytest.raises(ValidationError):
-            recall_at_k([self.rset("q0", ["a"])], {"q0": set()}, k=1)
 
 
 class TestRetrievedSetInvariants:

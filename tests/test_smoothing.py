@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import StubScorer
 from patchsmooth import divergence
 from patchsmooth.divergence import LN2, negentropy, pairwise_divergence, screened_js
@@ -25,7 +26,6 @@ from patchsmooth.smoothing import (
     smooth_grid,
     softmax_weights,
 )
-from patchsmooth.synthbench import _bf_js
 
 
 def one_patch_pool(*rows, feature_keys=None):
@@ -320,7 +320,7 @@ class TestSmoothGrid:
         slots = [(pair, l) for pair in range(1, width + 1) for l in range(patches)]
         rows = [list(pool.probs[pair - 1, l]) for pair, l in slots]
         for l, s in enumerate(query.probs):
-            distances = [_bf_js(row, list(s)) for row in rows]
+            distances = [oracle.js(row, list(s)) for row in rows]
             order = sorted(range(len(slots)), key=lambda j: (distances[j], slots[j]))[:config.k]
             weights = [math.exp(-(distances[j] - distances[order[0]]) / config.tau) for j in order]
             pooled = sum(w / sum(weights) * pool.probs[slots[j][0] - 1, slots[j][1]]
@@ -500,20 +500,16 @@ class TestSmoothFeatures:
         np.testing.assert_allclose(out[0], 0.5 * q[0] + 0.5 * v, atol=1e-12)
 
     def test_matches_oracle(self):
-        from patchsmooth.synthbench import brute_force_smooth_features
-
         rng = np.random.default_rng(42)
         for agg in Aggregation:
             query = rng.normal(size=(4, 6))
             pools = [rng.normal(size=(5, 6)) for _ in range(4)]
             config = SmoothingConfig(m=5, k=3, alpha=0.6, tau=2.5, aggregation=agg)
             fast = smooth_features(query, pools, config)
-            slow = brute_force_smooth_features(query, pools, config)
+            slow = oracle.brute_force_smooth_features(query, pools, config)
             assert np.max(np.abs(fast - slow)) <= 1e-9
 
     def test_ragged_pools_match_oracle(self):
-        from patchsmooth.synthbench import brute_force_smooth_features
-
         rng = np.random.default_rng(7)
         sizes = [0, 1, 2, 3, 5, 9]  # empty, single, fewer than k, k, more than k
         for agg in Aggregation:
@@ -522,7 +518,7 @@ class TestSmoothFeatures:
             pools[-1][4] = pools[-1][1]  # an exact tie
             config = SmoothingConfig(m=9, k=3, alpha=0.7, tau=1.5, aggregation=agg)
             fast = smooth_features(query, pools, config)
-            slow = brute_force_smooth_features(query, pools, config)
+            slow = oracle.brute_force_smooth_features(query, pools, config)
             assert np.max(np.abs(fast - slow)) <= 1e-9
             np.testing.assert_array_equal(fast[0], query[0])
 

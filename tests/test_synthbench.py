@@ -1,9 +1,14 @@
+import ast
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_same_selection
+from oracle import brute_force_smooth
+from patchsmooth import errors
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
@@ -17,7 +22,6 @@ from patchsmooth.smoothing import (
 from patchsmooth.synthbench import (
     BiasedScorerParams,
     SyntheticScorerBackend,
-    brute_force_smooth,
     generate_world,
     run_bias_experiment,
     run_seed_sweep,
@@ -195,7 +199,38 @@ def random_instance(rng, max_patches=6, max_width=5, max_size=10):
     return query, pool, width
 
 
+#: All the oracle may take from the library: its input types, the smoothing
+#: enums and the error types; nothing that computes or holds a result.
+ORACLE_MAY_IMPORT = {
+    ScoreGrid, PromptPool, SmoothingConfig, Aggregation, DivergenceKind, NeighborKey, PoolScope,
+    *(value for value in vars(errors).values()
+      if isinstance(value, type) and issubclass(value, Exception)),
+}
+
+
+def library_imports(path):
+    """(module, name) of every import in ``path`` that reaches the library;
+    name is None for a whole module."""
+    found = []
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.partition(".")[0] == "patchsmooth"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "patchsmooth"):
+            found += [("." * node.level + (node.module or ""), alias.name) for alias in node.names]
+    return found
+
+
 class TestBruteForceOracle:
+    def test_imports_only_inputs_from_the_library(self):
+        found = library_imports(Path(__file__).with_name("oracle.py"))
+        assert found
+        for module, name in found:
+            assert not module.startswith(".") and name is not None, (module, name)
+            value = getattr(importlib.import_module(module), name)
+            assert any(value is allowed for allowed in ORACLE_MAY_IMPORT), (module, name)
+
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(0)
         query, pool, width = random_instance(rng)
