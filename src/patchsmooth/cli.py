@@ -33,13 +33,21 @@ from .pool import (
     save_tokens,
 )
 from .retrieval import FeatureMap, FeatureVector, RetrievalIndex, RetrievedSet, flatten_normalize, top_m
-from .smoothing import smooth_grid
+from .smoothing import Aggregation, DivergenceKind, NeighborKey, PoolScope, smooth_grid
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
 from .tensorfile import atomic_write_text, read_json, read_tensor, write_tensor
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
     atomic_write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+
+
+def _flag_overrides(**sections: dict) -> dict:
+    """Config overrides, by section, from the flags that were given (not
+    None); a section with none given is left out, so it is still checked."""
+    given = {name: {k: v for k, v in flags.items() if v is not None}
+             for name, flags in sections.items()}
+    return {name: flags for name, flags in given.items() if flags}
 
 
 def _read_features(path, ranks: tuple[int, int]) -> tuple[np.ndarray, dict]:
@@ -72,9 +80,8 @@ def cli():
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def retrieve(index_path, query_path, m, out_path, config_path):
     """Rank support items by dot similarity of normalized feature maps."""
-    config = load_config(config_path)
-    if m is None:
-        m = config["retrieval"]["m"]
+    config = load_config(config_path, _flag_overrides(retrieval={"m": m}))
+    m = config["retrieval"]["m"]
     array, meta = _read_features(index_path, (2, 4))
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
     index = RetrievalIndex([_feature_vector(row, ident) for row, ident in zip(array, ids)])
@@ -148,10 +155,10 @@ def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
 @click.option("--k", type=int, default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("--tau", type=float, default=None)
-@click.option("--div", type=click.Choice(["js", "kl"]), default=None)
-@click.option("--key", type=click.Choice(["score", "feature", "patch"]), default=None)
-@click.option("--agg", type=click.Choice(["weighted", "average", "nearest"]), default=None)
-@click.option("--scope", type=click.Choice(["patch", "all"]), default=None)
+@click.option("--div", type=click.Choice([d.value for d in DivergenceKind]), default=None)
+@click.option("--key", type=click.Choice([k.value for k in NeighborKey]), default=None)
+@click.option("--agg", type=click.Choice([a.value for a in Aggregation]), default=None)
+@click.option("--scope", type=click.Choice([s.value for s in PoolScope]), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--diag", "diag_path", type=click.Path(), default=None)
 @click.option("--query-keys", "query_keys_path", type=click.Path(exists=True), default=None)
@@ -160,25 +167,17 @@ def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
 def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
            diag_path, query_keys_path, pool_keys_path, config_path):
     """Smooth a query score grid against a prompt pool."""
-    overrides = {
-        name: value
-        for name, value in [
-            ("k", k), ("alpha", alpha), ("tau", tau), ("divergence", div),
-            ("key", key), ("aggregation", agg), ("scope", scope),
-        ]
-        if value is not None
-    }
-    config = load_config(config_path, overrides={"smoothing": overrides})
+    config = load_config(config_path, _flag_overrides(smoothing={
+        "k": k, "alpha": alpha, "tau": tau, "divergence": div,
+        "key": key, "aggregation": agg, "scope": scope,
+    }))
     grid, shape = load_grid(query_path)
     pool = load_pool(pool_path)
     grid, pool = _attach_keys(grid, pool, query_keys_path, pool_keys_path)
     sconfig = smoothing_config(config, m=pool.m)
     result = smooth_grid(grid, pool, sconfig)
-    write_tensor(
-        result.probs.astype(np.float32),
-        out_path,
-        meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()},
-    )
+    write_tensor(result.probs, out_path,
+                 meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})
     if diag_path is not None:
         _write_json(
             {
@@ -220,7 +219,7 @@ def eval_cmd(pred_path, gt_path, metric, out_path, item_id):
     if metric == "iou":
         value = iou(pred != 0, gt != 0)
     elif metric == "mse":
-        value = mse(pred.astype(np.float64), gt.astype(np.float64))
+        value = mse(pred, gt)
     else:
         value = pixel_accuracy(pred, gt)
     report = EvalReport.from_items(metric, [(item_id, value)], config={"metric": metric})
@@ -269,16 +268,9 @@ def synth_run(seed, n_seeds, rows, cols, codebook, items, bias, m_list, k, alpha
 @click.option("--k", type=int, default=None)
 def run(config_path, out_path, seed, m, alpha, tau, k):
     """Run the full pipeline and write its report."""
-    overrides = {}
-    if seed is not None:
-        overrides["world"] = {"seed": seed}
-    if m is not None:
-        overrides["retrieval"] = {"m": m}
-    smoothing = {key: value for key, value in [("alpha", alpha), ("tau", tau), ("k", k)]
-                 if value is not None}
-    if smoothing:
-        overrides["smoothing"] = smoothing
-    config = load_config(config_path, overrides)
+    config = load_config(config_path, _flag_overrides(
+        world={"seed": seed}, retrieval={"m": m}, smoothing={"alpha": alpha, "tau": tau, "k": k},
+    ))
     report = run_pipeline(config)
     atomic_write_text(report.to_json(), out_path)
 

@@ -62,27 +62,21 @@ class EvalReport:
 
     metric: str
     per_item: tuple[tuple[str, float], ...]
-    aggregate: float
     config: dict
 
     def __post_init__(self):
         if not self.per_item:
             raise ValidationError("report needs at least one item")
-        expected = float(np.mean([v for _, v in self.per_item]))
-        if abs(expected - self.aggregate) > 1e-12:
-            raise ValidationError(
-                f"aggregate {self.aggregate!r} is not the mean of per-item values {expected!r}"
-            )
+
+    @property
+    def aggregate(self) -> float:
+        """The mean of the per-item values."""
+        return float(np.mean([v for _, v in self.per_item]))
 
     @classmethod
     def from_items(cls, metric, items, config) -> "EvalReport":
         items = tuple((str(i), float(v)) for i, v in items)
-        return cls(
-            metric=metric,
-            per_item=items,
-            aggregate=float(np.mean([v for _, v in items])),
-            config=dict(config),
-        )
+        return cls(metric=metric, per_item=items, config=dict(config))
 
     def to_dict(self) -> dict:
         return {

@@ -79,12 +79,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
     """Defaults <- config file <- explicit overrides, deep-merged; the
-    result shares no nested dict with the defaults or the inputs."""
+    result shares no nested dict with the defaults or the inputs. The file
+    is checked before the merge, so no override can replace a bad section."""
     config = DEFAULT_CONFIG
     if path is not None:
         loaded = read_json(path, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        _check_config(loaded, _SCHEMA)
         config = _deep_merge(config, loaded)
     if overrides:
         config = _deep_merge(config, overrides)

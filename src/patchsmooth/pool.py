@@ -11,7 +11,7 @@ prompt twice yields bitwise-identical grids, which makes pools cacheable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -121,9 +121,9 @@ class PromptPool:
     """Candidate distributions for every patch slot, plus provenance.
 
     ``probs`` is (W, L, |V|): row ``probs[j, l]`` is patch l as scored by
-    the prompt built around retrieved pair ``pair_indices[j]`` (distinct;
-    ``build_pool`` numbers pairs from 1). The optional key arrays are
-    (W, L, dim).
+    the prompt built around retrieved pair ``pair_indices[j]``, one of
+    distinct pair ranks in [1, m], and ``prompts`` is empty or holds
+    prompt j for row j. The optional key arrays are (W, L, dim).
     """
 
     probs: np.ndarray = field(repr=False)
@@ -140,13 +140,20 @@ class PromptPool:
         if 0 in np.shape(self.probs)[:2]:
             raise ValidationError("pool has no entries")
         probs = simplex_rows(self.probs)
-        indices = np.array(self.pair_indices, dtype=np.int64)
-        if indices.shape != (len(probs),):
+        indices = np.array(self.pair_indices)
+        if (
+            indices.shape != (len(probs),)
+            or indices.dtype.kind not in "iu"
+            or len(np.unique(indices)) != len(indices)
+            or not 1 <= indices.min() <= indices.max() <= self.m
+        ):
             raise ValidationError(
-                f"{indices.size} provenance indices for a pool of width {len(probs)}"
+                f"provenance indices {indices.tolist()} are not {len(probs)} distinct"
+                f" pair ranks in [1, m={self.m}]"
             )
-        if len(np.unique(indices)) != len(indices):
-            raise ValidationError(f"duplicate provenance indices {indices.tolist()}")
+        if self.prompts and len(self.prompts) != len(probs):
+            raise ValidationError(f"{len(self.prompts)} prompts for a pool of width {len(probs)}")
+        indices = indices.astype(np.int64, copy=False)
         indices.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "pair_indices", indices)
@@ -315,15 +322,6 @@ def meta_field(meta, name: str, source, kind: type, length: int | None = None,
     return value
 
 
-def _prompt_meta(prompt: PromptSpec) -> dict:
-    return {
-        "in_context_input": prompt.in_context_input,
-        "in_context_output": prompt.in_context_output,
-        "anchor": prompt.anchor,
-        "masked_region": list(prompt.masked_region),
-    }
-
-
 def _prompt_from_meta(meta, source) -> PromptSpec:
     ids = [meta_field(meta, name, source, str)
            for name in ("in_context_input", "in_context_output", "anchor")]
@@ -341,9 +339,9 @@ def save_pool(pool: PromptPool, path: str | Path) -> None:
         "patch_count": pool.patch_count,
         "codebook_size": pool.codebook_size,
         "pair_indices": pool.pair_indices.tolist(),
-        "prompts": [_prompt_meta(p) for p in pool.prompts],
+        "prompts": [asdict(p) for p in pool.prompts],
     }
-    write_tensor(pool.probs.astype(np.float32), path, meta=meta)
+    write_tensor(pool.probs, path, meta=meta)
 
 
 def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[np.ndarray, dict]:
@@ -360,29 +358,34 @@ def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[
 
 
 def load_pool(path: str | Path) -> PromptPool:
+    """The pool in ``path``; a sidecar that breaks ``PromptPool``'s
+    provenance rule is a FormatError naming the file."""
     probs, meta = _read_scores(path, 3, kind="prompt-pool")
     try:
         mode = PoolMode(meta["mode"]) if meta.get("mode") else None
     except ValueError as exc:
         raise FormatError(f"{path}: field 'mode': {exc}") from exc
     prompts = meta_field(meta, "prompts", path, list, items=dict)
-    return PromptPool(
-        probs=probs,
-        pair_indices=meta_field(meta, "pair_indices", path, list, len(probs), int),
-        prompts=tuple(_prompt_from_meta(p, path) for p in prompts),
-        mode=mode,
-        m=meta_field(meta, "m", path, int),
-    )
+    try:
+        return PromptPool(
+            probs=probs,
+            pair_indices=meta_field(meta, "pair_indices", path, list, items=int),
+            prompts=tuple(_prompt_from_meta(p, path) for p in prompts),
+            mode=mode,
+            m=meta_field(meta, "m", path, int),
+        )
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_grid(grid: ScoreGrid, path: str | Path, extra_meta: dict | None = None) -> None:
     """Serialize a score grid to an (L, |V|) f32 tensor."""
     meta = {"schema_version": 1, "kind": "score-grid"}
     if grid.prompt is not None:
-        meta["prompt"] = _prompt_meta(grid.prompt)
+        meta["prompt"] = asdict(grid.prompt)
     if extra_meta:
         meta.update(extra_meta)
-    write_tensor(grid.probs.astype(np.float32), path, meta=meta)
+    write_tensor(grid.probs, path, meta=meta)
 
 
 def load_grid(path: str | Path) -> tuple[ScoreGrid, tuple[int, int]]:

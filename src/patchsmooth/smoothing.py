@@ -109,16 +109,9 @@ class SmoothingConfig:
         return cls(**params)
 
     def echo(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "divergence": self.divergence.value,
-            "key": self.key.value,
-            "aggregation": self.aggregation.value,
-            "scope": self.scope.value,
-        }
+        """Every field as JSON, the enums by their values."""
+        return {name: value.value if isinstance(value, enum.Enum) else value
+                for name, value in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -178,11 +171,16 @@ def softmax_weights(distances, tau: float) -> np.ndarray:
 
 
 def _aggregation_weights(distances: np.ndarray, config: SmoothingConfig) -> np.ndarray:
-    """(L, k) weights for the (L, k) distances of the chosen neighbors."""
+    """(L, k) weights for the (L, k) distances of the chosen neighbors,
+    nearest first. Under every aggregation an infinite distance gets
+    weight 0, so each row needs at least one finite distance."""
     if config.aggregation is Aggregation.WEIGHTED:
         return softmax_weights(distances.T, config.tau).T
+    finite = np.isfinite(distances)
+    if not finite.any(axis=-1).all():
+        raise ValidationError(f"{config.aggregation.value} weights need at least one finite distance")
     if config.aggregation is Aggregation.AVERAGE:
-        return np.full(distances.shape, 1.0 / distances.shape[-1])
+        return finite / finite.sum(axis=-1, keepdims=True)
     weights = np.zeros(distances.shape)
     weights[..., 0] = 1.0
     return weights
@@ -290,10 +288,7 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
     blended, selection = _select_and_blend(
         query_grid.probs, distances, pool.probs, position, patch, pair, config
     )
-    # The blend is convex, so it lies on the simplex up to float drift.
-    totals = blended.sum(axis=1, keepdims=True)
-    drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
-    blended[drifted] /= totals[drifted]
+    # The blend is convex: SmoothedGrid's simplex check divides out any drift.
     blended.flags.writeable = False  # frozen and owned: the grid keeps it uncopied
     return SmoothedGrid(probs=blended, **selection)
 

@@ -72,14 +72,17 @@ def _distance(pool: PromptPool, j: int, l: int, query_probs, query_feature, quer
 
 
 def _weights(distances, config: SmoothingConfig) -> list:
+    """Weights of the chosen neighbors, nearest first; under every
+    aggregation an infinite distance gets weight 0."""
+    finite = [math.isfinite(d) for d in distances]
+    if not any(finite):
+        raise ValidationError("weights need at least one finite distance")
     if config.aggregation is Aggregation.NEAREST:
         return [1.0] + [0.0] * (len(distances) - 1)
     if config.aggregation is Aggregation.AVERAGE:
-        return [1.0 / len(distances)] * len(distances)
-    lowest = min((d for d in distances if math.isfinite(d)), default=math.inf)
-    if lowest == math.inf:
-        raise ValidationError("softmax weights need at least one finite distance")
-    raw = [math.exp(-(d - lowest) / config.tau) if math.isfinite(d) else 0.0 for d in distances]
+        return [1.0 / sum(finite) if f else 0.0 for f in finite]
+    lowest = min(d for d, f in zip(distances, finite) if f)
+    raw = [math.exp(-(d - lowest) / config.tau) if f else 0.0 for d, f in zip(distances, finite)]
     total = sum(raw)
     return [r / total for r in raw]
 

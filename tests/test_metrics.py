@@ -147,18 +147,9 @@ class TestEvalReport:
         )
         assert report.aggregate == pytest.approx(0.5, abs=1e-12)
 
-    def test_inconsistent_aggregate_rejected(self):
-        with pytest.raises(ValidationError):
-            EvalReport(
-                metric="accuracy",
-                per_item=(("a", 0.5), ("b", 1.0)),
-                aggregate=0.9,
-                config={},
-            )
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            EvalReport(metric="accuracy", per_item=(), aggregate=0.0, config={})
+            EvalReport(metric="accuracy", per_item=(), config={})
 
     def test_to_dict_roundtrips_fields(self):
         report = EvalReport.from_items("mse", [("a", 0.25)], config={"alpha": 1.0})

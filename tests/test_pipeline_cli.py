@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import re
 import struct
@@ -5,14 +7,15 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchsmooth.cli import _attach_keys, main
+from patchsmooth.cli import _attach_keys, cli, main
 from patchsmooth.errors import ConfigError
-from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline
+from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline, smoothing_config
 from patchsmooth.pool import (
     PoolMode,
     PromptPool,
@@ -23,7 +26,14 @@ from patchsmooth.pool import (
     save_grid,
     save_pool,
 )
-from patchsmooth.smoothing import SmoothingConfig, smooth_grid
+from patchsmooth.smoothing import (
+    Aggregation,
+    DivergenceKind,
+    NeighborKey,
+    PoolScope,
+    SmoothingConfig,
+    smooth_grid,
+)
 from patchsmooth.tensorfile import read_tensor, write_tensor
 
 
@@ -84,6 +94,19 @@ class TestConfig:
 
     def test_run_pipeline_fills_a_partial_dict_with_defaults(self):
         assert run_pipeline({"backend": "synth"}) == run_pipeline(load_config())
+
+    def test_echo_round_trips_for_every_enum_combination(self):
+        enums = (DivergenceKind, NeighborKey, Aggregation, PoolScope)
+        for divergence, key, aggregation, scope in itertools.product(*enums):
+            config = SmoothingConfig(m=3, k=2, alpha=0.5, tau=2.0, divergence=divergence, key=key,
+                                     aggregation=aggregation, scope=scope)
+            echo = json.loads(json.dumps(config.echo()))
+            assert list(echo) == [f.name for f in dataclasses.fields(SmoothingConfig)]
+            assert smoothing_config({"smoothing": echo}, m=echo["m"]) == config
+        choices = {p.name: list(p.type.choices) for p in cli.commands["smooth"].params
+                   if isinstance(p.type, click.Choice)}
+        assert choices == {name: [member.value for member in kind]
+                           for name, kind in zip(("div", "key", "agg", "scope"), enums)}
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -469,6 +492,16 @@ class TestExitCodes:
         code = run_cli(["run", "--config", str(config_path), "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--k", "2"]], ids=["no-flag", "k-flag"])
+    def test_bad_smoothing_section_is_2_for_smooth(self, tmp_path, flags):
+        rng = np.random.default_rng(0)
+        save_grid(random_grid(rng, 4, 5), tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), tmp_path / "p.pnct")
+        (tmp_path / "c.json").write_text(json.dumps({"smoothing": []}))
+        argv = ["smooth", "--query", str(tmp_path / "g.pnct"), "--pool", str(tmp_path / "p.pnct"),
+                "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "s.pnct")]
+        assert run_cli(argv + flags) == 2
+
     @pytest.mark.parametrize("config", [
         {"pool": {"mode": "self"}},
         {"smoothing": {"alhpa": 0.5}},
@@ -680,6 +713,15 @@ class TestExitCodes:
         ("grid", "grid", [0, 4]),
         ("manifest", "codebook_size", 1),
         ("manifest", "grid", [0, 2]),
+        # provenance: distinct pair ranks in [1, m], and one prompt per row
+        ("pool", "m", 0),
+        ("pool", "m", -3),
+        ("pool", "m", 1),
+        ("pool", "pair_indices", [1, 1]),
+        ("pool", "pair_indices", [0, -1]),
+        ("pool", "pair_indices", [1, 7]),
+        ("pool", "prompts", [{"in_context_input": "x0", "in_context_output": "x0.out",
+                              "anchor": "query", "masked_region": [2, 2]}]),
     ])
     def test_malformed_field_is_format_error(self, tmp_path, target, field, value):
         rng = np.random.default_rng(0)

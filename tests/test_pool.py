@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from patchsmooth.pool import (
     save_pool,
     score_prompt,
 )
-from patchsmooth.tensorfile import write_tensor
+from patchsmooth.tensorfile import read_tensor, write_tensor
 
 
 def retrieved_set(ids, query="query"):
@@ -168,10 +169,12 @@ class TestMergeAllPatches:
 
 
 class TestPoolInvariants:
-    def pool_of(self, pair_indices):
-        grid = score_prompt(StubScorer(), PromptSpec("a", "a.out", "q", (2, 2)))
+    PROMPT = PromptSpec("a", "a.out", "q", (2, 2))
+
+    def pool_of(self, pair_indices, m=2, prompts=()):
+        grid = score_prompt(StubScorer(), self.PROMPT)
         return PromptPool(probs=np.stack([grid.probs, grid.probs]), pair_indices=pair_indices,
-                          prompts=(), mode=PoolMode.Q, m=2)
+                          prompts=prompts, mode=PoolMode.Q, m=m)
 
     def test_duplicate_provenance_rejected(self):
         with pytest.raises(ValidationError):
@@ -181,6 +184,23 @@ class TestPoolInvariants:
         with pytest.raises(ValidationError):
             self.pool_of([1])
         assert self.pool_of([1, 2]).width == 2
+
+    @pytest.mark.parametrize("pair_indices, m", [
+        ([1, 2], 0), ([1, 2], -3), ([1, 2], 1), ([0, -1], 2), ([1, 7], 2),
+        ([1.0, 2.0], 2), ([True, False], 2),
+    ])
+    def test_provenance_must_be_distinct_pair_ranks_up_to_m(self, pair_indices, m):
+        with pytest.raises(ValidationError, match="provenance"):
+            self.pool_of(pair_indices, m=m)
+
+    def test_provenance_may_skip_ranks(self):
+        # modes seq and rand leave out a rank; a width-2 pool may come from m = 5
+        assert self.pool_of([5, 2], m=5).pair_indices.tolist() == [5, 2]
+
+    def test_prompts_are_empty_or_one_per_row(self):
+        with pytest.raises(ValidationError, match="1 prompts for a pool of width 2"):
+            self.pool_of([1, 2], prompts=(self.PROMPT,))
+        assert self.pool_of([1, 2], prompts=(self.PROMPT,) * 2).prompts == (self.PROMPT,) * 2
 
     def test_rows_must_be_distributions(self):
         with pytest.raises(ValidationError):
@@ -201,6 +221,14 @@ class TestPoolSerialization:
         assert back.patch_count == pool.patch_count
         np.testing.assert_array_equal(back.pair_indices, pool.pair_indices)
         np.testing.assert_allclose(back.probs, pool.probs, atol=1e-6)
+
+    def test_sidecar_breaking_provenance_is_format_error(self, tmp_path):
+        path = tmp_path / "pool.pnct"
+        save_pool(build_pool(StubScorer(), retrieved_set(["a", "b"]), "q"), path)
+        array, meta = read_tensor(path)
+        write_tensor(array, path, meta={**meta, "m": 1})
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_pool(path)
 
     def test_grid_roundtrip(self, tmp_path):
         backend = StubScorer()

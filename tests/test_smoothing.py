@@ -188,6 +188,28 @@ class TestKnnSelect:
         assert got.distance[0, 1] == math.inf
         assert got.weight[0, 1] == 0.0
 
+    @pytest.mark.parametrize("aggregation", list(Aggregation))
+    def test_kl_infinite_gets_weight_zero_under_every_aggregation(self, aggregation):
+        config = SmoothingConfig(m=2, k=2, divergence=DivergenceKind.KL, aggregation=aggregation)
+        pool = one_patch_pool([0.4, 0.6, 0], [0, 0, 1])
+        grid = ScoreGrid(probs=[[0.5, 0.5, 0]])
+        got = smooth_grid(grid, pool, config)
+        assert got.distance[0, 1] == math.inf
+        assert got.weight[0].tolist() == [1.0, 0.0]
+        np.testing.assert_array_equal(got.probs, [[0.4, 0.6, 0.0]])
+        expected = oracle.brute_force_smooth(grid, pool, config)
+        np.testing.assert_array_equal(expected.weight, got.weight)
+        np.testing.assert_array_equal(expected.probs, got.probs)
+
+    @pytest.mark.parametrize("aggregation", list(Aggregation))
+    def test_no_finite_neighbor_rejected_under_every_aggregation(self, aggregation):
+        config = SmoothingConfig(m=1, divergence=DivergenceKind.KL, aggregation=aggregation)
+        grid = ScoreGrid(probs=[[0.5, 0.5, 0]])
+        pool = one_patch_pool([0, 0, 1])
+        for smooth in (smooth_grid, oracle.brute_force_smooth):
+            with pytest.raises(ValidationError, match="finite distance"):
+                smooth(grid, pool, config)
+
     def test_feature_key_l2(self):
         config = SmoothingConfig(m=2, key=NeighborKey.FEATURE)
         pool = one_patch_pool([1, 0], [0, 1], feature_keys=[[3.0, 4.0], [0.0, 1.0]])
