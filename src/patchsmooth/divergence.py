@@ -34,11 +34,12 @@ as the query. Both results are clamped at 0 against rounding.
 ``screened_js`` finds each of R query rows' k JS-nearest among N
 candidates without the exact kernel on all R * N pairs. One float32 pass
 ranks every pair, with a proven per-pair error bound eps (derived in
-``_screen_band``); a candidate survives when its lower bound reaches its
-row's k-th smallest upper bound, and only survivors go through
-``pairwise_divergence``, so their distances are bit-identical to the
-dense ones. KL, and every JS comparison outside ``screened_js``, run on
-the dense kernel alone.
+``_screen_band``); ``screen_survivors`` keeps a candidate when its lower
+bound reaches its row's k-th smallest upper bound, and only survivors go
+through ``pairwise_divergence``, so their distances are bit-identical to
+the dense ones; ``retrieval.top_m`` screens with the same rule. KL, and
+every JS comparison outside ``screened_js``, run on the dense kernel
+alone.
 """
 
 from __future__ import annotations
@@ -368,6 +369,27 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return sums
 
 
+def screen_survivors(estimate, band, k: int, exact):
+    """The rule both certified screens share, over (R, N) screened values.
+
+    Each value's exact counterpart lies within ``band`` (broadcast to
+    ``estimate``) of its ``estimate``, and lower values rank first. A
+    candidate survives when its lower end reaches the k-th smallest upper
+    end of its row: at least k exact values lie at or below that end, so
+    every candidate that can be among the k lowest by exact value, ties
+    included, survives. ``exact(r, c)`` gives the exact values of the
+    survivors (row r, column c). Returns r, c, those values and a mask of
+    the survivors whose exact value left its band: the proof failed for
+    their row, which the caller must then compute densely.
+    """
+    band = np.broadcast_to(band, estimate.shape)
+    kth = min(k, estimate.shape[1]) - 1
+    reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
+    r, c = np.nonzero(estimate - band <= reach)
+    values = exact(r, c)
+    return r, c, values, np.abs(values - estimate[r, c]) > band[r, c]
+
+
 def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
                 pool_negentropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """JS from each row of the (R, V) ``query`` to those of the (N, V)
@@ -387,7 +409,6 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
     (rows, width), n = query.shape, len(pool)
-    kth = min(k, n) - 1
     sums = _screen_sums(query, pool)
     found = []  # (query row, pool row, exact JS) triples
     # rows per block: the (rows, N) bands and the survivors' gathered rows
@@ -398,12 +419,11 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
         band = _screen_band(block, width)
         estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
         estimate -= 0.5 * block - LN2
-        reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
-        r, c = np.nonzero(estimate - band <= reach)
+        r, c, d, escaped = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
+            query[first + r], pool[c], query_negentropy=query_negentropy[first + r],
+            pool_negentropy=pool_negentropy[c]))
         q = first + r
-        d = pairwise_divergence(query[q], pool[c], query_negentropy=query_negentropy[q],
-                                pool_negentropy=pool_negentropy[c])
-        escaped = np.unique(q[np.abs(d - estimate[r, c]) > band[r, c]])
+        escaped = np.unique(q[escaped])
         kept = ~np.isin(q, escaped)
         found.append((q[kept], c[kept], d[kept]))
         for e in escaped:  # the bound failed: this row goes dense

@@ -390,9 +390,14 @@ def save_grid(grid: ScoreGrid, path: str | Path, extra_meta: dict | None = None)
 
 def load_grid(path: str | Path) -> tuple[ScoreGrid, tuple[int, int]]:
     """The score grid in ``path`` and the (rows, cols) its L patches form:
-    the sidecar's ``grid``, else the prompt's masked region, else (1, L)."""
+    the sidecar's ``grid``, else the prompt's masked region, else (1, L).
+    A sidecar prompt that ``PromptSpec`` refuses is a FormatError naming
+    the file."""
     probs, meta = _read_scores(path, 2)
-    prompt = _prompt_from_meta(meta["prompt"], path) if "prompt" in meta else None
+    try:
+        prompt = _prompt_from_meta(meta["prompt"], path) if "prompt" in meta else None
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     grid = ScoreGrid(probs=probs, prompt=prompt)
     rows, cols = prompt.masked_region if prompt is not None else (1, len(grid))
     if "grid" in meta:

@@ -2,18 +2,30 @@
 
 Feature maps keep their spatial layout until they are flattened
 channel-major (then row, then column) and l2-normalized; candidates are
-ranked by plain dot similarity against the query vector. Search is exact:
-the support sets in play are small enough that approximate structures
-buy nothing.
+ranked by plain dot similarity against the query vector, ties by
+insertion order.
+
+Search is exact, but most rows never reach the exact kernel. The index
+keeps its rows as the callers' own read-only vectors, plus one float32
+copy of all of them. ``top_m`` scores every row in one float32 pass, with
+a proven half-width eps around each score (``_dot_band``); the rows whose
+band reaches the m-th largest lower end survive (the rule
+``divergence.screen_survivors`` shares with the all-patch JS screen), and
+only those, about m of them, get the exact float64 dot. A survivor whose
+exact score leaves its band sends the query to the dense path, the same
+exact dot over every row. Selection and scores are therefore those of a
+stable sort of every row's exact dot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .divergence import _U32, screen_survivors
 from .errors import DimensionError, ValidationError
 
 NORM_TOLERANCE = 1e-6
@@ -49,7 +61,7 @@ class FeatureVector:
         if values.ndim != 1:
             raise DimensionError(f"expected a flat vector, got shape {values.shape}")
         norm = float(np.linalg.norm(values))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise ValidationError(f"vector norm is {norm!r}, expected 1 within {NORM_TOLERANCE}")
         values = values.copy()
         values.flags.writeable = False
@@ -68,17 +80,18 @@ def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
 class RetrievalIndex:
     """Immutable collection of support-set feature vectors.
 
-    Only the stacked read-only (N, dim) matrix and the ids are kept, not
-    the vectors themselves. Entry order is the insertion order; it is the
-    tie-breaking order for equal similarities, so it must be fixed before
-    any query runs.
+    The index keeps the vectors' own read-only rows, not a copy, and one
+    read-only float32 (N, dim) matrix of them for the screen, with the
+    ids. Entry order is the insertion order; it is the tie-breaking order
+    for equal similarities, so it must be fixed before any query runs.
     """
 
     def __init__(self, entries: Sequence[FeatureVector]):
         entries = tuple(entries)
         self._ids = tuple(e.identifier for e in entries)
+        self._rows = tuple(e.values for e in entries)
         if entries:
-            dim = entries[0].values.size
+            dim = self._rows[0].size
             for e in entries:
                 if e.values.size != dim:
                     raise DimensionError(
@@ -86,10 +99,11 @@ class RetrievalIndex:
                     )
             if len(set(self._ids)) != len(self._ids):
                 raise ValidationError("duplicate item ids in retrieval index")
-            self._matrix = np.stack([e.values for e in entries])
+            # cast row by row: no float64 (N, dim) temporary
+            self._screen = np.stack(self._rows, dtype=np.float32, casting="same_kind")
         else:
-            self._matrix = np.empty((0, 0))
-        self._matrix.flags.writeable = False
+            self._screen = np.empty((0, 0), np.float32)
+        self._screen.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -100,11 +114,7 @@ class RetrievalIndex:
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+        return self._screen.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,8 @@ class RetrievedSet:
 
     def __post_init__(self):
         scores = [s for _, s in self.items]
+        if not all(math.isfinite(s) for s in scores):
+            raise ValidationError("retrieved scores must be finite")
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise ValidationError("retrieved scores must be nonincreasing")
         ids = [i for i, _ in self.items]
@@ -130,6 +142,45 @@ class RetrievedSet:
         return tuple(i for i, _ in self.items)
 
 
+def _dot_band(dim: int) -> float | None:
+    """Half-width eps of the band around a float32 screen score that
+    holds the exact float64 dot of the same unit rows, or None when
+    dim u >= 1/2 and the bound below does not exist.
+
+    With u = 2**-24 and n = dim, rounding x and q to float32 moves each
+    product x_i q_i by at most (2u + u**2) |x_i q_i|, and the float32 dot
+    of the rounded vectors is within gamma_n = n u / (1 - n u) times the
+    sum of their absolute products (Higham 2002, sec. 3.1), in any
+    summation order or thread split. That sum is at most
+    (1 + u)**2 sum |x_i q_i|, sum |x_i q_i| <= |x| |q|, and
+    ``FeatureVector`` holds each norm within ``NORM_TOLERANCE`` of 1, so
+
+        eps = (gamma_n (1 + u)**2 + 2u + u**2) (1 + NORM_TOLERANCE)**2
+              + n 2**-50.
+
+    The last term covers float32 underflow (below n 2**-147), the float64
+    dot's own error (gamma_n at u = 2**-53), the rounding of the norm
+    check and of the band's ends. ``top_m`` checks every survivor against
+    its band all the same.
+    """
+    nu = dim * _U32
+    if nu >= 0.5:
+        return None
+    gamma = nu / (1.0 - nu)
+    return ((gamma * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2) * (1.0 + NORM_TOLERANCE) ** 2
+            + dim * 2.0 ** -50)
+
+
+def _exact_scores(rows, query: np.ndarray) -> np.ndarray:
+    """The exact similarity of each row: one float64 ``np.dot`` per row.
+
+    Not one gemv over stacked rows: blocked gemv kernels can give
+    bit-identical rows different scores, which would defeat the
+    insertion-order tie rule.
+    """
+    return np.array([np.dot(row, query) for row in rows], dtype=np.float64)
+
+
 def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
     """The m entries maximizing dot similarity with the query.
 
@@ -141,14 +192,24 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
         raise ValidationError("cannot retrieve from an empty index")
     if query.values.size != index.dim:
         raise DimensionError(f"query dim {query.values.size} != index dim {index.dim}")
-    # One dot per row, not a single gemv: blocked gemv kernels can give
-    # bit-identical rows different scores, which would defeat the
-    # insertion-order tie rule. A stack of (1, dim) @ (dim, 1) products
-    # runs the same per-row dot without a Python loop.
-    scores = (index.matrix[:, None, :] @ query.values[:, None])[:, 0, 0]
-    order = np.argsort(-scores, kind="stable")[: min(m, len(index))]
+    q, rows = query.values, index._rows
+    band = _dot_band(index.dim)
+    escaped = band is None
+    if not escaped:
+        # Screen: the negated float32 scores, so the m most similar rows
+        # are the m lowest values. Survivors: the rows that can be among
+        # them. Exact rescoring: survivors only, each checked in its band.
+        estimate = np.negative(index._screen @ q.astype(np.float32), dtype=np.float64)
+        _, candidates, negated, left = screen_survivors(
+            estimate[None], band, m, lambda _, c: -_exact_scores([rows[i] for i in c], q))
+        escaped = left.any()
+    if escaped:  # no band, or a survivor left it: every row gets the exact dot
+        candidates = np.arange(len(rows))
+        negated = -_exact_scores(rows, q)
+    # candidates ascend in index order, so a stable sort keeps the tie rule
+    order = np.argsort(negated, kind="stable")[:m]
     ids = index.ids
     return RetrievedSet(
-        items=tuple((ids[i], float(scores[i])) for i in order),
+        items=tuple((ids[i], float(-s)) for i, s in zip(candidates[order], negated[order])),
         query_id=query.identifier,
     )

@@ -229,12 +229,13 @@ def test_algebraic_identities():
         print(f"  identities and simplex closure verified on {closure_outputs} outputs")
 
 
-def brute_force_ranking(matrix, ids, query_values, m):
+def brute_force_ranking(entries, query_values, m):
+    """Ids of the m vectors with the largest dots, ties by position."""
     scored = sorted(
-        ((float(np.dot(row, query_values)), i) for i, row in enumerate(matrix)),
+        ((float(np.dot(e.values, query_values)), i) for i, e in enumerate(entries)),
         key=lambda t: (-t[0], t[1]),
     )
-    return [ids[i] for _, i in scored[:m]]
+    return [entries[i].identifier for _, i in scored[:m]]
 
 
 def test_retrieval_exactness():
@@ -248,26 +249,26 @@ def test_retrieval_exactness():
                 vectors[n // 2] = vectors[0]
                 vectors[n - 1] = vectors[0]
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-            index = RetrievalIndex(
-                [FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)]
-            )
+            entries = [FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)]
+            index = RetrievalIndex(entries)
             query = FeatureVector(vectors[int(rng.integers(0, n))], "q")
             m = int(rng.integers(1, n + 2))
             got = top_m(query, index, m)
-            expected = brute_force_ranking(index.matrix, index.ids, query.values, m)
+            expected = brute_force_ranking(entries, query.values, m)
             assert list(got.ids) == expected
 
         # the declared extreme: 5,000 items x 4,096 dims
         n, dim = 5000, 4096
         vectors = rng.normal(size=(n, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        index = RetrievalIndex([FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)])
+        entries = [FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)]
+        index = RetrievalIndex(entries)
         query = FeatureVector(vectors[123], "q")
         got = top_m(query, index, 7)
-        expected = brute_force_ranking(index.matrix, index.ids, query.values, 7)
+        expected = brute_force_ranking(entries, query.values, 7)
         assert list(got.ids) == expected
         assert got.ids[0] == "item0123"
-        del index, vectors
+        del index, entries, vectors
 
         for _ in range(50):
             values = rng.normal(size=(3, 4, 5))

@@ -711,6 +711,8 @@ class TestExitCodes:
         ("pool", "pair_indices", [True, 2]),
         ("grid", "grid", [-2, -2]),
         ("grid", "grid", [0, 4]),
+        ("grid", "prompt", {"in_context_input": "x0", "in_context_output": "x0.out",
+                            "anchor": "query", "masked_region": [0, 49]}),
         ("manifest", "codebook_size", 1),
         ("manifest", "grid", [0, 2]),
         # provenance: distinct pair ranks in [1, m], and one prompt per row

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchsmooth import retrieval
 from patchsmooth.errors import DimensionError, ValidationError
 from patchsmooth.retrieval import (
     FeatureMap,
@@ -18,14 +19,20 @@ def fmap(values, ident=""):
     return FeatureMap(np.asarray(values, dtype=np.float64), identifier=ident)
 
 
-def brute_force_top_m(query, index, m):
-    """Oracle: full sort of all dot products, ties by insertion order."""
+def brute_force_top_m(query, entries, m):
+    """Oracle: full sort of the dot products of the vectors an index was
+    built from, ties by insertion order."""
     scored = [
-        (i, ident, float(np.dot(index.matrix[i], query.values)))
-        for i, ident in enumerate(index.ids)
+        (i, e.identifier, float(np.dot(e.values, query.values)))
+        for i, e in enumerate(entries)
     ]
     scored.sort(key=lambda t: (-t[2], t[0]))
     return [(ident, score) for _, ident, score in scored[:m]]
+
+
+def bits(scores):
+    """Scores as their float64 bit patterns, so -0.0 != 0.0."""
+    return np.asarray(scores, dtype=np.float64).view(np.int64).tolist()
 
 
 class TestFlattenNormalize:
@@ -124,10 +131,10 @@ class TestTopM:
         if n >= 3:
             vectors[n // 2] = vectors[0]
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        index = RetrievalIndex([FeatureVector(v, f"item{i:03d}") for i, v in enumerate(vectors)])
+        entries = [FeatureVector(v, f"item{i:03d}") for i, v in enumerate(vectors)]
         query = FeatureVector(vectors[-1], "q")
-        got = top_m(query, index, m=m)
-        expected = brute_force_top_m(query, index, m)
+        got = top_m(query, RetrievalIndex(entries), m=m)
+        expected = brute_force_top_m(query, entries, m)
         assert list(got.ids) == [ident for ident, _ in expected]
 
     @pytest.mark.parametrize("n, dim", [(1, 1), (7, 3), (64, 257), (300, 4096), (33, 1000)])
@@ -138,17 +145,120 @@ class TestTopM:
         if n >= 7:
             # copies of the query's row at three positions tie at the top
             vectors[[2, n // 2, n - 1]] = vectors[n // 3]
-        index = RetrievalIndex([FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)])
+        entries = [FeatureVector(v, f"item{i:04d}") for i, v in enumerate(vectors)]
         query = FeatureVector(vectors[n // 3], "q")
-        got = top_m(query, index, m=n)
-        dots = {ident: float(np.dot(row, query.values)) for ident, row in zip(index.ids, index.matrix)}
+        got = top_m(query, RetrievalIndex(entries), m=n)
+        dots = {e.identifier: float(np.dot(e.values, query.values)) for e in entries}
         assert [score for _, score in got.items] == [dots[ident] for ident in got.ids]
         if n >= 7:
             tied = sorted(f"item{i:04d}" for i in {2, n // 3, n // 2, n - 1})
             assert list(got.ids[:len(tied)]) == tied
 
 
+def screened_instance(seed, n, dim, m, narrow, padded, near_tie):
+    """Unit rows and a query, with duplicated rows, rows zero past a cut,
+    and (``near_tie``) a row whose score is 1 ulp from the m-th one."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n + 1, dim))
+    if narrow:  # float32-derived rows, as read from a PNCL file
+        vectors = vectors.astype(np.float32).astype(np.float64)
+    if padded:
+        vectors[::2, max(1, dim // 2):] = 0.0
+    if n >= 4:
+        vectors[rng.integers(0, n, size=n // 3)] = vectors[rng.integers(0, n, size=n // 3)]
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    query, vectors = vectors[-1], vectors[:-1]
+    if near_tie:
+        dots = np.array([np.dot(v, query) for v in vectors])
+        mth = np.argsort(-dots, kind="stable")[min(m, n) - 1]
+        j = int(np.argmax(np.abs(query)))
+        for direction in (np.inf, -np.inf):
+            row = vectors[mth].copy()
+            row[j] = np.nextafter(row[j], direction)
+            vectors = np.insert(vectors, rng.integers(0, len(vectors) + 1), row, axis=0)
+    return [FeatureVector(v, f"item{i:03d}") for i, v in enumerate(vectors)], FeatureVector(query, "q")
+
+
+class TestScreen:
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 300), st.integers(1, 50),
+           st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_stable_sort_bitwise(self, seed, n, dim, m, narrow, padded, near_tie):
+        entries, query = screened_instance(seed, n, dim, m, narrow, padded, near_tie)
+        got = top_m(query, RetrievalIndex(entries), m)
+        expected = brute_force_top_m(query, entries, m)
+        assert list(got.ids) == [ident for ident, _ in expected]
+        assert bits([s for _, s in got.items]) == bits([s for _, s in expected])
+
+    @pytest.mark.parametrize("fault", ["no-band", "zero-band", "shifted-score"])
+    def test_escape_takes_the_dense_path(self, monkeypatch, fault):
+        entries, query = screened_instance(3, 200, 96, 8, True, False, True)
+        index = RetrievalIndex(entries)
+        want = top_m(query, index, 8)
+        calls = []
+        exact = retrieval._exact_scores
+
+        def spy(rows, q):
+            calls.append(len(rows))
+            return exact(rows, q)
+
+        monkeypatch.setattr(retrieval, "_exact_scores", spy)
+        if fault == "shifted-score":
+            # the least similar row screens as the query itself: it survives,
+            # and its exact score is far outside its band
+            worst = index.ids.index(brute_force_top_m(query, entries, len(entries))[-1][0])
+            screen = index._screen.copy()
+            screen[worst] = query.values
+            index._screen = screen
+        else:
+            monkeypatch.setattr(retrieval, "_dot_band",
+                                lambda dim: None if fault == "no-band" else 0.0)
+        got = top_m(query, index, 8)
+        assert calls[-1] == len(entries)
+        assert got.ids == want.ids
+        assert bits([s for _, s in got.items]) == bits([s for _, s in want.items])
+
+    def test_screen_keeps_about_m_rows(self, monkeypatch):
+        entries, query = screened_instance(5, 500, 512, 8, True, False, False)
+        calls = []
+        exact = retrieval._exact_scores
+        monkeypatch.setattr(retrieval, "_exact_scores",
+                            lambda rows, q: calls.append(len(rows)) or exact(rows, q))
+        top_m(query, RetrievalIndex(entries), 8)
+        assert len(calls) == 1 and 8 <= calls[0] < 50
+
+    def test_index_keeps_the_rows_and_one_float32_matrix(self):
+        entries, _ = screened_instance(1, 30, 64, 4, False, True, False)
+        index = RetrievalIndex(entries)
+        assert len(index._rows) == len(entries)
+        assert all(np.shares_memory(row, e.values) for row, e in zip(index._rows, entries))
+        arrays = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
+        stacked = [a for a in arrays if a.shape == (len(entries), 64)]
+        assert [a.dtype for a in stacked] == [np.float32]
+        assert not stacked[0].flags.writeable
+        np.testing.assert_array_equal(stacked[0], np.stack([e.values for e in entries]).astype(np.float32))
+
+    def test_band_bound(self):
+        # the worst case at 4,096 dims, and no band once dim * 2**-24 >= 1/2
+        assert retrieval._dot_band(4096) == pytest.approx(2.44e-4, rel=1e-2)
+        assert retrieval._dot_band(2**23 - 1) is not None
+        assert retrieval._dot_band(2**23) is None
+
+
+class TestFeatureVector:
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0],
+                                        [-np.inf, 1.0]])
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(ValidationError):
+            FeatureVector(np.array(values))
+
+
 class TestRetrievedSetInvariants:
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, score):
+        with pytest.raises(ValidationError):
+            RetrievedSet((("a", 0.9), ("b", score)))
+
     def test_rejects_increasing_scores(self):
         with pytest.raises(ValidationError):
             RetrievedSet((("a", 0.1), ("b", 0.5)))
