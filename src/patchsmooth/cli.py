@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .divergence import frozen
 from .errors import DimensionError, FormatError, PatchSmoothError
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
@@ -132,10 +133,9 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
 
 
 def _read_keys(path) -> np.ndarray:
-    # converted once, read-only and owned: both key fields keep it uncopied
-    keys = np.array(read_tensor(path)[0], dtype=np.float64)
-    keys.flags.writeable = False
-    return keys
+    # read-only and owned: both key fields keep it uncopied
+    tensor = read_tensor(path)[0]
+    return frozen(np.asarray(tensor, dtype=np.float64), tensor)
 
 
 def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
@@ -248,8 +248,11 @@ def synth_run(seed, n_seeds, rows, cols, codebook, items, bias, m_list, k, alpha
         beta_truth, beta_pair, epsilon = (float(x) for x in bias.split(","))
     except ValueError as exc:
         raise click.UsageError(f"--bias must be three comma-separated floats: {exc}")
+    try:
+        m_values = tuple(int(x) for x in m_list.split(","))
+    except ValueError as exc:
+        raise click.UsageError(f"--m must be comma-separated integers: {exc}")
     params = BiasedScorerParams(beta_truth=beta_truth, beta_pair=beta_pair, epsilon_noise=epsilon)
-    m_values = tuple(int(x) for x in m_list.split(","))
     report = run_seed_sweep(
         seeds=range(seed, seed + n_seeds),
         rows=rows, cols=cols, codebook_size=codebook, n_items=items, task_family=task,

@@ -102,16 +102,25 @@ def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
     return totals
 
 
+def frozen(array: np.ndarray, source) -> np.ndarray:
+    """``array``, the float64 conversion of ``source``, read-only. It is
+    kept if the conversion made it, or if it is a read-only array that
+    owns its buffer; anything else, a writable array of the caller or a
+    view, is copied, so no caller's array is ever frozen."""
+    if not array.flags.owndata or (array is source and array.flags.writeable):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def simplex_rows(values) -> np.ndarray:
     """Check that every row (last axis) of ``values`` is a distribution.
 
     Entries must be finite and nonnegative, and each row must sum to 1
     within ``SUM_TOLERANCE``; a row whose sum drifts beyond
     ``RENORM_THRESHOLD`` is divided by its sum. Returns a read-only
-    float64 array, made with at most one copy: a writable array or a view
-    is copied, so the caller's array is never frozen or written to, and so
-    is a read-only array with a row to divide. A read-only array that owns
-    its buffer is otherwise returned as it is.
+    float64 array, made with at most one copy: a new one when a row is
+    divided, else ``values`` as ``frozen`` keeps or copies it.
     """
     probs = np.asarray(values, dtype=np.float64)
     if probs.ndim < 1 or probs.shape[-1] < 2:
@@ -121,15 +130,10 @@ def simplex_rows(values) -> np.ndarray:
     if np.any(drift > SUM_TOLERANCE):
         total = float(totals[drift > SUM_TOLERANCE][0])
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    renorm = drift[..., 0] > RENORM_THRESHOLD
-    converted = probs is not values and probs.flags.owndata
-    frozen = not probs.flags.writeable and probs.flags.owndata
-    if not converted and (not frozen or renorm.any()):
-        probs = probs.copy()
-    if renorm.any():
-        probs[renorm] /= totals[renorm]
-    probs.flags.writeable = False
-    return probs
+    renorm = drift > RENORM_THRESHOLD
+    if renorm.any():  # x / 1.0 is exact, so the other rows stay bit for bit
+        probs = probs / np.where(renorm, totals, 1.0)
+    return frozen(probs, values)
 
 
 def normalize_scores(values) -> np.ndarray:

@@ -85,3 +85,23 @@ class EvalReport:
             "aggregate": self.aggregate,
             "config": self.config,
         }
+
+
+def eval_reports(rows: list[dict], config: dict) -> tuple[EvalReport, ...]:
+    """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``
+    when the rows carry ``js_to_truth``. Each row holds ``query``,
+    ``baseline_tokens``, ``smoothed_tokens`` and ``truth``."""
+    reports = [
+        EvalReport.from_items(
+            f"{arm}_{metric}",
+            [(r["query"], fn(r[f"{arm}_tokens"], r["truth"])) for r in rows],
+            config,
+        )
+        for metric, fn in (("accuracy", pixel_accuracy), ("mse", mse))
+        for arm in ("baseline", "smoothed")
+    ]
+    if "js_to_truth" in rows[0]:
+        reports.append(EvalReport.from_items(
+            "smoothed_js_to_truth", [(r["query"], r["js_to_truth"]) for r in rows], config
+        ))
+    return tuple(reports)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .metrics import EvalReport, decode_argmax, mse, pixel_accuracy
+from .metrics import EvalReport, decode_argmax, eval_reports
 from .pool import load_grid, load_pool, save_tokens
 from .smoothing import (
     Aggregation,
@@ -161,26 +161,6 @@ class PipelineReport:
         raise KeyError(metric)
 
 
-def _eval_reports(rows: list[dict], echo: dict) -> tuple[EvalReport, ...]:
-    """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``
-    when the rows carry ``js_to_truth``. Each row holds ``query``,
-    ``baseline_tokens``, ``smoothed_tokens`` and ``truth``."""
-    reports = [
-        EvalReport.from_items(
-            f"{arm}_{metric}",
-            [(r["query"], fn(r[f"{arm}_tokens"], r["truth"])) for r in rows],
-            echo,
-        )
-        for metric, fn in (("accuracy", pixel_accuracy), ("mse", mse))
-        for arm in ("baseline", "smoothed")
-    ]
-    if "js_to_truth" in rows[0]:
-        reports.append(EvalReport.from_items(
-            "smoothed_js_to_truth", [(r["query"], r["js_to_truth"]) for r in rows], echo
-        ))
-    return tuple(reports)
-
-
 def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
     """The synthetic world and scorer weights a config's world and scorer
     sections describe."""
@@ -190,12 +170,11 @@ def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
 def _synth_pipeline(config: dict) -> PipelineReport:
     world, params = synth_world(config)
     smoothing = smoothing_config(config, m=config["retrieval"]["m"])
-    experiment = run_bias_experiment(
+    [rows] = run_bias_experiment(
         world, params, [smoothing], n_queries=config["queries"]["n"], seed=config["queries"]["seed"]
     )
-    rows = experiment["configs"][0]["per_query"]
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
-    return PipelineReport(config=echo, reports=_eval_reports(rows, echo), artifacts={})
+    return PipelineReport(config=echo, reports=eval_reports(rows, echo), artifacts={})
 
 
 def _file_pipeline(config: dict) -> PipelineReport:
@@ -220,7 +199,7 @@ def _file_pipeline(config: dict) -> PipelineReport:
     reports = ()
     if "gt_tokens" in files:
         gt, _ = read_tensor(files["gt_tokens"])
-        reports = _eval_reports([{
+        reports = eval_reports([{
             "query": files.get("item_id", "item0"),
             "baseline_tokens": baseline_tokens,
             "smoothed_tokens": smoothed_tokens,

@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .divergence import normalize_scores, simplex_rows
+from .divergence import frozen, normalize_scores, simplex_rows
 from .errors import ConfigError, DimensionError, FormatError, MissingItemError, ValidationError
 from .retrieval import RetrievedSet
 from .tensorfile import read_json, read_tensor, write_tensor
@@ -44,17 +44,13 @@ class PromptSpec:
 
 def _frozen_keys(keys, leading: tuple[int, ...], name: str):
     """Optional key array whose leading axes must match ``leading``, as a
-    read-only float64 array. As in ``simplex_rows``, a writable caller
-    array or a view is copied, so the caller's array is never frozen."""
+    read-only float64 array that ``frozen`` keeps or copies."""
     if keys is None:
         return None
     array = np.asarray(keys, dtype=np.float64)
     if array.ndim != len(leading) + 1 or array.shape[:-1] != leading:
         raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {array.shape}")
-    if not array.flags.owndata or (array is keys and array.flags.writeable):
-        array = array.copy()
-    array.flags.writeable = False
-    return array
+    return frozen(array, keys)
 
 
 @dataclass(frozen=True)
@@ -378,13 +374,11 @@ def load_pool(path: str | Path) -> PromptPool:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def save_grid(grid: ScoreGrid, path: str | Path, extra_meta: dict | None = None) -> None:
+def save_grid(grid: ScoreGrid, path: str | Path) -> None:
     """Serialize a score grid to an (L, |V|) f32 tensor."""
     meta = {"schema_version": 1, "kind": "score-grid"}
     if grid.prompt is not None:
         meta["prompt"] = asdict(grid.prompt)
-    if extra_meta:
-        meta.update(extra_meta)
     write_tensor(grid.probs, path, meta=meta)
 
 

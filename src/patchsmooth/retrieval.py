@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import _U32, screen_survivors
+from .divergence import _U32, frozen, screen_survivors
 from .errors import DimensionError, ValidationError
 
 NORM_TOLERANCE = 1e-6
@@ -63,9 +63,7 @@ class FeatureVector:
         norm = float(np.linalg.norm(values))
         if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise ValidationError(f"vector norm is {norm!r}, expected 1 within {NORM_TOLERANCE}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen(values, self.values))
 
 
 def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
@@ -74,7 +72,9 @@ def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
     norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise ValidationError(f"all-zero feature map {feature_map.identifier!r} cannot be normalized")
-    return FeatureVector(flat / norm, identifier=feature_map.identifier)
+    vector = flat / norm
+    vector.flags.writeable = False  # new and owned: FeatureVector keeps it uncopied
+    return FeatureVector(vector, identifier=feature_map.identifier)
 
 
 class RetrievalIndex:

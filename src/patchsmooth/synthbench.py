@@ -20,13 +20,14 @@ numbers are claimed or reproduced here.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
 from .errors import ConfigError, MissingItemError
-from .metrics import decode_argmax, pixel_accuracy
+from .metrics import decode_argmax, eval_reports
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
 from .smoothing import SmoothingConfig, smooth_grid
@@ -55,10 +56,8 @@ class WorldItem:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    seed: int
     grid: tuple[int, int]
     codebook: CodebookSpec
-    task_family: str
     items: dict[str, WorldItem]
     support_ids: tuple[str, ...]
     query_ids: tuple[str, ...]
@@ -119,10 +118,8 @@ def generate_world(
     order = [f"item{i:04d}" for i in split_rng.permutation(n_items)]
     n_support = min(n_items - 1, max(1, round(SUPPORT_FRACTION * n_items)))
     return SyntheticWorld(
-        seed=seed,
         grid=(rows, cols),
         codebook=CodebookSpec(size=codebook_size),
-        task_family=task_family,
         items=items,
         support_ids=tuple(sorted(order[:n_support])),
         query_ids=tuple(sorted(order[n_support:])),
@@ -146,9 +143,10 @@ class BiasedScorerParams:
     similarity_coupling: float = 0.0
 
     def __post_init__(self):
-        if min(self.beta_truth, self.beta_pair, self.epsilon_noise) < 0.0:
-            raise ConfigError("scorer weights must be nonnegative")
-        total = self.beta_truth + self.beta_pair + self.epsilon_noise
+        weights = (self.beta_truth, self.beta_pair, self.epsilon_noise)
+        if not all(0.0 <= w < math.inf for w in weights):  # a NaN fails too
+            raise ConfigError(f"scorer weights must be finite and nonnegative, got {weights}")
+        total = sum(weights)
         if total <= 0.0:
             raise ConfigError("scorer weights must have positive total mass")
         if not 0.0 <= self.similarity_coupling <= 1.0:
@@ -238,7 +236,7 @@ class SyntheticScorerBackend:
 
 
 def _js_to_truth(probs, truth) -> float:
-    onehots = np.eye(probs.shape[1])[np.asarray(truth)]
+    onehots = np.eye(probs.shape[1])[truth]
     return float(np.mean(pairwise_divergence(probs, onehots)))
 
 
@@ -257,27 +255,25 @@ def _pool_prefix(pool: PromptPool, m: int) -> PromptPool:
     )
 
 
-def _query_outcome(query_id: str, pool: PromptPool, truth, config: SmoothingConfig) -> dict:
-    """Baseline and smoothed token predictions for one query. The baseline
-    is pool row 0: mode q's first prompt is the single-pair prompt
-    [x_1, y_1, query]."""
-    baseline = ScoreGrid(
+def _baseline(pool: PromptPool) -> ScoreGrid:
+    """Pool row 0 as a grid: mode q's first prompt is the single-pair
+    prompt [x_1, y_1, query]."""
+    return ScoreGrid(
         probs=pool.probs[0],
         prompt=pool.prompts[0],
         feature_keys=None if pool.feature_keys is None else pool.feature_keys[0],
         patch_keys=None if pool.patch_keys is None else pool.patch_keys[0],
     )
+
+
+def _with_smoothed_arm(row: dict, baseline: ScoreGrid, pool: PromptPool,
+                       config: SmoothingConfig) -> dict:
+    """``row`` plus the smoothed arm of one config."""
     smoothed = smooth_grid(baseline, _pool_prefix(pool, config.m), config)
-    baseline_tokens = decode_argmax(baseline).tolist()
-    smoothed_tokens = decode_argmax(smoothed).tolist()
     return {
-        "query": query_id,
-        "baseline_tokens": baseline_tokens,
-        "smoothed_tokens": smoothed_tokens,
-        "truth": [int(t) for t in truth],
-        "baseline_accuracy": pixel_accuracy(baseline_tokens, truth),
-        "smoothed_accuracy": pixel_accuracy(smoothed_tokens, truth),
-        "js_to_truth": _js_to_truth(smoothed.probs, truth),
+        **row,
+        "smoothed_tokens": decode_argmax(smoothed),
+        "js_to_truth": _js_to_truth(smoothed.probs, row["truth"]),
     }
 
 
@@ -287,12 +283,16 @@ def run_bias_experiment(
     config_grid: list[SmoothingConfig],
     n_queries: int,
     seed: int,
-) -> dict:
+) -> list[list[dict]]:
     """Compare smoothed vs single-pair decoding across configurations.
 
+    Returns, for each config, one outcome row per query: ``query``,
+    ``baseline_tokens``, ``smoothed_tokens`` and ``truth`` as arrays, and
+    the mean JS divergence ``js_to_truth`` of the smoothed grid from the
+    one-hot truth; ``metrics.eval_reports`` turns rows into reports.
     Queries are drawn from the world's query split with the given seed;
-    everything downstream is deterministic, so reports are reproducible
-    byte for byte.
+    everything downstream is deterministic, so rows are reproducible
+    bit for bit.
     """
     if not config_grid:
         raise ConfigError("config grid is empty")
@@ -310,47 +310,19 @@ def run_bias_experiment(
 
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(world.query_ids), size=n_queries, replace=False))
-    queries = [world.query_ids[i] for i in picked]
     scorer = SyntheticScorerBackend(world, params)
     index = world.support_index()
-    # each prompt is scored once, at the largest m; every config smooths
-    # against a prefix of that pool
-    pools = [
-        build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
-        for q in queries
-    ]
-
-    results = []
-    for config in config_grid:
-        rows = [
-            _query_outcome(q, pool, world.item(q).output_tokens, config)
-            for q, pool in zip(queries, pools)
-        ]
-        results.append(
-            {
-                "config": config.echo(),
-                "baseline_accuracy": float(np.mean([r["baseline_accuracy"] for r in rows])),
-                "smoothed_accuracy": float(np.mean([r["smoothed_accuracy"] for r in rows])),
-                "js_to_truth": float(np.mean([r["js_to_truth"] for r in rows])),
-                "per_query": rows,
-            }
-        )
-    return {
-        "schema_version": 1,
-        "rng": RNG_FAMILY,
-        "world": {
-            "seed": world.seed,
-            "rows": world.grid[0],
-            "cols": world.grid[1],
-            "codebook_size": world.codebook.size,
-            "n_items": len(world.items),
-            "task_family": world.task_family,
-        },
-        "scorer": params.echo(),
-        "query_seed": seed,
-        "queries": queries,
-        "configs": results,
-    }
+    arms = []  # per query: its baseline row, baseline grid and pool
+    for i in picked:
+        q = world.query_ids[i]
+        # each prompt is scored once, at the largest m; every config smooths
+        # against a prefix of that pool
+        pool = build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
+        baseline = _baseline(pool)
+        row = {"query": q, "baseline_tokens": decode_argmax(baseline),
+               "truth": world.item(q).output_tokens}
+        arms.append((row, baseline, pool))
+    return [[_with_smoothed_arm(*arm, config) for arm in arms] for config in config_grid]
 
 
 def run_seed_sweep(
@@ -376,13 +348,18 @@ def run_seed_sweep(
         params = BiasedScorerParams(beta_truth=0.45, beta_pair=0.45, epsilon_noise=0.1)
     config_grid = [SmoothingConfig(m=m, k=k, alpha=alpha, tau=tau) for m in m_values]
 
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("the seed list is empty")
+
     per_seed = []
     for seed in seeds:
         world = generate_world(seed, rows, cols, codebook_size, n_items, task_family)
-        report = run_bias_experiment(world, params, config_grid, n_queries, seed)
-        row = {"seed": seed, "baseline": report["configs"][0]["baseline_accuracy"]}
-        for m, cfg in zip(m_values, report["configs"]):
-            row[f"m={m}"] = cfg["smoothed_accuracy"]
+        outcomes = run_bias_experiment(world, params, config_grid, n_queries, seed)
+        accuracy = [{r.metric: r.aggregate for r in eval_reports(rows, {})} for rows in outcomes]
+        row = {"seed": seed, "baseline": accuracy[0]["baseline_accuracy"]}
+        for m, acc in zip(m_values, accuracy):
+            row[f"m={m}"] = acc["smoothed_accuracy"]
         per_seed.append(row)
 
     means = {
@@ -405,7 +382,7 @@ def run_seed_sweep(
         },
         "scorer": params.echo(),
         "smoothing": {"alpha": alpha, "tau": tau, "k": k if k is not None else "min(5, m)"},
-        "seeds": list(seeds),
+        "seeds": seeds,
         "n_queries": n_queries,
         "per_seed": per_seed,
         "mean_accuracy": means,

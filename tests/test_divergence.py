@@ -14,6 +14,7 @@ from patchsmooth.divergence import (
     LN2,
     CodebookDistribution,
     CodebookSpec,
+    frozen,
     negentropy,
     normalize_scores,
     pairwise_divergence,
@@ -199,6 +200,20 @@ class TestValidationContract:
         assert ScoreGrid(probs=values).probs is values
         view = values[:1]
         assert simplex_rows(view) is not view
+
+    def test_keep_or_copy_rule(self):
+        owned = np.array([0.25, 0.75])
+        owned.flags.writeable = False
+        assert frozen(owned, owned) is owned
+        narrow = np.array([0.25, 0.75], dtype=np.float32)
+        converted = np.asarray(narrow, dtype=np.float64)
+        assert frozen(converted, narrow) is converted and not converted.flags.writeable
+        writable = np.array([0.25, 0.75])
+        kept = frozen(writable, writable)
+        assert not np.shares_memory(kept, writable) and not kept.flags.writeable
+        assert writable.flags.writeable
+        view = owned[:1]
+        assert not frozen(view, view).flags.writeable and frozen(view, view).flags.owndata
 
     def test_normalized_scores_pass_to_constructors_uncopied(self):
         probs = normalize_scores(np.array([[3.0, 1.0], [1.0, 1.0]], dtype=np.float32))

@@ -12,6 +12,7 @@ from patchsmooth.metrics import (
     pixel_accuracy,
 )
 from patchsmooth.pool import PromptSpec, ScoreGrid, load_grid, save_grid
+from patchsmooth.tensorfile import write_tensor
 
 
 def grid_of(*rows):
@@ -48,8 +49,8 @@ class TestDecodeArgmax:
     def test_grid_shape_rule(self, tmp_path):
         grid = grid_of([0.5, 0.5], [1, 0], [0, 1], [1, 0])
 
-        def shape_of(extra_meta=None):
-            save_grid(grid, tmp_path / "g.pnct", extra_meta=extra_meta)
+        def shape_of(sidecar=None):
+            write_tensor(grid.probs, tmp_path / "g.pnct", meta={"kind": "score-grid", **(sidecar or {})})
             return load_grid(tmp_path / "g.pnct")[1]
 
         assert shape_of() == (1, 4)

@@ -424,7 +424,7 @@ class TestCliFlow:
     def test_sidecar_grid_survives_smooth_and_run(self, tmp_path):
         rng = np.random.default_rng(8)
         query, pool = str(tmp_path / "q.pnct"), str(tmp_path / "p.pnct")
-        save_grid(random_grid(rng, 4, 5), query, extra_meta={"grid": [2, 2]})
+        write_tensor(random_grid(rng, 4, 5).probs, query, meta={"kind": "score-grid", "grid": [2, 2]})
         save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), pool)
         assert run_cli(["decode", "--in", query, "--out", str(tmp_path / "tq.pnct")]) == 0
         assert run_cli(["smooth", "--query", query, "--pool", pool, "--alpha", "0",
@@ -480,11 +480,28 @@ class TestCliFlow:
 
 
 class TestExitCodes:
-    def test_usage_error_is_2(self, tmp_path):
-        code = run_cli([
-            "synth-run", "--bias", "not-floats", "--report", str(tmp_path / "r.json")
-        ])
+    @pytest.mark.parametrize("flags", [["--bias", "not-floats"], ["--m", "a"], ["--m", "1,,2"]],
+                             ids=["bias", "m-letter", "m-empty-entry"])
+    def test_usage_error_is_2(self, tmp_path, capsys, flags):
+        code = run_cli(["synth-run", *flags, "--report", str(tmp_path / "r.json")])
         assert code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--n-seeds", "0"], ["--n-seeds", "-2"],
+                                       ["--bias", "1,nan,0"], ["--bias", "1,inf,0"]],
+                             ids=["no-seeds", "negative-seeds", "nan-weight", "inf-weight"])
+    def test_bad_synth_run_value_is_2(self, tmp_path, flags):
+        assert run_cli(["synth-run", *flags, "--report", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_scorer_weight_in_config_is_2(self, tmp_path, capsys):
+        # Python's JSON reader accepts the NaN literal
+        (tmp_path / "c.json").write_text('{"scorer": {"beta_pair": NaN}}')
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_config_error_is_2(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -640,7 +657,8 @@ class TestExitCodes:
         ])
         assert code == 4
         # a sidecar grid whose rows x cols is not the patch count
-        save_grid(random_grid(rng, 4, 5), tmp_path / "g4.pnct", extra_meta={"grid": [3, 3]})
+        write_tensor(random_grid(rng, 4, 5).probs, tmp_path / "g4.pnct",
+                     meta={"kind": "score-grid", "grid": [3, 3]})
         code = run_cli(["decode", "--in", str(tmp_path / "g4.pnct"), "--out", str(tmp_path / "t")])
         assert code == 4
         assert not (tmp_path / "t").exists()

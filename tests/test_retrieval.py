@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,31 @@ class TestFeatureVector:
     def test_non_finite_rejected(self, values):
         with pytest.raises(ValidationError):
             FeatureVector(np.array(values))
+
+    def test_read_only_owned_array_is_kept(self):
+        arr = np.array([0.6, 0.8])
+        arr.flags.writeable = False
+        assert FeatureVector(arr).values is arr
+
+    def test_writable_caller_array_is_copied_and_stays_writable(self):
+        arr = np.array([0.6, 0.8])
+        vector = FeatureVector(arr)
+        assert not np.shares_memory(vector.values, arr)
+        assert arr.flags.writeable and not vector.values.flags.writeable
+        arr[:] = 0.0
+        assert vector.values.tolist() == [0.6, 0.8]
+
+    def test_flatten_normalize_allocates_the_row_once(self):
+        feature_map = FeatureMap(np.random.default_rng(0).normal(size=(4, 250, 250)))
+        tracemalloc.start()
+        try:
+            vector = flatten_normalize(feature_map)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vector.values.flags.owndata and not vector.values.flags.writeable
+        assert not np.shares_memory(vector.values, feature_map.values)
+        assert peak < 1.5 * vector.values.nbytes
 
 
 class TestRetrievedSetInvariants:

@@ -8,8 +8,10 @@ import pytest
 
 from conftest import assert_same_selection
 from oracle import brute_force_smooth
-from patchsmooth import errors
+from patchsmooth import errors, synthbench
 from patchsmooth.errors import ConfigError, MissingItemError
+from patchsmooth.metrics import eval_reports
+from patchsmooth.pipeline import run_pipeline
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
     Aggregation,
@@ -96,6 +98,12 @@ class TestBiasedScorerParams:
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
             BiasedScorerParams(beta_truth=-0.1, beta_pair=0.6, epsilon_noise=0.5)
+
+    @pytest.mark.parametrize("weights", [(1.0, np.nan, 0.0), (1.0, np.inf, 0.0),
+                                         (np.nan, 0.5, 0.5), (1.0, 0.0, -np.inf)])
+    def test_rejects_non_finite(self, weights):
+        with pytest.raises(ConfigError, match="finite"):
+            BiasedScorerParams(*weights)
 
 
 def prompt_for(world, pair_id, anchor_id):
@@ -299,48 +307,61 @@ class TestBruteForceOracle:
                 assert_same_selection(fast, slow)
 
 
+def accuracy(rows, arm):
+    """The ``{arm}_accuracy`` aggregate of one config's outcome rows."""
+    return {r.metric: r for r in eval_reports(rows, {})}[f"{arm}_accuracy"].aggregate
+
+
 class TestBiasExperiment:
     params = BiasedScorerParams(beta_truth=0.45, beta_pair=0.45, epsilon_noise=0.1)
 
-    def test_report_shape_and_determinism(self):
+    def test_rows_and_determinism(self):
         world = world_for(rows=2, cols=2, size=4, items=10)
         grid = [SmoothingConfig(m=2), SmoothingConfig(m=4)]
         a = run_bias_experiment(world, self.params, grid, n_queries=2, seed=5)
         b = run_bias_experiment(world, self.params, grid, n_queries=2, seed=5)
-        assert a == b
-        assert a["rng"] == "numpy-pcg64"
-        assert len(a["configs"]) == 2
-        for cfg in a["configs"]:
-            assert {"baseline_accuracy", "smoothed_accuracy", "js_to_truth"} <= set(cfg)
+        assert len(a) == len(b) == 2
+        for rows_a, rows_b in zip(a, b):
+            assert len(rows_a) == len(rows_b) == 2
+            for row_a, row_b in zip(rows_a, rows_b):
+                assert row_a.keys() == row_b.keys() == {
+                    "query", "baseline_tokens", "smoothed_tokens", "truth", "js_to_truth"}
+                assert row_a["query"] == row_b["query"]
+                assert row_a["js_to_truth"] == row_b["js_to_truth"]
+                for key in ("baseline_tokens", "smoothed_tokens", "truth"):
+                    assert isinstance(row_a[key], np.ndarray)
+                    assert row_a[key].shape == (world.patch_count,)
+                    assert row_a[key].tobytes() == row_b[key].tobytes()
+        # every config sees the same queries, baseline and truth
+        for row_m2, row_m4 in zip(*a):
+            assert row_m2["query"] == row_m4["query"]
+            np.testing.assert_array_equal(row_m2["baseline_tokens"], row_m4["baseline_tokens"])
+            np.testing.assert_array_equal(row_m2["truth"], world.item(row_m2["query"]).output_tokens)
 
     def test_unbiased_world_smoothing_never_hurts(self):
         world = world_for(rows=2, cols=2, size=4, items=10)
         unbiased = BiasedScorerParams(beta_truth=1.0, beta_pair=0.0, epsilon_noise=0.0)
-        report = run_bias_experiment(
-            world, unbiased, [SmoothingConfig(m=3)], n_queries=2, seed=0
-        )
-        cfg = report["configs"][0]
-        assert cfg["smoothed_accuracy"] >= cfg["baseline_accuracy"] - 1e-12
-        assert cfg["smoothed_accuracy"] == 1.0
+        [rows] = run_bias_experiment(world, unbiased, [SmoothingConfig(m=3)], n_queries=2, seed=0)
+        assert accuracy(rows, "smoothed") >= accuracy(rows, "baseline") - 1e-12
+        assert accuracy(rows, "smoothed") == 1.0
 
     def test_unbiased_world_argmax_truth_any_hyperparams(self):
         world = world_for(rows=2, cols=2, size=4, items=10)
         unbiased = BiasedScorerParams(beta_truth=1.0, beta_pair=0.0, epsilon_noise=0.0)
         for alpha, k, tau in [(0.0, 1, 1.0), (0.5, 2, 0.1), (1.0, 3, 50.0)]:
-            report = run_bias_experiment(
+            [rows] = run_bias_experiment(
                 world, unbiased,
                 [SmoothingConfig(m=3, k=k, alpha=alpha, tau=tau)],
                 n_queries=2, seed=0,
             )
-            assert report["configs"][0]["smoothed_accuracy"] == 1.0
+            assert accuracy(rows, "smoothed") == 1.0
 
     def test_nobias_with_noise_smoothing_is_identity(self):
         # all pool entries equal the query score, so any blend reproduces it
         world = world_for(rows=2, cols=2, size=4, items=10)
         params = BiasedScorerParams(beta_truth=0.9, beta_pair=0.0, epsilon_noise=0.1)
-        report = run_bias_experiment(world, params, [SmoothingConfig(m=3)], n_queries=2, seed=0)
-        cfg = report["configs"][0]
-        assert cfg["smoothed_accuracy"] == pytest.approx(cfg["baseline_accuracy"], abs=1e-12)
+        [rows] = run_bias_experiment(world, params, [SmoothingConfig(m=3)], n_queries=2, seed=0)
+        assert accuracy(rows, "smoothed") == pytest.approx(accuracy(rows, "baseline"), abs=1e-12)
 
     def test_average_linearity_of_truth_mass(self):
         world = world_for(rows=2, cols=2, size=4, items=12)
@@ -370,11 +391,20 @@ class TestBiasExperiment:
         monkeypatch.setattr(SyntheticScorerBackend, "score", counted)
         world = world_for(rows=2, cols=2, size=4, items=16)
         grid = [SmoothingConfig(m=m) for m in (1, 2, 4)]
-        report = run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        outcomes = run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
         # one pool of width 4 per query; its first row is the baseline
         assert len(calls) == 3 * 4
         assert len(set(calls)) == len(calls)
-        assert report["configs"][0]["smoothed_accuracy"] == report["configs"][0]["baseline_accuracy"]
+        assert accuracy(outcomes[0], "smoothed") == accuracy(outcomes[0], "baseline")
+
+    def test_baseline_grid_built_once_per_query(self, monkeypatch):
+        built = []
+        baseline = synthbench._baseline
+        monkeypatch.setattr(synthbench, "_baseline", lambda pool: built.append(pool) or baseline(pool))
+        world = world_for(rows=2, cols=2, size=4, items=16)
+        grid = [SmoothingConfig(m=m) for m in (1, 2, 4)]
+        run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        assert len(built) == 3
 
     def test_insufficient_support_rejected(self):
         world = world_for(items=4)  # 3 support items
@@ -391,6 +421,18 @@ class TestBiasExperiment:
         assert report["mean_accuracy"]["m=2"] > report["mean_accuracy"]["m=1"]
         assert report["mean_accuracy"]["m=4"] > report["mean_accuracy"]["baseline"]
         assert report["margin_vs_baseline"]["m=1"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seeds", [[], range(0), range(3, 1)])
+    def test_empty_seed_list_rejected(self, seeds):
+        with pytest.raises(ConfigError):
+            run_seed_sweep(seeds=seeds)
+
+    def test_run_and_sweep_agree(self):
+        # both paths turn the same outcome rows into reports with eval_reports
+        pipeline = run_pipeline({"world": {"seed": 5}, "retrieval": {"m": 2}, "queries": {"seed": 5}})
+        sweep = run_seed_sweep(seeds=[5], m_values=(2,))
+        assert pipeline.report("smoothed_accuracy").aggregate == sweep["per_seed"][0]["m=2"]
+        assert pipeline.report("baseline_accuracy").aggregate == sweep["per_seed"][0]["baseline"]
 
 
 def onehot_mixture(token, size, epsilon):
