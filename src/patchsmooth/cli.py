@@ -65,7 +65,7 @@ def _read_features(path, ranks: tuple[int, int]) -> tuple[np.ndarray, dict]:
 def _feature_vector(array: np.ndarray, ident: str) -> FeatureVector:
     if array.ndim == 1:
         array = array.reshape(1, 1, -1)
-    return flatten_normalize(FeatureMap(np.asarray(array, dtype=np.float64), identifier=ident))
+    return flatten_normalize(FeatureMap(array, identifier=ident))
 
 
 @click.group()
@@ -252,6 +252,8 @@ def synth_run(seed, n_seeds, rows, cols, codebook, items, bias, m_list, k, alpha
         m_values = tuple(int(x) for x in m_list.split(","))
     except ValueError as exc:
         raise click.UsageError(f"--m must be comma-separated integers: {exc}")
+    if repeated := [m for i, m in enumerate(m_values) if m in m_values[:i]]:
+        raise click.UsageError(f"--m repeats the width {repeated[0]}")
     params = BiasedScorerParams(beta_truth=beta_truth, beta_pair=beta_pair, epsilon_noise=epsilon)
     report = run_seed_sweep(
         seeds=range(seed, seed + n_seeds),

@@ -103,7 +103,7 @@ def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
 
 
 def frozen(array: np.ndarray, source) -> np.ndarray:
-    """``array``, the float64 conversion of ``source``, read-only. It is
+    """``array``, the conversion of ``source`` to an array, read-only. It is
     kept if the conversion made it, or if it is a read-only array that
     owns its buffer; anything else, a writable array of the caller or a
     view, is copied, so no caller's array is ever frozen."""

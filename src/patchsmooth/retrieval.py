@@ -5,13 +5,17 @@ channel-major (then row, then column) and l2-normalized; candidates are
 ranked by plain dot similarity against the query vector, ties by
 insertion order.
 
-Search is exact, but most rows never reach the exact kernel. The index
-keeps its rows as the callers' own read-only vectors, plus one float32
-copy of all of them. ``top_m`` scores every row in one float32 pass, with
-a proven half-width eps around each score (``_dot_band``); the rows whose
-band reaches the m-th largest lower end survive (the rule
-``divergence.screen_survivors`` shares with the all-patch JS screen), and
-only those, about m of them, get the exact float64 dot. A survivor whose
+A vector keeps its row in the float type it came in and its float64 l2
+norm; the index holds one read-only (N, dim) matrix of the rows, their
+norms and the ids, and its float32 screen is that matrix or one copy
+(``vqgan-query`` peak RSS, shared 2-vCPU Xeon: 464.6 MiB -> 317.6 MiB).
+
+Search is exact, but most rows never reach the exact kernel. ``top_m``
+scores every row in one float32 pass scaled by 1/norm, with a proven
+band around each score (``_dot_band``); the rows whose band reaches the
+m-th largest lower end survive (the rule ``divergence.screen_survivors``
+shares with the all-patch JS screen), and only those, about m of them,
+get their float64 unit row rebuilt and the exact dot. A survivor whose
 exact score leaves its band sends the query to the dense path, the same
 exact dot over every row. Selection and scores are therefore those of a
 stable sort of every row's exact dot.
@@ -39,7 +43,8 @@ class FeatureMap:
     identifier: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        values = values if values.dtype.kind == "f" else values.astype(np.float64)
         if values.ndim != 3:
             raise DimensionError(f"expected (C, H, W), got shape {values.shape}")
         if min(values.shape) < 1:
@@ -51,59 +56,65 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A flattened, unit-l2-norm feature vector."""
+    """A flat feature ``row`` and its float64 l2 ``norm``: ``values`` is unit."""
 
-    values: np.ndarray = field(repr=False)
+    row: np.ndarray = field(repr=False)
     identifier: str = ""
+    norm: float = 1.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise DimensionError(f"expected a flat vector, got shape {values.shape}")
-        norm = float(np.linalg.norm(values))
-        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
-            raise ValidationError(f"vector norm is {norm!r}, expected 1 within {NORM_TOLERANCE}")
-        object.__setattr__(self, "values", frozen(values, self.values))
+        row = np.asarray(self.row)
+        if row.ndim != 1:
+            raise DimensionError(f"expected a flat vector, got shape {row.shape}")
+        norm = float(np.linalg.norm(row.astype(np.float64, copy=False)))
+        if not (self.norm > 0.0 and abs(norm / self.norm - 1.0) <= NORM_TOLERANCE):  # NaN fails
+            raise ValidationError(f"vector {self.identifier!r} has norm {norm!r} of {self.norm!r}, "
+                                  f"expected 1 within {NORM_TOLERANCE}")
+        object.__setattr__(self, "row", frozen(row, self.row))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The unit row, float64, read-only: computed, not stored."""
+        values = np.divide(self.row, self.norm, dtype=np.float64)
+        values.flags.writeable = False
+        return values
 
 
 def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
-    """Flatten channel-major row-major and scale to unit l2 norm."""
+    """Flatten channel-major row-major, with the l2 norm of the float64 row."""
     flat = np.ravel(feature_map.values, order="C")
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0:
-        raise ValidationError(f"all-zero feature map {feature_map.identifier!r} cannot be normalized")
-    vector = flat / norm
-    vector.flags.writeable = False  # new and owned: FeatureVector keeps it uncopied
-    return FeatureVector(vector, identifier=feature_map.identifier)
+    norm = float(np.linalg.norm(flat.astype(np.float64, copy=False)))
+    return FeatureVector(flat, feature_map.identifier, norm)
 
 
 class RetrievalIndex:
-    """Immutable collection of support-set feature vectors.
-
-    The index keeps the vectors' own read-only rows, not a copy, and one
-    read-only float32 (N, dim) matrix of them for the screen, with the
-    ids. Entry order is the insertion order; it is the tie-breaking order
-    for equal similarities, so it must be fixed before any query runs.
+    """Immutable collection of support-set feature vectors: one read-only
+    (N, dim) matrix of their rows in the rows' common float type, their
+    float64 norms and the ids. Entry order is the insertion order; it is
+    the tie-breaking order for equal similarities, so it must be fixed
+    before any query runs.
     """
 
     def __init__(self, entries: Sequence[FeatureVector]):
         entries = tuple(entries)
         self._ids = tuple(e.identifier for e in entries)
-        self._rows = tuple(e.values for e in entries)
+        self._norms = np.array([e.norm for e in entries], dtype=np.float64)
         if entries:
-            dim = self._rows[0].size
+            dim = entries[0].row.size
             for e in entries:
-                if e.values.size != dim:
+                if e.row.size != dim:
                     raise DimensionError(
-                        f"index vectors disagree in length: {dim} vs {e.values.size} ({e.identifier!r})"
+                        f"index vectors disagree in length: {dim} vs {e.row.size} ({e.identifier!r})"
                     )
             if len(set(self._ids)) != len(self._ids):
                 raise ValidationError("duplicate item ids in retrieval index")
-            # cast row by row: no float64 (N, dim) temporary
-            self._screen = np.stack(self._rows, dtype=np.float32, casting="same_kind")
+            self._matrix = np.stack([e.row for e in entries])
         else:
-            self._screen = np.empty((0, 0), np.float32)
-        self._screen.flags.writeable = False
+            self._matrix = np.empty((0, 0), np.float32)
+        with np.errstate(over="ignore"):  # a float64 row beyond float32 gets an infinite band
+            self._screen = self._matrix.astype(np.float32, copy=False)
+        for array in (self._matrix, self._screen, self._norms):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -114,7 +125,7 @@ class RetrievalIndex:
 
     @property
     def dim(self) -> int:
-        return self._screen.shape[1]
+        return self._matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -143,25 +154,29 @@ class RetrievedSet:
 
 
 def _dot_band(dim: int) -> float | None:
-    """Half-width eps of the band around a float32 screen score that
-    holds the exact float64 dot of the same unit rows, or None when
-    dim u >= 1/2 and the bound below does not exist.
+    """Half-width eps of the band around a screen score that holds the
+    exact float64 dot of the same unit rows, less ``top_m``'s per-row
+    underflow term, or None when dim u >= 1/2 and no bound exists.
 
-    With u = 2**-24 and n = dim, rounding x and q to float32 moves each
-    product x_i q_i by at most (2u + u**2) |x_i q_i|, and the float32 dot
-    of the rounded vectors is within gamma_n = n u / (1 - n u) times the
-    sum of their absolute products (Higham 2002, sec. 3.1), in any
-    summation order or thread split. That sum is at most
-    (1 + u)**2 sum |x_i q_i|, sum |x_i q_i| <= |x| |q|, and
-    ``FeatureVector`` holds each norm within ``NORM_TOLERANCE`` of 1, so
+    The screen rounds row x and the unit query q to float32. With
+    u = 2**-24 and n = dim, that moves each product x_i q_i by at most
+    (2u + u**2) |x_i q_i|, and the float32 dot of the rounded vectors is
+    within gamma_n = n u / (1 - n u) times the sum of their absolute
+    products (Higham 2002, sec. 3.1), in any summation order or thread
+    split. That sum is at most (1 + u)**2 sum |x_i q_i|; scaled by 1/norm,
+    sum |x_i q_i| / norm <= (|x| / norm) |q|, and ``FeatureVector`` holds
+    both factors within ``NORM_TOLERANCE`` of 1, so
 
         eps = (gamma_n (1 + u)**2 + 2u + u**2) (1 + NORM_TOLERANCE)**2
               + n 2**-50.
 
-    The last term covers float32 underflow (below n 2**-147), the float64
-    dot's own error (gamma_n at u = 2**-53), the rounding of the norm
-    check and of the band's ends. ``top_m`` checks every survivor against
-    its band all the same.
+    The last term covers the norm's own rounding (n 2**-53 relative), the
+    division by the norm, the rebuilt unit row, the float64 dot (gamma_n at
+    u = 2**-53) and the rounding of the norm check and of the band's ends.
+    Float32 underflow moves each rounded entry and product by at most
+    2**-150: n 2**-147 / norm in all, the per-row term. A screen score that
+    is not finite (a float32 overflow) proves nothing: its row's band is
+    infinite. ``top_m`` checks every survivor against its band all the same.
     """
     nu = dim * _U32
     if nu >= 0.5:
@@ -171,14 +186,16 @@ def _dot_band(dim: int) -> float | None:
             + dim * 2.0 ** -50)
 
 
-def _exact_scores(rows, query: np.ndarray) -> np.ndarray:
-    """The exact similarity of each row: one float64 ``np.dot`` per row.
+def _exact_scores(index: RetrievalIndex, rows, query: np.ndarray) -> np.ndarray:
+    """The exact similarity of each of the index ``rows``: its unit row,
+    as ``FeatureVector.values`` computes it, and one float64 ``np.dot``.
 
     Not one gemv over stacked rows: blocked gemv kernels can give
     bit-identical rows different scores, which would defeat the
     insertion-order tie rule.
     """
-    return np.array([np.dot(row, query) for row in rows], dtype=np.float64)
+    unit = (np.divide(index._matrix[i], index._norms[i], dtype=np.float64) for i in rows)
+    return np.array([np.dot(row, query) for row in unit], dtype=np.float64)
 
 
 def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
@@ -190,22 +207,26 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
         raise ValidationError(f"m must be >= 1, got {m}")
     if len(index) == 0:
         raise ValidationError("cannot retrieve from an empty index")
-    if query.values.size != index.dim:
-        raise DimensionError(f"query dim {query.values.size} != index dim {index.dim}")
-    q, rows = query.values, index._rows
+    if query.row.size != index.dim:
+        raise DimensionError(f"query dim {query.row.size} != index dim {index.dim}")
+    q = query.values
     band = _dot_band(index.dim)
     escaped = band is None
     if not escaped:
-        # Screen: the negated float32 scores, so the m most similar rows
-        # are the m lowest values. Survivors: the rows that can be among
-        # them. Exact rescoring: survivors only, each checked in its band.
-        estimate = np.negative(index._screen @ q.astype(np.float32), dtype=np.float64)
+        # Screen: the negated float32 scores over the norms, so the m most
+        # similar rows are the m lowest values. Survivors: the rows that can
+        # be among them. Exact rescoring: survivors only, each in its band.
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate = index._screen @ q.astype(np.float32) / -index._norms
+            band = band + index.dim * 2.0 ** -147 / index._norms
+        unproven = ~np.isfinite(estimate)
+        estimate[unproven], band[unproven] = 0.0, np.inf
         _, candidates, negated, left = screen_survivors(
-            estimate[None], band, m, lambda _, c: -_exact_scores([rows[i] for i in c], q))
+            estimate[None], band, m, lambda _, c: -_exact_scores(index, c, q))
         escaped = left.any()
     if escaped:  # no band, or a survivor left it: every row gets the exact dot
-        candidates = np.arange(len(rows))
-        negated = -_exact_scores(rows, q)
+        candidates = np.arange(len(index))
+        negated = -_exact_scores(index, candidates, q)
     # candidates ascend in index order, so a stable sort keeps the tie rule
     order = np.argsort(negated, kind="stable")[:m]
     ids = index.ids

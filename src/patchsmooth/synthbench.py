@@ -87,6 +87,8 @@ def generate_world(
     task_family: str = "identity",
 ) -> SyntheticWorld:
     """Build a reproducible world of (input grid, output grid) pairs."""
+    if seed < 0:
+        raise ConfigError(f"world seed must be >= 0, got {seed}")
     if rows < 1 or cols < 1:
         raise ConfigError(f"grid must be at least 1x1, got {rows}x{cols}")
     if codebook_size < 2:
@@ -296,6 +298,8 @@ def run_bias_experiment(
     """
     if not config_grid:
         raise ConfigError("config grid is empty")
+    if seed < 0:
+        raise ConfigError(f"query seed must be >= 0, got {seed}")
     max_m = max(c.m for c in config_grid)
     if len(world.support_ids) < max_m:
         raise ConfigError(
@@ -346,6 +350,8 @@ def run_seed_sweep(
     """
     if params is None:
         params = BiasedScorerParams(beta_truth=0.45, beta_pair=0.45, epsilon_noise=0.1)
+    if len(set(m_values)) != len(m_values):
+        raise ConfigError(f"m_values repeat a width: {list(m_values)}")
     config_grid = [SmoothingConfig(m=m, k=k, alpha=alpha, tau=tau) for m in m_values]
 
     seeds = list(seeds)

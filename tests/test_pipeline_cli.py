@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchsmooth import cli as cli_module
 from patchsmooth.cli import _attach_keys, cli, main
 from patchsmooth.errors import ConfigError
 from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline, smoothing_config
@@ -26,6 +27,7 @@ from patchsmooth.pool import (
     save_grid,
     save_pool,
 )
+from patchsmooth.retrieval import RetrievalIndex
 from patchsmooth.smoothing import (
     Aggregation,
     DivergenceKind,
@@ -391,6 +393,31 @@ class TestCliFlow:
         retrieved = json.loads((tmp_path / "r.json").read_text())
         assert retrieved["items"][0][0] == "i3"
 
+    def test_retrieve_indexes_float32_features_as_float32(self, tmp_path, monkeypatch):
+        # (C, H, W) maps at unlike scales; the same features cast to float64
+        # must give the same bytes
+        scales = np.logspace(-3, 3, 9)[:, None, None, None]
+        features = np.random.default_rng(4).normal(size=(9, 3, 4, 5)) * scales
+        write_tensor(features.astype(np.float32), tmp_path / "index.pnct",
+                     meta={"ids": [f"i{n}" for n in range(9)]})
+        write_tensor(features[5].astype(np.float32), tmp_path / "q.pnct", meta={"id": "q"})
+        built = []
+        monkeypatch.setattr(cli_module, "RetrievalIndex",
+                            lambda entries: built.append(RetrievalIndex(entries)) or built[-1])
+        argv = ["retrieve", "--index", str(tmp_path / "index.pnct"), "--query", str(tmp_path / "q.pnct"),
+                "--m", "4", "--out"]
+        assert run_cli([*argv, str(tmp_path / "f32.json")]) == 0
+        assert built[-1]._matrix.dtype == np.float32
+
+        def read_as_float64(path):
+            array, meta = read_tensor(path)
+            return array.astype(np.float64), meta
+
+        monkeypatch.setattr(cli_module, "read_tensor", read_as_float64)
+        assert run_cli([*argv, str(tmp_path / "f64.json")]) == 0
+        assert built[-1]._matrix.dtype == np.float64
+        assert (tmp_path / "f32.json").read_bytes() == (tmp_path / "f64.json").read_bytes()
+
     def test_pool_with_synth_backend(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"world": {"rows": 2, "cols": 2, "n_items": 10}}))
@@ -489,11 +516,31 @@ class TestExitCodes:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags", [["--n-seeds", "0"], ["--n-seeds", "-2"],
-                                       ["--bias", "1,nan,0"], ["--bias", "1,inf,0"]],
-                             ids=["no-seeds", "negative-seeds", "nan-weight", "inf-weight"])
+                                       ["--bias", "1,nan,0"], ["--bias", "1,inf,0"],
+                                       ["--seed", "-1"]],
+                             ids=["no-seeds", "negative-seeds", "nan-weight", "inf-weight",
+                                  "negative-seed"])
     def test_bad_synth_run_value_is_2(self, tmp_path, flags):
         assert run_cli(["synth-run", *flags, "--report", str(tmp_path / "r.json")]) == 2
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("widths, repeated", [("1,1", "1"), ("2,4,2", "2")])
+    def test_repeated_width_is_a_usage_error(self, tmp_path, capsys, widths, repeated):
+        code = run_cli(["synth-run", "--m", widths, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"--m repeats the width {repeated}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags, config", [(["--seed", "-1"], {}),
+                                               ([], {"queries": {"seed": -3}})],
+                             ids=["world-seed-flag", "query-seed-config"])
+    def test_negative_seed_in_run_is_2(self, tmp_path, capsys, flags, config):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"), *flags,
+                        "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_non_finite_scorer_weight_in_config_is_2(self, tmp_path, capsys):
         # Python's JSON reader accepts the NaN literal

@@ -57,6 +57,19 @@ class TestFlattenNormalize:
         expected = np.arange(8.0)
         np.testing.assert_allclose(out.values, expected / np.linalg.norm(expected))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_are_the_old_formula_bitwise(self, dtype):
+        values = np.random.default_rng(3).normal(size=(4, 5, 6)).astype(dtype)
+        feature_map = FeatureMap(values)
+        assert feature_map.values.dtype == dtype
+        flat64 = values.astype(np.float64).ravel()
+        got = flatten_normalize(feature_map).values
+        assert got.dtype == np.float64
+        assert bits(got) == bits(flat64 / np.linalg.norm(flat64))
+
+    def test_integer_map_becomes_float64(self):
+        assert FeatureMap(np.ones((1, 2, 2), dtype=np.int32)).values.dtype == np.float64
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValidationError):
             flatten_normalize(fmap(np.zeros((1, 2, 2))))
@@ -157,6 +170,13 @@ class TestTopM:
             assert list(got.ids[:len(tied)]) == tied
 
 
+def spy_exact_scores(monkeypatch, calls):
+    """Record how many rows each call of the exact kernel scores."""
+    exact = retrieval._exact_scores
+    monkeypatch.setattr(retrieval, "_exact_scores",
+                        lambda index, rows, q: calls.append(len(rows)) or exact(index, rows, q))
+
+
 def screened_instance(seed, n, dim, m, narrow, padded, near_tie):
     """Unit rows and a query, with duplicated rows, rows zero past a cut,
     and (``near_tie``) a row whose score is 1 ulp from the m-th one."""
@@ -198,13 +218,7 @@ class TestScreen:
         index = RetrievalIndex(entries)
         want = top_m(query, index, 8)
         calls = []
-        exact = retrieval._exact_scores
-
-        def spy(rows, q):
-            calls.append(len(rows))
-            return exact(rows, q)
-
-        monkeypatch.setattr(retrieval, "_exact_scores", spy)
+        spy_exact_scores(monkeypatch, calls)
         if fault == "shifted-score":
             # the least similar row screens as the query itself: it survives,
             # and its exact score is far outside its band
@@ -223,22 +237,66 @@ class TestScreen:
     def test_screen_keeps_about_m_rows(self, monkeypatch):
         entries, query = screened_instance(5, 500, 512, 8, True, False, False)
         calls = []
-        exact = retrieval._exact_scores
-        monkeypatch.setattr(retrieval, "_exact_scores",
-                            lambda rows, q: calls.append(len(rows)) or exact(rows, q))
+        spy_exact_scores(monkeypatch, calls)
         top_m(query, RetrievalIndex(entries), 8)
         assert len(calls) == 1 and 8 <= calls[0] < 50
 
-    def test_index_keeps_the_rows_and_one_float32_matrix(self):
-        entries, _ = screened_instance(1, 30, 64, 4, False, True, False)
+    def test_float32_index_holds_one_matrix_and_the_norms(self):
+        n, dim = 40, 3000
+        rows = np.random.default_rng(1).normal(size=(n, dim)).astype(np.float32)
+        entries = [flatten_normalize(FeatureMap(r.reshape(3, 1, -1), f"item{i:03d}"))
+                   for i, r in enumerate(rows)]
+        tracemalloc.start()
+        try:
+            index = RetrievalIndex(entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 matrix, and no float64 (N, dim) temporary beside it
+        assert peak < 1.5 * rows.nbytes
+        attrs = vars(index).values()
+        stacked = {id(a): a for a in attrs if isinstance(a, np.ndarray) and a.ndim == 2}
+        assert len(stacked) == 1
+        (matrix,) = stacked.values()
+        assert matrix.dtype == np.float32 and matrix.shape == (n, dim)
+        assert not matrix.flags.writeable
+        np.testing.assert_array_equal(matrix, rows)
+        (norms,) = [a for a in attrs if isinstance(a, np.ndarray) and a.ndim == 1]
+        assert norms.dtype == np.float64 and not norms.flags.writeable
+        assert norms.tolist() == [e.norm for e in entries]
+        # no row views: the tuples it holds are the ids
+        assert [a for a in attrs if isinstance(a, (tuple, list))] == [index.ids]
+
+    @pytest.mark.parametrize("case", ["f32-1e-30", "f32-1e30", "f32-overflow", "f32-subnormal",
+                                      "f64-beyond-f32"])
+    def test_scaled_rows_equal_full_stable_sort_bitwise(self, monkeypatch, case):
+        rng = np.random.default_rng(list(case.encode()))
+        n, dim, m = 60, 48, 6
+        rows = np.clip(rng.normal(size=(n, dim)), -3.0, 3.0)
+        scale, dtype = {"f32-1e-30": (1e-30, np.float32), "f32-1e30": (1e30, np.float32),
+                        "f32-overflow": (1e38, np.float32), "f32-subnormal": (1.0, np.float32),
+                        "f64-beyond-f32": (1e60, np.float64)}[case]
+        if case == "f32-subnormal":
+            # every third row: small multiples of the least float32 subnormal
+            rows[::3] = rng.integers(-8, 9, size=rows[::3].shape) * 2.0 ** -149
+            rows[::3, 0] = 9 * 2.0 ** -149
+        rows = (rows * scale).astype(dtype)
+        rows[n // 2] = rows[0]  # an exact tie
+        entries = [flatten_normalize(FeatureMap(r.reshape(1, 1, -1), f"item{i:03d}"))
+                   for i, r in enumerate(rows)]
+        query = flatten_normalize(FeatureMap(rows[7].reshape(1, 1, -1), "q"))
         index = RetrievalIndex(entries)
-        assert len(index._rows) == len(entries)
-        assert all(np.shares_memory(row, e.values) for row, e in zip(index._rows, entries))
-        arrays = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
-        stacked = [a for a in arrays if a.shape == (len(entries), 64)]
-        assert [a.dtype for a in stacked] == [np.float32]
-        assert not stacked[0].flags.writeable
-        np.testing.assert_array_equal(stacked[0], np.stack([e.values for e in entries]).astype(np.float32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened = index._screen @ query.values.astype(np.float32)
+        # the overflow cases reach the infinite band
+        assert np.isfinite(screened).all() == (case not in ("f32-overflow", "f64-beyond-f32"))
+        calls = []
+        spy_exact_scores(monkeypatch, calls)
+        got = top_m(query, index, m)
+        expected = brute_force_top_m(query, entries, m)
+        assert list(got.ids) == [ident for ident, _ in expected]
+        assert bits([s for _, s in got.items]) == bits([s for _, s in expected])
+        assert len(calls) == 1  # every survivor stayed in its band: no dense path
 
     def test_band_bound(self):
         # the worst case at 4,096 dims, and no band once dim * 2**-24 >= 1/2
@@ -254,10 +312,20 @@ class TestFeatureVector:
         with pytest.raises(ValidationError):
             FeatureVector(np.array(values))
 
-    def test_read_only_owned_array_is_kept(self):
-        arr = np.array([0.6, 0.8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_owned_row_is_kept_in_its_type(self, dtype):
+        arr = np.array([0.6, 0.8], dtype=dtype)
         arr.flags.writeable = False
-        assert FeatureVector(arr).values is arr
+        vector = FeatureVector(arr)
+        assert vector.row is arr and vector.norm == 1.0
+        assert vector.values.dtype == np.float64 and not vector.values.flags.writeable
+
+    def test_norm_scales_the_row(self):
+        vector = FeatureVector(np.array([3.0, 4.0]), "v", norm=5.0)
+        assert vector.values.tolist() == [0.6, 0.8]
+        for norm in (1.0, 0.0, -5.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                FeatureVector(np.array([3.0, 4.0]), "v", norm=norm)
 
     def test_writable_caller_array_is_copied_and_stays_writable(self):
         arr = np.array([0.6, 0.8])
@@ -275,9 +343,9 @@ class TestFeatureVector:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert vector.values.flags.owndata and not vector.values.flags.writeable
-        assert not np.shares_memory(vector.values, feature_map.values)
-        assert peak < 1.5 * vector.values.nbytes
+        assert vector.row.flags.owndata and not vector.row.flags.writeable
+        assert not np.shares_memory(vector.row, feature_map.values)
+        assert peak < 1.5 * vector.row.nbytes
 
 
 class TestRetrievedSetInvariants:

@@ -88,6 +88,10 @@ class TestGenerateWorld:
         with pytest.raises(ConfigError):
             generate_world(0, 0, 2, 4, 8)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            generate_world(-1, 2, 2, 4, 8)
+
 
 class TestBiasedScorerParams:
     def test_normalized_on_construction(self):
@@ -421,6 +425,15 @@ class TestBiasExperiment:
         assert report["mean_accuracy"]["m=2"] > report["mean_accuracy"]["m=1"]
         assert report["mean_accuracy"]["m=4"] > report["mean_accuracy"]["baseline"]
         assert report["margin_vs_baseline"]["m=1"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_negative_query_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            run_bias_experiment(world_for(items=6), self.params, [SmoothingConfig(m=2)], 1, -3)
+
+    @pytest.mark.parametrize("m_values", [(1, 1), (2, 4, 2)])
+    def test_repeated_width_rejected(self, m_values):
+        with pytest.raises(ConfigError, match="repeat"):
+            run_seed_sweep(seeds=[0], m_values=m_values)
 
     @pytest.mark.parametrize("seeds", [[], range(0), range(3, 1)])
     def test_empty_seed_list_rejected(self, seeds):
