@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .divergence import frozen
-from .errors import DimensionError, FormatError, PatchSmoothError
+from .errors import DimensionError, FormatError, PatchSmoothError, ValidationError
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
 from .pool import (
@@ -85,9 +85,14 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     m = config["retrieval"]["m"]
     array, meta = _read_features(index_path, (2, 4))
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
-    index = RetrievalIndex([_feature_vector(row, ident) for row, ident in zip(array, ids)])
+    vectors = [_feature_vector(row, ident) for row, ident in zip(array, ids)]
+    try:
+        index = RetrievalIndex(vectors)
+    except ValidationError as exc:
+        raise FormatError(f"{index_path}: {exc}") from exc
     q_array, q_meta = _read_features(query_path, (1, 3))
-    query = _feature_vector(q_array, q_meta.get("id", "query"))
+    q_id = meta_field(q_meta, "id", query_path, str) if "id" in q_meta else "query"
+    query = _feature_vector(q_array, q_id)
     result = top_m(query, index, m)
     _write_json(
         {

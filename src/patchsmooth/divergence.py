@@ -37,8 +37,9 @@ ranks every pair, with a proven per-pair error bound eps (derived in
 ``_screen_band``); ``screen_survivors`` keeps a candidate when its lower
 bound reaches its row's k-th smallest upper bound, and only survivors go
 through ``pairwise_divergence``, so their distances are bit-identical to
-the dense ones; ``retrieval.top_m`` screens with the same rule. KL, and
-every JS comparison outside ``screened_js``, run on the dense kernel
+the dense ones, or both return None once one leaves its band, and the
+caller goes dense; ``retrieval.top_m`` screens with the same rule. KL,
+and every JS comparison outside ``screened_js``, run on the dense kernel
 alone.
 """
 
@@ -328,7 +329,7 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
                       + 2**-52 (V + 32) (_SPREAD - A + 2 ln V + 2)),
 
     for any V below 2**30. ``screened_js`` checks every survivor against
-    its band all the same, and a row with an escapee is recomputed densely.
+    its band all the same, and one that leaves it voids the whole call.
     """
     f64 = 2.0 ** -52 * (width + 32)
     slope = 7.0 * _U32 + f64
@@ -382,20 +383,21 @@ def screen_survivors(estimate, band, k: int, exact):
     end of its row: at least k exact values lie at or below that end, so
     every candidate that can be among the k lowest by exact value, ties
     included, survives. ``exact(r, c)`` gives the exact values of the
-    survivors (row r, column c). Returns r, c, those values and a mask of
-    the survivors whose exact value left its band: the proof failed for
-    their row, which the caller must then compute densely.
+    survivors (row r, column c). Returns r, c and those values, or None
+    once one left its band: the proof failed, and the caller goes dense.
     """
     band = np.broadcast_to(band, estimate.shape)
     kth = min(k, estimate.shape[1]) - 1
     reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
     r, c = np.nonzero(estimate - band <= reach)
     values = exact(r, c)
-    return r, c, values, np.abs(values - estimate[r, c]) > band[r, c]
+    if np.any(np.abs(values - estimate[r, c]) > band[r, c]):
+        return None
+    return r, c, values
 
 
 def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
-                pool_negentropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                pool_negentropy: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """JS from each row of the (R, V) ``query`` to those of the (N, V)
     ``pool`` rows that can be among its k nearest.
 
@@ -406,9 +408,10 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
     distance +inf and candidate 0. Every pool row within the k-th smallest
     exact distance of row r is listed -- the k rows with the lowest upper
     ends have exact distances at most that k-th upper end -- so the k
-    nearest by (distance, any tie-break) are the same over S as over N.
-    Both operands must be distributions (``simplex_rows``), the pool
-    nonempty; the negentropies are ``negentropy`` of each.
+    nearest by (distance, any tie-break) are the same over S as over N;
+    or None, as ``screen_survivors`` gives it. Both operands must be
+    distributions (``simplex_rows``), the pool nonempty; the negentropies
+    are ``negentropy`` of each.
     """
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
@@ -423,20 +426,15 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
         band = _screen_band(block, width)
         estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
         estimate -= 0.5 * block - LN2
-        r, c, d, escaped = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
+        survivors = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
             query[first + r], pool[c], query_negentropy=query_negentropy[first + r],
             pool_negentropy=pool_negentropy[c]))
-        q = first + r
-        escaped = np.unique(q[escaped])
-        kept = ~np.isin(q, escaped)
-        found.append((q[kept], c[kept], d[kept]))
-        for e in escaped:  # the bound failed: this row goes dense
-            found.append((np.full(n, e), np.arange(n), pairwise_divergence(
-                query[e], pool, query_negentropy=query_negentropy[e],
-                pool_negentropy=pool_negentropy)))
+        if survivors is None:
+            return None
+        r, c, d = survivors
+        found.append((first + r, c, d))
+    # np.nonzero lists survivors by row, then column, so no sort is needed
     q, c, d = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((c, q))
-    q, c, d = q[order], c[order], d[order]
     counts = np.bincount(q, minlength=rows)
     slot = np.arange(len(q)) - np.repeat(np.cumsum(counts) - counts, counts)
     distances = np.full((rows, counts.max()), np.inf)

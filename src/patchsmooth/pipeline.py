@@ -141,11 +141,10 @@ class PipelineReport:
     config: dict
     reports: tuple[EvalReport, ...]
     artifacts: dict
-    schema_version: int = 1
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": 1,
             "config": self.config,
             "reports": [r.to_dict() for r in self.reports],
             "artifacts": self.artifacts,

@@ -5,10 +5,10 @@ channel-major (then row, then column) and l2-normalized; candidates are
 ranked by plain dot similarity against the query vector, ties by
 insertion order.
 
-A vector keeps its row in the float type it came in and its float64 l2
-norm; the index holds one read-only (N, dim) matrix of the rows, their
-norms and the ids, and its float32 screen is that matrix or one copy
-(``vqgan-query`` peak RSS, shared 2-vCPU Xeon: 464.6 MiB -> 317.6 MiB).
+A vector keeps its row in the float type it came in and the float64 l2
+norm it computes once; the index holds one read-only (N, dim) matrix of
+the rows, their norms and the ids, and its float32 screen is that matrix
+or one copy (the README measures the memory).
 
 Search is exact, but most rows never reach the exact kernel. ``top_m``
 scores every row in one float32 pass scaled by 1/norm, with a proven
@@ -30,9 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import _U32, frozen, screen_survivors
-from .errors import DimensionError, ValidationError
-
-NORM_TOLERANCE = 1e-6
+from .errors import ConfigError, DimensionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -49,28 +47,27 @@ class FeatureMap:
             raise DimensionError(f"expected (C, H, W), got shape {values.shape}")
         if min(values.shape) < 1:
             raise DimensionError(f"empty dimension in shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"non-finite entries in feature map {self.identifier!r}")
         object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A flat feature ``row`` and its float64 l2 ``norm``: ``values`` is unit."""
+    """A flat feature ``row`` and the float64 l2 ``norm`` it computes."""
 
     row: np.ndarray = field(repr=False)
     identifier: str = ""
-    norm: float = 1.0
+    norm: float = field(init=False)
 
     def __post_init__(self):
         row = np.asarray(self.row)
         if row.ndim != 1:
             raise DimensionError(f"expected a flat vector, got shape {row.shape}")
         norm = float(np.linalg.norm(row.astype(np.float64, copy=False)))
-        if not (self.norm > 0.0 and abs(norm / self.norm - 1.0) <= NORM_TOLERANCE):  # NaN fails
-            raise ValidationError(f"vector {self.identifier!r} has norm {norm!r} of {self.norm!r}, "
-                                  f"expected 1 within {NORM_TOLERANCE}")
+        if not 0.0 < norm < math.inf:  # NaN fails; a finite norm proves the entries finite
+            raise ValidationError(f"vector {self.identifier!r} has norm {norm!r}, "
+                                  "expected a positive finite one")
         object.__setattr__(self, "row", frozen(row, self.row))
+        object.__setattr__(self, "norm", norm)
 
     @property
     def values(self) -> np.ndarray:
@@ -81,10 +78,8 @@ class FeatureVector:
 
 
 def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
-    """Flatten channel-major row-major, with the l2 norm of the float64 row."""
-    flat = np.ravel(feature_map.values, order="C")
-    norm = float(np.linalg.norm(flat.astype(np.float64, copy=False)))
-    return FeatureVector(flat, feature_map.identifier, norm)
+    """Flatten channel-major row-major; the vector computes its norm."""
+    return FeatureVector(np.ravel(feature_map.values), feature_map.identifier)
 
 
 class RetrievalIndex:
@@ -158,23 +153,24 @@ def _dot_band(dim: int) -> float | None:
     exact float64 dot of the same unit rows, less ``top_m``'s per-row
     underflow term, or None when dim u >= 1/2 and no bound exists.
 
-    The screen rounds row x and the unit query q to float32. With
-    u = 2**-24 and n = dim, that moves each product x_i q_i by at most
-    (2u + u**2) |x_i q_i|, and the float32 dot of the rounded vectors is
-    within gamma_n = n u / (1 - n u) times the sum of their absolute
-    products (Higham 2002, sec. 3.1), in any summation order or thread
-    split. That sum is at most (1 + u)**2 sum |x_i q_i|; scaled by 1/norm,
-    sum |x_i q_i| / norm <= (|x| / norm) |q|, and ``FeatureVector`` holds
-    both factors within ``NORM_TOLERANCE`` of 1, so
+    Take a row x, the norm N its ``FeatureVector`` computed and the unit
+    query q. The screen rounds x and q to float32. With u = 2**-24 and
+    n = dim, that moves each product x_i q_i by at most (2u + u**2)
+    |x_i q_i|, and the float32 dot of the rounded vectors is within
+    gamma_n = n u / (1 - n u) times the sum of their absolute products
+    (Higham 2002, sec. 3.1), in any summation order or thread split. That
+    sum is at most (1 + u)**2 sum |x_i q_i|, so over N the screen is
+    within A S, A = gamma_n (1 + u)**2 + 2u + u**2 < 1.1 (as n u < 1/2),
+    of the exact sum_i x_i q_i / N, where S = sum |x_i q_i| / N. With
+    v = 2**-53: N is the rounded root of a float64 sum of n squares, and q
+    a row over such a norm, so S <= |x| |q| / N <= 1 + (n + 6) v. The
+    rebuilt unit row and the float64 dot (gamma_n at v) add (n + 2) v S;
+    the division by N and the rounding of the band's ends and of the check
+    at most 8v. In all that is below A + 3 (n + 6) v, and below
+    eps = A + (n + 3) 2**-50.
 
-        eps = (gamma_n (1 + u)**2 + 2u + u**2) (1 + NORM_TOLERANCE)**2
-              + n 2**-50.
-
-    The last term covers the norm's own rounding (n 2**-53 relative), the
-    division by the norm, the rebuilt unit row, the float64 dot (gamma_n at
-    u = 2**-53) and the rounding of the norm check and of the band's ends.
     Float32 underflow moves each rounded entry and product by at most
-    2**-150: n 2**-147 / norm in all, the per-row term. A screen score that
+    2**-150: n 2**-147 / N in all, the per-row term. A screen score that
     is not finite (a float32 overflow) proves nothing: its row's band is
     infinite. ``top_m`` checks every survivor against its band all the same.
     """
@@ -182,8 +178,7 @@ def _dot_band(dim: int) -> float | None:
     if nu >= 0.5:
         return None
     gamma = nu / (1.0 - nu)
-    return ((gamma * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2) * (1.0 + NORM_TOLERANCE) ** 2
-            + dim * 2.0 ** -50)
+    return gamma * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2 + (dim + 3) * 2.0 ** -50
 
 
 def _exact_scores(index: RetrievalIndex, rows, query: np.ndarray) -> np.ndarray:
@@ -204,15 +199,15 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
     Ties break by ascending insertion order. Returns min(m, |index|) items.
     """
     if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+        raise ConfigError(f"m must be >= 1, got {m}")
     if len(index) == 0:
         raise ValidationError("cannot retrieve from an empty index")
     if query.row.size != index.dim:
         raise DimensionError(f"query dim {query.row.size} != index dim {index.dim}")
     q = query.values
     band = _dot_band(index.dim)
-    escaped = band is None
-    if not escaped:
+    survivors = None
+    if band is not None:
         # Screen: the negated float32 scores over the norms, so the m most
         # similar rows are the m lowest values. Survivors: the rows that can
         # be among them. Exact rescoring: survivors only, each in its band.
@@ -221,12 +216,13 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
             band = band + index.dim * 2.0 ** -147 / index._norms
         unproven = ~np.isfinite(estimate)
         estimate[unproven], band[unproven] = 0.0, np.inf
-        _, candidates, negated, left = screen_survivors(
-            estimate[None], band, m, lambda _, c: -_exact_scores(index, c, q))
-        escaped = left.any()
-    if escaped:  # no band, or a survivor left it: every row gets the exact dot
+        survivors = screen_survivors(estimate[None], band, m,
+                                     lambda _, c: -_exact_scores(index, c, q))
+    if survivors is None:  # no band, or a survivor left it: every row gets the exact dot
         candidates = np.arange(len(index))
         negated = -_exact_scores(index, candidates, q)
+    else:
+        _, candidates, negated = survivors
     # candidates ascend in index order, so a stable sort keeps the tie rule
     order = np.argsort(negated, kind="stable")[:m]
     ids = index.ids

@@ -22,8 +22,8 @@ In the all-patch scope each patch has W * L candidates. For JS over score
 keys, ``divergence.screened_js`` first ranks them all in one float32 pass
 with a proven per-pair error bound eps, and the matrix holds only the
 candidates whose band reaches the k-th smallest upper bound (about k per
-patch on typical scores), each with its exact float64 distance; a row
-whose exact distance escapes its band is recomputed in full. Selection
+patch on typical scores), each with its exact float64 distance; if one
+escapes its band, the whole call fills the dense matrix instead. Selection
 and blend are therefore bit-identical to the dense matrix. The per-patch
 scope (W candidates), KL and the l2 keys fill the dense matrix.
 """
@@ -263,15 +263,16 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         flat = candidates.reshape(width * patches, -1)
         if pool_keys is None:
             cached["pool_negentropy"] = negentropy(flat)
+        screened = None
         if pool_keys is None and config.divergence is DivergenceKind.JS:
-            # only the candidates the float32 screen cannot rule out
-            distances, index = screened_js(
-                query, flat, config.k, query_negentropy=negentropy(query), **cached
-            )
-        else:
+            # the candidates the float32 screen cannot rule out; None if its proof failed
+            screened = screened_js(query, flat, config.k, query_negentropy=negentropy(query), **cached)
+        if screened is None:
             # one call per patch; the matrix and its sort index grow as W * L**2
             distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
             index = np.arange(width * patches)
+        else:
+            distances, index = screened
         position, patch = np.divmod(index, patches)
     else:
         # candidate j of patch l is pool entry (j, l); one call per pair,

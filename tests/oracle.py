@@ -1,4 +1,4 @@
-"""Brute-force reference for grid and feature smoothing.
+"""Brute-force reference for retrieval and for grid and feature smoothing.
 
 Deliberately shares no kernels with the library: pure-Python math,
 explicit sorts, literal formulas. From ``patchsmooth`` it takes only the
@@ -152,3 +152,12 @@ def brute_force_smooth_features(query_features, pools, config: SmoothingConfig):
             blended.append((1.0 - config.alpha) * q[dim] + config.alpha * pooled)
         out.append(blended)
     return np.array(out)
+
+
+def brute_force_top_m(query, entries, m):
+    """Full-sort reference for retrieval: the (id, score) pairs of the m
+    ``entries`` (the vectors an index was built from) with the largest
+    ``np.dot(e.values, query.values)``, ties by position."""
+    scored = [(float(np.dot(e.values, query.values)), i) for i, e in enumerate(entries)]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [(entries[i].identifier, score) for score, i in scored[:m]]

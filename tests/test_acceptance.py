@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_selection, divergence_of
-from oracle import brute_force_smooth
+from oracle import brute_force_smooth, brute_force_top_m
 from patchsmooth.divergence import LN2, simplex_rows
 from patchsmooth.metrics import EvalReport, iou, mse, pixel_accuracy
 from patchsmooth.pipeline import load_config, run_pipeline
@@ -229,15 +229,6 @@ def test_algebraic_identities():
         print(f"  identities and simplex closure verified on {closure_outputs} outputs")
 
 
-def brute_force_ranking(entries, query_values, m):
-    """Ids of the m vectors with the largest dots, ties by position."""
-    scored = sorted(
-        ((float(np.dot(e.values, query_values)), i) for i, e in enumerate(entries)),
-        key=lambda t: (-t[0], t[1]),
-    )
-    return [entries[i].identifier for _, i in scored[:m]]
-
-
 def test_retrieval_exactness():
     with criterion("retrieval-exactness"):
         rng = np.random.default_rng(17)
@@ -254,7 +245,7 @@ def test_retrieval_exactness():
             query = FeatureVector(vectors[int(rng.integers(0, n))], "q")
             m = int(rng.integers(1, n + 2))
             got = top_m(query, index, m)
-            expected = brute_force_ranking(entries, query.values, m)
+            expected = [ident for ident, _ in brute_force_top_m(query, entries, m)]
             assert list(got.ids) == expected
 
         # the declared extreme: 5,000 items x 4,096 dims
@@ -265,7 +256,7 @@ def test_retrieval_exactness():
         index = RetrievalIndex(entries)
         query = FeatureVector(vectors[123], "q")
         got = top_m(query, index, 7)
-        expected = brute_force_ranking(entries, query.values, 7)
+        expected = [ident for ident, _ in brute_force_top_m(query, entries, 7)]
         assert list(got.ids) == expected
         assert got.ids[0] == "item0123"
         del index, entries, vectors

@@ -626,8 +626,9 @@ class TestExitCodes:
         {"ids": [0, 1, 2]},
         {"ids": ["i0", "i1"]},
         {},
-    ], ids=["int", "int-list", "short-list", "missing"])
-    def test_malformed_index_ids_is_3(self, tmp_path, meta):
+        {"ids": ["i0", "i1", "i0"]},
+    ], ids=["int", "int-list", "short-list", "missing", "repeated"])
+    def test_malformed_index_ids_is_3(self, tmp_path, capsys, meta):
         vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
         write_tensor(vectors, tmp_path / "index.pnct", meta=meta)
         write_tensor(vectors[0], tmp_path / "q.pnct", meta={"id": "q"})
@@ -636,6 +637,40 @@ class TestExitCodes:
             "--query", str(tmp_path / "q.pnct"), "--m", "2", "--out", str(tmp_path / "r.json"),
         ])
         assert code == 3
+        assert str(tmp_path / "index.pnct") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def retrieve_code(self, tmp_path, query_id="q", flags=("--m", "2"), zero_row=False):
+        vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        if zero_row:
+            vectors[1] = 0.0
+        write_tensor(vectors, tmp_path / "index.pnct", meta={"ids": ["i0", "i1", "i2"]})
+        write_tensor(vectors[0], tmp_path / "q.pnct", meta={"id": query_id})
+        return run_cli([
+            "retrieve", "--index", str(tmp_path / "index.pnct"),
+            "--query", str(tmp_path / "q.pnct"), *flags, "--out", str(tmp_path / "r.json"),
+        ])
+
+    @pytest.mark.parametrize("query_id", [5, None, ["q"]], ids=["int", "null", "list"])
+    def test_query_id_that_is_no_string_is_3(self, tmp_path, capsys, query_id):
+        assert self.retrieve_code(tmp_path, query_id=query_id) == 3
+        assert str(tmp_path / "q.pnct") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_all_zero_feature_row_is_1(self, tmp_path, capsys):
+        assert self.retrieve_code(tmp_path, zero_row=True) == 1
+        assert "'i1'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags, config", [(["--m", "0"], None), (["--m", "-2"], None),
+                                               ([], {"retrieval": {"m": 0}})],
+                             ids=["m-0-flag", "m-negative-flag", "m-0-config"])
+    def test_retrieve_m_below_one_is_2(self, tmp_path, capsys, flags, config):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "c.json")]
+        assert self.retrieve_code(tmp_path, flags=flags) == 2
+        assert "m must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("role, shape", [

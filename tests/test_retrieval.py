@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import brute_force_top_m
 from patchsmooth import retrieval
-from patchsmooth.errors import DimensionError, ValidationError
+from patchsmooth.errors import ConfigError, DimensionError, ValidationError
 from patchsmooth.retrieval import (
     FeatureMap,
     FeatureVector,
@@ -19,17 +20,6 @@ from patchsmooth.retrieval import (
 
 def fmap(values, ident=""):
     return FeatureMap(np.asarray(values, dtype=np.float64), identifier=ident)
-
-
-def brute_force_top_m(query, entries, m):
-    """Oracle: full sort of the dot products of the vectors an index was
-    built from, ties by insertion order."""
-    scored = [
-        (i, e.identifier, float(np.dot(e.values, query.values)))
-        for i, e in enumerate(entries)
-    ]
-    scored.sort(key=lambda t: (-t[2], t[0]))
-    return [(ident, score) for _, ident, score in scored[:m]]
 
 
 def bits(scores):
@@ -73,6 +63,14 @@ class TestFlattenNormalize:
     def test_all_zero_rejected(self):
         with pytest.raises(ValidationError):
             flatten_normalize(fmap(np.zeros((1, 2, 2))))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_rejected_by_its_norm(self, entry):
+        values = np.ones((2, 2, 2), dtype=np.float32)
+        values[1, 0, 1] = entry
+        feature_map = FeatureMap(values, identifier="bad")
+        with pytest.raises(ValidationError, match="'bad'"):
+            flatten_normalize(feature_map)
 
     @given(st.integers(0, 10**6), st.floats(1e-6, 1e6))
     @settings(max_examples=100)
@@ -118,6 +116,11 @@ class TestTopM:
         )
         got = top_m(FeatureVector(np.array([0.0, 1.0]), "q"), index, m=1)
         assert got.ids == ("later",)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_m_below_one_is_a_config_error(self, m):
+        with pytest.raises(ConfigError, match="m must be >= 1"):
+            top_m(FeatureVector(np.array([1.0, 0.0]), "q"), self.make_index(), m=m)
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValidationError):
@@ -298,6 +301,32 @@ class TestScreen:
         assert bits([s for _, s in got.items]) == bits([s for _, s in expected])
         assert len(calls) == 1  # every survivor stayed in its band: no dense path
 
+    def test_band_holds_for_every_row_at_the_benchmark_shape(self):
+        # dim 4,096 and 1,000 float32 rows, as the vqgan-query index holds
+        # them, with rows of norm near 1e-30 and 1e30, subnormal rows and
+        # near-duplicate rows
+        n, dim = 1000, 4096
+        rng = np.random.default_rng(4096)
+        rows = rng.standard_normal((n, dim), dtype=np.float32)
+        picked = rng.permutation(n)
+        small, large, subnormal, near = np.split(picked[:4 * 40], 4)
+        rows[small] *= np.float32(1e-30 / 64)
+        rows[large] *= np.float32(1e30 / 64)
+        rows[subnormal] = rng.integers(-8, 9, size=(len(subnormal), dim)) * np.float32(2.0 ** -149)
+        rows[subnormal, 0] = np.float32(9 * 2.0 ** -149)
+        for target in near:  # a copy of another row, one entry 1 ulp away
+            rows[target] = rows[rng.integers(n)]
+            j = rng.integers(dim)
+            rows[target, j] = np.nextafter(rows[target, j], np.float32(np.inf))
+        entries = [FeatureVector(row, f"item{i:04d}") for i, row in enumerate(rows)]
+        index = RetrievalIndex(entries)
+        q = flatten_normalize(FeatureMap(rows[picked[-1]].reshape(16, 16, 16), "q")).values
+        estimate = index._screen @ q.astype(np.float32) / index._norms
+        exact = retrieval._exact_scores(index, np.arange(n), q)
+        band = retrieval._dot_band(dim) + dim * 2.0 ** -147 / index._norms
+        assert np.isfinite(estimate).all()
+        assert np.all(np.abs(exact - estimate) <= band)
+
     def test_band_bound(self):
         # the worst case at 4,096 dims, and no band once dim * 2**-24 >= 1/2
         assert retrieval._dot_band(4096) == pytest.approx(2.44e-4, rel=1e-2)
@@ -317,15 +346,14 @@ class TestFeatureVector:
         arr = np.array([0.6, 0.8], dtype=dtype)
         arr.flags.writeable = False
         vector = FeatureVector(arr)
-        assert vector.row is arr and vector.norm == 1.0
+        assert vector.row is arr and vector.norm == float(np.linalg.norm(arr.astype(np.float64)))
         assert vector.values.dtype == np.float64 and not vector.values.flags.writeable
 
     def test_norm_scales_the_row(self):
-        vector = FeatureVector(np.array([3.0, 4.0]), "v", norm=5.0)
-        assert vector.values.tolist() == [0.6, 0.8]
-        for norm in (1.0, 0.0, -5.0, np.nan, np.inf):
-            with pytest.raises(ValidationError):
-                FeatureVector(np.array([3.0, 4.0]), "v", norm=norm)
+        vector = FeatureVector(np.array([3.0, 4.0]), "v")
+        assert vector.norm == 5.0 and vector.values.tolist() == [0.6, 0.8]
+        with pytest.raises(ValidationError):
+            FeatureVector(np.zeros(2), "v")
 
     def test_writable_caller_array_is_copied_and_stays_writable(self):
         arr = np.array([0.6, 0.8])

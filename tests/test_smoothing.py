@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import StubScorer
-from patchsmooth import divergence
+from patchsmooth import divergence, smoothing
 from patchsmooth.divergence import LN2, negentropy, pairwise_divergence, screened_js
 from patchsmooth.errors import ConfigError, DimensionError, ValidationError
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
@@ -481,13 +481,10 @@ class TestJsScreen:
             assert set(nearest) <= set(kept.tolist())
         assert_same_bits(got, expected)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_guard_recomputes_rows_whose_band_fails(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        width, patches, size = 3, 12, 48
-        query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
-        config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
-        expected = dense_all_patch_js(query_grid, pool, config)
+    @staticmethod
+    def spy_dense_rows(monkeypatch):
+        """Record every one-row call of the exact kernel: the dense path
+        makes one per patch, the screen's survivors none."""
         dense_rows = []
 
         def counting(query, *args, **kwargs):
@@ -495,14 +492,91 @@ class TestJsScreen:
                 dense_rows.append(query)
             return pairwise_divergence(query, *args, **kwargs)
 
+        monkeypatch.setattr(divergence, "pairwise_divergence", counting)
+        monkeypatch.setattr(smoothing, "pairwise_divergence", counting)
+        return dense_rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_guard_recomputes_rows_whose_band_fails(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        width, patches, size = 3, 12, 48
+        query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
+        config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
+        expected = dense_all_patch_js(query_grid, pool, config)
         # a zero-width band: every exact distance falls outside its band
         monkeypatch.setattr(divergence, "SCREEN_SAFETY", 0.0)
-        monkeypatch.setattr(divergence, "pairwise_divergence", counting)
+        dense_rows = self.spy_dense_rows(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
         assert len(dense_rows) == patches
         assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_failed_band_sends_the_whole_call_dense(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        width, patches, size = 3, 12, 48
+        query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
+        config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
+        expected = dense_all_patch_js(query_grid, pool, config)
+        failing = int(rng.integers(patches))
+        band = divergence._screen_band
+
+        def one_zero_band(sums, width):
+            # every call here screens all patches at once; only one loses its band
+            assert len(sums) == patches
+            out = band(sums, width)
+            out[failing] = 0.0
+            return out
+
+        monkeypatch.setattr(divergence, "_screen_band", one_zero_band)
+        dense_rows = self.spy_dense_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_grid(query_grid, pool, config)
+        assert len(dense_rows) == patches
+        assert_same_bits(got, expected)
+
+    def test_band_holds_for_every_pair_at_the_benchmark_shape(self):
+        # L = 49, m = 4, |V| = 1024: the vqgan-allpatch shape and score
+        # model, plus one-hot, zero-heavy, subnormal and near-duplicate rows
+        rng = np.random.default_rng(49)
+        patches, width, size = 49, 4, 1024
+        # the query row and the pool rows of a patch share its true token;
+        # each row has its own pair token
+        logits = rng.standard_normal((width + 1, patches, size))
+        at = np.arange(width + 1)[:, None], np.arange(patches)
+        logits[(*at, rng.integers(size, size=patches))] += 4.0
+        logits[(*at, rng.integers(size, size=(width + 1, patches)))] += 4.2
+        rows = np.exp(logits - logits.max(axis=2, keepdims=True)).reshape(-1, size)
+        rows = rows.astype(np.float32).astype(np.float64)
+        picked = rng.permutation(len(rows))
+        hot, sparse, tiny, near = np.split(picked[:4 * 24], 4)
+        rows[hot] = 0.0
+        rows[hot, rng.integers(size, size=len(hot))] = 1.0
+        zeros, subnormal = np.zeros(rows.shape, bool), np.zeros(rows.shape, bool)
+        zeros[sparse] = rng.random((len(sparse), size)) < 0.9
+        subnormal[tiny] = rng.random((len(tiny), size)) < 0.3
+        rows[zeros] = 0.0
+        rows[subnormal] = rng.choice([5e-324, 1e-310, 1e-300, 1e-40], size=int(subnormal.sum()))
+        rows /= rows.sum(axis=1, keepdims=True)
+        for target in near:  # a copy of another row with a sliver of mass moved
+            rows[target] = rows[rng.integers(len(rows))]
+            i, j = np.argsort(rows[target])[-2:]
+            moved = rows[target, i] * 10.0 ** -rng.integers(6, 16)
+            rows[target, i] -= moved
+            rows[target, j] += moved
+        rows = divergence.simplex_rows(rows)
+        query, flat = rows[:patches], rows[patches:]
+        query_negentropy, pool_negentropy = negentropy(query), negentropy(flat)
+        sums = divergence._screen_sums(query, flat)
+        estimate = 0.5 * (pool_negentropy + query_negentropy[:, None])
+        estimate -= 0.5 * sums - LN2
+        exact = np.stack([pairwise_divergence(row, flat, query_negentropy=query_negentropy[l],
+                                              pool_negentropy=pool_negentropy)
+                          for l, row in enumerate(query)])
+        bound = divergence._screen_band(sums, size) / divergence.SCREEN_SAFETY
+        assert np.all(np.abs(exact - estimate) <= bound)
 
 
 class TestSmoothFeatures:
