@@ -33,14 +33,16 @@ as the query. Both results are clamped at 0 against rounding.
 
 ``screened_js`` finds each of R query rows' k JS-nearest among N
 candidates without the exact kernel on all R * N pairs. One float32 pass
-ranks every pair, with a proven per-pair error bound eps (derived in
-``_screen_band``); ``screen_survivors`` keeps a candidate when its lower
-bound reaches its row's k-th smallest upper bound, and only survivors go
-through ``pairwise_divergence``, so their distances are bit-identical to
-the dense ones, or both return None once one leaves its band, and the
-caller goes dense; ``retrieval.top_m`` screens with the same rule. KL,
-and every JS comparison outside ``screened_js``, run on the dense kernel
-alone.
+ranks every pair, each pair's sum one float32 BLAS dot, with a proven
+per-pair error bound eps (derived in ``_screen_band``; about 1e-3 nats
+at V = 1024) that holds for any summation order and BLAS thread count.
+``screen_survivors`` keeps a candidate when its lower bound reaches its
+row's k-th smallest upper bound, and only survivors go through
+``pairwise_divergence``, so their distances are bit-identical to the
+dense ones. ``screened_js`` returns None when no band can be proven
+(``_gamma32``) or once a survivor leaves its band, and the caller goes
+dense; ``retrieval.top_m`` screens with the same rule. KL, and every JS
+comparison outside ``screened_js``, run on the dense kernel alone.
 """
 
 from __future__ import annotations
@@ -283,18 +285,38 @@ _F32_TINY = float(np.finfo(np.float32).tiny)
 #: The float32 unit roundoff.
 _U32 = 2.0 ** -24
 
-#: sum_j |y_j ln y_j| <= _SPREAD - A for the screen's sums A (``_screen_band``).
+#: sum_j |y_j ln y_j| <= (_SPREAD - A) / (1 - s) for the screen's sums A and
+#: its dot's slope s (``_screen_band``).
 _SPREAD = 2.78
 
 
-def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
+def _gamma32(n: int) -> float | None:
+    """gamma_n = n u / (1 - n u) at the float32 unit roundoff u, or None
+    when n u >= 1/2 and no bound is proven.
+
+    A float32 dot of n terms is within gamma_n times the sum of its
+    absolute products of the exact dot of its operands (Higham 2002,
+    sec. 3.1): the bound counts one rounding per product and per add, so
+    it holds in any summation order, with or without FMA and over any
+    split across threads. Underflow is not covered: each product that
+    underflows adds at most 2**-150 more (adds and subtractions that
+    underflow are exact). ``retrieval._dot_band`` and ``_screen_band``
+    both rest on it.
+    """
+    nu = n * _U32
+    if nu >= 0.5:
+        return None
+    return nu / (1.0 - nu)
+
+
+def _screen_band(sums: np.ndarray, width: int) -> np.ndarray | None:
     """Half-width eps of the band that holds the exact JS of each pair
     whose float32 sum is ``sums`` (A below), over rows of ``width`` (V)
-    entries.
+    entries, or None when no bound is proven (see below).
 
     The screen takes JS(p, q) = (n(p) + n(q)) / 2 - (A / 2 - ln 2), with
-    A = sum_j fl(y_j fl(ln y_j)) summed in float64, y = fl(p' + q') and
-    p' = max(fl32(p), t), t = 2**-126; n(p), n(q) are the exact cached
+    A the float32 dot of fl(ln y) and y, stored in float64, y = fl(p' + q')
+    and p' = max(fl32(p), t), t = 2**-126; n(p), n(q) are the exact cached
     negentropies, shared with the dense kernel. With u = 2**-24 and the
     exact y = p + q, f(y) = y ln y:
 
@@ -303,19 +325,23 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
     * For y >= 2**-100, 2t <= u y / 2, so |y' - y| <= 2.6 u y and the mean
       value theorem gives |f(y') - f(y)| <= 2.6 u (y + |f(y)|). For
       y < 2**-100, |f(y)| and |f(y')| are both below 2**-93, so they
-      differ by less than 2**-92.
+      differ by less than 2**-92. Over the row, with H = sum_j |f(y_j)|
+      and Y = sum_j y_j <= 2.0001, these add up to
+      D <= 2.6 u H + 5.3 u + V 2**-92, and H' = sum_j |f(y'_j)| <= H + D.
     * float32 ``log`` is within 4 ulp of the rounded result (numpy's
       ``umath-validation-set-log.csv`` tests float32 at 4), so within
-      4.5 ulp <= 9u |ln y'| of ln y'; with the multiply's u,
-      |fl(y' fl(ln y')) - f(y')| <= 10.1 u |f(y')|.
-    * The float64 sum of V products adds at most (V - 1) 2**-53 times
-      their absolute sum, in any order.
+      4.5 ulp <= 9u |ln y'| of ln y': |y' fl(ln y') - f(y')| <= 9u |f(y')|,
+      9u H' over the row.
+    * The dot is within gamma_V (``_gamma32``) times the sum of its
+      absolute products, at most (1 + 9u) H', in any order, with FMA and
+      over any BLAS thread split; products that underflow add V 2**-150.
 
-    So, with H = sum_j |f(y_j)| and Y = sum_j y_j <= 2.0001,
-    |A - sum_j f(y_j)| <= (12.8 u + V 2**-53) H + 5.3 u + V 2**-92. Only
-    terms with y_j > 1 are positive, and each y_j <= Y, so
-    H <= -sum_j f(y_j) + 2 Y ln Y <= -A + 2.7736 + |A - sum_j f(y_j)|,
-    which gives H <= _SPREAD - A.
+    With gamma_V < 1 (V u < 1/2) that gives |A - sum_j f(y_j)| <= s H + c,
+    s = gamma_V + 23.3u and c = 10.7u + V 2**-150. Only terms with
+    y_j > 1 are positive, and each y_j <= Y, so
+    H <= -sum_j f(y_j) + 2 Y ln Y <= -A + 2.7736 + s H + c, which gives
+    H <= (_SPREAD - A) / (1 - s) = H_A while s < 1; at larger s there is
+    no bound, and the result is None.
 
     The rest is float64. sum_j y_j = 2 within 2 (``RENORM_THRESHOLD`` +
     V 2**-53), since rows reach here through ``simplex_rows``, and JS
@@ -325,28 +351,35 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
     2**-52 (V + 32) (H + 2 ln V + 2), as |n(p)|, |n(q)| <= ln V. Halving
     the A terms,
 
-        eps = SAFETY (7u (_SPREAD - A) + 3u + ln 2 RENORM_THRESHOLD
-                      + 2**-52 (V + 32) (_SPREAD - A + 2 ln V + 2)),
+        eps = SAFETY ((s / 2 + 2**-52 (V + 32)) H_A + 5.4u + V 2**-149
+                      + ln 2 RENORM_THRESHOLD + 2**-52 (V + 32) (2 ln V + 2)).
 
-    for any V below 2**30. ``screened_js`` checks every survivor against
-    its band all the same, and one that leaves it voids the whole call.
+    At V = 1024 and typical scores that is about 1e-3 nats, nearly all of
+    it gamma_V. ``screened_js`` checks every survivor against its band all
+    the same, and one that leaves it voids the whole call.
     """
+    gamma = _gamma32(width)
+    slope = None if gamma is None else gamma + 23.3 * _U32  # s above
+    if slope is None or slope >= 1.0:
+        return None
     f64 = 2.0 ** -52 * (width + 32)
-    slope = 7.0 * _U32 + f64
-    floor = 3.0 * _U32 + LN2 * RENORM_THRESHOLD + f64 * (2.0 * np.log(width) + 2.0)
+    floor = (5.4 * _U32 + width * 2.0 ** -149 + LN2 * RENORM_THRESHOLD
+             + f64 * (2.0 * np.log(width) + 2.0))
     band = _SPREAD - sums
-    band *= slope
+    band *= (0.5 * slope + f64) / (1.0 - slope)
     band += floor
     band *= SCREEN_SAFETY
     return band
 
 
 def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """The (R, N) float64 sums A[r, n] = sum_j y ln y over the float32
-    y = max(query[r], t) + max(pool[n], t), t the smallest normal float32.
+    """The (R, N) float64 sums A[r, n], each the float32 dot of ln y and y
+    over the float32 y = max(query[r], t) + max(pool[n], t), t the
+    smallest normal float32.
 
     Each operand is cast to float32 and clipped once; the pass works on
-    blocks of at most ``SCREEN_ELEMENTS`` candidate elements per query row.
+    blocks of at most ``SCREEN_ELEMENTS`` candidate elements per query row,
+    and each pair's sum is one BLAS dot.
     """
     rows, width = query.shape
     n = len(pool)
@@ -357,6 +390,7 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
     block32 = np.empty((step, width), np.float32)
     mixture = np.empty((query_step, step, width), np.float32)
     logs = np.empty_like(mixture)
+    dots = np.empty((query_step, step, 1, 1), np.float32)
     sums = np.empty((rows, n))
     for start in range(0, n, step):
         block = block32[:min(step, n - start)]
@@ -367,10 +401,11 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
             rows32 = query32[first:first + query_step]
             y = mixture[:len(rows32), :len(block)]
             ln_y = logs[:len(rows32), :len(block)]
+            dot = dots[:len(rows32), :len(block)]
             np.add(rows32[:, None], block, out=y)
             np.log(y, out=ln_y)
-            ln_y *= y
-            ln_y.sum(axis=-1, dtype=np.float64, out=sums[first:first + len(rows32), start:stop])
+            np.matmul(ln_y[..., None, :], y[..., :, None], out=dot)
+            sums[first:first + len(rows32), start:stop] = dot[..., 0, 0]
     return sums
 
 
@@ -409,7 +444,8 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
     exact distance of row r is listed -- the k rows with the lowest upper
     ends have exact distances at most that k-th upper end -- so the k
     nearest by (distance, any tie-break) are the same over S as over N;
-    or None, as ``screen_survivors`` gives it. Both operands must be
+    or None when ``_screen_band`` proves no band, or as
+    ``screen_survivors`` gives it. Both operands must be
     distributions (``simplex_rows``), the pool nonempty; the negentropies
     are ``negentropy`` of each.
     """
@@ -424,6 +460,8 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
     for first in range(0, rows, step):
         block = sums[first:first + step]
         band = _screen_band(block, width)
+        if band is None:
+            return None
         estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
         estimate -= 0.5 * block - LN2
         survivors = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(

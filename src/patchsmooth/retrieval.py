@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import _U32, frozen, screen_survivors
+from .divergence import _U32, _gamma32, frozen, screen_survivors
 from .errors import ConfigError, DimensionError, ValidationError
 
 
@@ -62,7 +62,14 @@ class FeatureVector:
         row = np.asarray(self.row)
         if row.ndim != 1:
             raise DimensionError(f"expected a flat vector, got shape {row.shape}")
-        norm = float(np.linalg.norm(row.astype(np.float64, copy=False)))
+        row64 = row.astype(np.float64, copy=False)
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(row64))
+            if norm in (0.0, math.inf) and np.isfinite(row64).all() and row64.any():
+                # the squares over- or underflowed: take the norm of the row
+                # scaled by a power of two, so every other row keeps its bits
+                exponent = np.frexp(np.abs(row64).max())[1]
+                norm = float(np.ldexp(np.linalg.norm(np.ldexp(row64, -exponent)), exponent))
         if not 0.0 < norm < math.inf:  # NaN fails; a finite norm proves the entries finite
             raise ValidationError(f"vector {self.identifier!r} has norm {norm!r}, "
                                   "expected a positive finite one")
@@ -151,15 +158,15 @@ class RetrievedSet:
 def _dot_band(dim: int) -> float | None:
     """Half-width eps of the band around a screen score that holds the
     exact float64 dot of the same unit rows, less ``top_m``'s per-row
-    underflow term, or None when dim u >= 1/2 and no bound exists.
+    underflow term, or None when ``divergence._gamma32`` proves no bound.
 
     Take a row x, the norm N its ``FeatureVector`` computed and the unit
     query q. The screen rounds x and q to float32. With u = 2**-24 and
     n = dim, that moves each product x_i q_i by at most (2u + u**2)
     |x_i q_i|, and the float32 dot of the rounded vectors is within
-    gamma_n = n u / (1 - n u) times the sum of their absolute products
-    (Higham 2002, sec. 3.1), in any summation order or thread split. That
-    sum is at most (1 + u)**2 sum |x_i q_i|, so over N the screen is
+    gamma_n (``_gamma32``) times the sum of their absolute products, in
+    any summation order or thread split. That sum is at most
+    (1 + u)**2 sum |x_i q_i|, so over N the screen is
     within A S, A = gamma_n (1 + u)**2 + 2u + u**2 < 1.1 (as n u < 1/2),
     of the exact sum_i x_i q_i / N, where S = sum |x_i q_i| / N. With
     v = 2**-53: N is the rounded root of a float64 sum of n squares, and q
@@ -174,10 +181,9 @@ def _dot_band(dim: int) -> float | None:
     is not finite (a float32 overflow) proves nothing: its row's band is
     infinite. ``top_m`` checks every survivor against its band all the same.
     """
-    nu = dim * _U32
-    if nu >= 0.5:
+    gamma = _gamma32(dim)
+    if gamma is None:
         return None
-    gamma = nu / (1.0 - nu)
     return gamma * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2 + (dim + 3) * 2.0 ** -50
 
 

@@ -20,12 +20,13 @@ What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 
 In the all-patch scope each patch has W * L candidates. For JS over score
 keys, ``divergence.screened_js`` first ranks them all in one float32 pass
-with a proven per-pair error bound eps, and the matrix holds only the
-candidates whose band reaches the k-th smallest upper bound (about k per
-patch on typical scores), each with its exact float64 distance; if one
-escapes its band, the whole call fills the dense matrix instead. Selection
-and blend are therefore bit-identical to the dense matrix. The per-patch
-scope (W candidates), KL and the l2 keys fill the dense matrix.
+(one BLAS dot per pair) with a proven per-pair error bound eps, and the
+matrix holds only the candidates whose band reaches the k-th smallest
+upper bound (k to 2k per patch on typical scores), each with its exact
+float64 distance; if one escapes its band, or no band can be proven, the
+whole call fills the dense matrix instead. Selection and blend are
+therefore bit-identical to the dense matrix. The per-patch scope (W
+candidates), KL and the l2 keys fill the dense matrix.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +356,43 @@ class TestFeatureVector:
         assert vector.norm == 5.0 and vector.values.tolist() == [0.6, 0.8]
         with pytest.raises(ValidationError):
             FeatureVector(np.zeros(2), "v")
+
+    @pytest.mark.parametrize("values, norm", [([1e200, 1e200], math.sqrt(2.0) * 1e200),
+                                              ([1e-200, 0.0], 1e-200),
+                                              ([3e-320, -4e-320], 5e-320)])
+    def test_rows_whose_squares_overflow_or_underflow_get_their_norm(self, values, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vector = FeatureVector(np.array(values))
+        assert vector.norm == pytest.approx(norm, rel=1e-15)
+        np.testing.assert_allclose(vector.values, np.array(values) / norm, rtol=1e-15)
+
+    def test_norm_beyond_float64_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="norm inf"):
+                FeatureVector(np.array([1.7e308, 1.7e308]))
+
+    def test_rows_of_extreme_norm_retrieve_like_the_oracle(self):
+        rows = [[1e200, 1e200, 0.0], [1e-200, 0.0, 0.0], [0.5, 0.2, 0.1], [3e-320, -4e-320, 0.0]]
+        entries = [FeatureVector(np.array(row), f"item{i}") for i, row in enumerate(rows)]
+        index = RetrievalIndex(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in rows:
+                query = FeatureVector(np.array(row), "q")
+                got = top_m(query, index, m=3)
+                expected = brute_force_top_m(query, entries, 3)
+                assert list(got.ids) == [ident for ident, _ in expected]
+                assert bits([s for _, s in got.items]) == bits([s for _, s in expected])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ordinary_norm_is_linalg_norm_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(7)
+        for scale in (1e-30, 1e-5, 1.0, 1e5, 1e30):
+            row = (rng.standard_normal(4096) * scale).astype(dtype)
+            expected = float(np.linalg.norm(row.astype(np.float64)))
+            assert bits([FeatureVector(row).norm]) == bits([expected])
 
     def test_writable_caller_array_is_copied_and_stays_writable(self):
         arr = np.array([0.6, 0.8])

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,6 +453,48 @@ def screen_instances(draw):
     return ScoreGrid(probs=rows[:patches]), pool, config
 
 
+SRC = str(Path(smoothing.__file__).resolve().parents[1])
+
+#: Smooths one all-patch JS grid at |V| = 16,384, L = 4, W = 2, where each
+#: patch's own pool entries are near its query row and the others far, and
+#: saves the output and whether the screen proved its band (no dense path).
+BLAS_THREADS_CHILD = """
+import sys
+import numpy as np
+from patchsmooth.divergence import negentropy, screened_js
+from patchsmooth.pool import PoolMode, PromptPool, ScoreGrid
+from patchsmooth.smoothing import PoolScope, SmoothingConfig, smooth_grid
+rng = np.random.default_rng(16384)
+logits = rng.standard_normal((4, 16384)) * 2.0 + 0.5 * rng.standard_normal((3, 4, 16384))
+logits[:, np.arange(4), rng.integers(16384, size=4)] += 6.0
+rows = np.exp(logits - logits.max(axis=2, keepdims=True))
+rows /= rows.sum(axis=2, keepdims=True)
+grid = ScoreGrid(probs=rows[0])
+pool = PromptPool(probs=rows[1:], pair_indices=np.arange(1, 3), prompts=(), mode=PoolMode.Q, m=2)
+config = SmoothingConfig(m=2, k=2, tau=0.1, scope=PoolScope.ALL_PATCH)
+flat = pool.probs.reshape(8, -1)
+screened = screened_js(grid.probs, flat, config.k, query_negentropy=negentropy(grid.probs),
+                       pool_negentropy=negentropy(flat))
+out = smooth_grid(grid, pool, config)
+np.savez(sys.argv[1], screened=screened is not None,
+         **{name: getattr(out, name) for name in ("probs", "pair", "patch", "distance", "weight")})
+"""
+
+
+def benchmark_score_rows(rng, prompts, patches, size):
+    """(prompts * patches, size) rows of the vqgan-allpatch score model: a
+    softmax of unit Gaussian logits, +4.0 on the patch's true token (one
+    per patch, shared by every prompt) and +4.2 on each prompt's own pair
+    token, rounded to float32 as score files store them."""
+    logits = rng.standard_normal((prompts, patches, size))
+    at = np.arange(prompts)[:, None], np.arange(patches)
+    logits[(*at, rng.integers(size, size=patches))] += 4.0
+    logits[(*at, rng.integers(size, size=(prompts, patches)))] += 4.2
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    scores = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
+    return divergence.normalize_scores(scores.reshape(-1, size))
+
+
 def assert_same_bits(got, expected):
     for name in ("probs", "pair", "patch", "distance", "weight"):
         a, b = getattr(got, name), getattr(expected, name)
@@ -536,6 +583,64 @@ class TestJsScreen:
             got = smooth_grid(query_grid, pool, config)
         assert len(dense_rows) == patches
         assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_dot_bound_sends_the_call_dense(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        width, patches, size = 3, 12, 48
+        query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
+        config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
+        expected = dense_all_patch_js(query_grid, pool, config)
+        monkeypatch.setattr(divergence, "_gamma32", lambda n: None)
+        dense_rows = self.spy_dense_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_grid(query_grid, pool, config)
+        assert len(dense_rows) == patches
+        assert_same_bits(got, expected)
+
+    def test_band_bound(self):
+        # about 1e-3 nats at |V| = 1024 and typical sums; no band once the
+        # float32 dot has no bound, or its slope s reaches 1
+        sums = np.array([[-12.0]])
+        assert divergence._screen_band(sums, 1024)[0, 0] == pytest.approx(9.2e-4, rel=1e-2)
+        assert divergence._screen_band(sums, 2**22) is not None
+        assert divergence._screen_band(sums, 2**23 - 1) is None
+        assert divergence._gamma32(2**23 - 1) is not None
+        assert divergence._screen_band(sums, 2**23) is None
+
+    def test_screen_prunes_at_the_benchmark_shape(self):
+        # L = 49, m = 4, |V| = 1024, k = 4 and the vqgan-allpatch score
+        # model: a band derived too wide keeps most of the 196 candidates
+        patches, width, size, k = 49, 4, 1024, 4
+        rows = benchmark_score_rows(np.random.default_rng(196), width + 1, patches, size)
+        query, flat = rows[:patches], rows[patches:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            screened = screened_js(query, flat, k, query_negentropy=negentropy(query),
+                                   pool_negentropy=negentropy(flat))
+        assert screened is not None
+        survivors = np.isfinite(screened[0]).sum(axis=1)
+        assert survivors.mean() <= 2 * k
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot longer than 10,000 elements across its
+        # threads, so at |V| = 16,384 the screen's sums, and so its
+        # survivors, may differ between one and two threads; the exact
+        # distances, the selection and the blend must not. On a one-CPU
+        # machine OpenBLAS may not start a second thread, and then this
+        # cannot show a difference.
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.npz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD, str(out)], env=env,
+                           check=True, timeout=300)
+            with np.load(out) as saved:
+                outputs.append(SimpleNamespace(**{name: saved[name] for name in saved.files}))
+        assert outputs[0].screened and outputs[1].screened
+        assert_same_bits(*outputs)
 
     def test_band_holds_for_every_pair_at_the_benchmark_shape(self):
         # L = 49, m = 4, |V| = 1024: the vqgan-allpatch shape and score
