@@ -112,7 +112,10 @@ def _retrieved_from_json(path) -> RetrievedSet:
         if not (len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool)):
             raise FormatError(f"{path}: field 'items' holds {entry!r}, not an [id, score] pair")
-    return RetrievedSet(items=tuple((i, float(s)) for i, s in items), query_id=query)
+    try:
+        return RetrievedSet(items=tuple((i, float(s)) for i, s in items), query_id=query)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @cli.command("pool")

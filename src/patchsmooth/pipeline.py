@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .metrics import EvalReport, decode_argmax, eval_reports
 from .pool import load_grid, load_pool, save_tokens
 from .smoothing import (
@@ -198,6 +198,8 @@ def _file_pipeline(config: dict) -> PipelineReport:
     reports = ()
     if "gt_tokens" in files:
         gt, _ = read_tensor(files["gt_tokens"])
+        if gt.dtype.kind != "u":
+            raise FormatError(f"{files['gt_tokens']}: tokens must be u32, got {gt.dtype.name}")
         reports = eval_reports([{
             "query": files.get("item_id", "item0"),
             "baseline_tokens": baseline_tokens,

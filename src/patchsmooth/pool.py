@@ -43,13 +43,16 @@ class PromptSpec:
 
 
 def _frozen_keys(keys, leading: tuple[int, ...], name: str):
-    """Optional key array whose leading axes must match ``leading``, as a
-    read-only float64 array that ``frozen`` keeps or copies."""
+    """Optional key array whose leading axes must match ``leading`` and
+    whose entries must be finite, as a read-only float64 array that
+    ``frozen`` keeps or copies."""
     if keys is None:
         return None
     array = np.asarray(keys, dtype=np.float64)
     if array.ndim != len(leading) + 1 or array.shape[:-1] != leading:
         raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} contain non-finite entries")
     return frozen(array, keys)
 
 

@@ -15,6 +15,8 @@ autoregressive sequences.
 The whole grid is one operation: an (L, N) distance matrix from every
 patch to its N candidates, one row-wise sort by (distance, pair index,
 patch index), per-patch weights, and a blend over the k neighbor ranks.
+Candidate n is row n of the flat (W * L, |V|) pool, entry (n // L, n % L),
+and its rank pair index * L + patch index breaks ties in that order.
 What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 ``pair``, ``patch``, ``distance`` and ``weight``.
 
@@ -195,37 +197,39 @@ def _l2_distances(query, candidates) -> np.ndarray:
     return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
-def _select_and_blend(rows, distances, values, position, patch, pair, config: SmoothingConfig):
+def _select_and_blend(rows, distances, values, index, rank, config: SmoothingConfig):
     """Blend every row of ``rows`` (R, D) with its k nearest candidates.
 
-    ``distances``, ``position``, ``patch`` and ``pair`` are (R, N):
-    candidate n of row r is ``values[position[r, n], patch[r, n]]``, comes
-    from pair ``pair[r, n]`` and lies ``distances[r, n]`` away. Neighbors
-    are the first k by (distance, pair index, patch index). Returns the
-    (R, D) blend and the (R, k) ``pair``, ``patch``, ``distance`` and
-    ``weight`` of the chosen neighbors, nearest first.
+    ``distances`` is (R, N), and ``index`` and ``rank`` broadcast to it:
+    candidate n of row r is ``values[index[r, n]]``, one of the (M, D)
+    ``values``, and lies ``distances[r, n]`` away. Neighbors are the
+    first k by (distance, rank). Returns the (R, D) blend and the (R, k)
+    ``index``, ``distance`` and ``weight`` of the chosen neighbors,
+    nearest first.
     """
     k = min(config.k, distances.shape[1])
-    # distance, then pair index, then patch index; infinities sort last
-    order = np.lexsort((patch, pair, distances), axis=-1)[:, :k]
-    position = np.take_along_axis(position, order, axis=-1)
-    patch = np.take_along_axis(patch, order, axis=-1)
-    pair = np.take_along_axis(pair, order, axis=-1)
+    index, rank = (np.broadcast_to(a, distances.shape) for a in (index, rank))
+    # distance, then rank; infinities sort last
+    order = np.lexsort((rank, distances), axis=-1)[:, :k]
+    index = np.take_along_axis(index, order, axis=-1)
     distance = np.take_along_axis(distances, order, axis=-1)
     weight = _aggregation_weights(distance, config)
-    # one neighbor rank at a time: each row sums in rank order, and the
-    # temporaries stay (R, D)
+    # one neighbor at a time, nearest first: each row sums in that order,
+    # and the temporaries stay (R, D)
     pooled = np.zeros(rows.shape)
     for i in range(k):
-        pooled += weight[:, i, None] * values[position[:, i], patch[:, i]]
+        pooled += weight[:, i, None] * values[index[:, i]]
     blended = (1.0 - config.alpha) * rows + config.alpha * pooled
-    return blended, {"pair": pair, "patch": patch, "distance": distance, "weight": weight}
+    return blended, index, distance, weight
 
 
 def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
-    """The (L, d) query keys and (W, L, d) pool keys, or None for score keys."""
+    """The (L, d) query rows and (W, L, d) pool rows that ``config.key``
+    compares, and the distance from a (d,) row, or (N, d) rows row by
+    row, to (N, d) rows."""
     if config.key is NeighborKey.SCORE:
-        return None, None
+        return grid.probs, pool.probs, functools.partial(
+            pairwise_divergence, kind=config.divergence.value)
     name = "feature_keys" if config.key is NeighborKey.FEATURE else "patch_keys"
     query_keys, pool_keys = getattr(grid, name), getattr(pool, name)
     if query_keys is None:
@@ -236,7 +240,7 @@ def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
         raise DimensionError(
             f"pool {name} have length {pool_keys.shape[2]}, query keys {query_keys.shape[1]}"
         )
-    return query_keys, pool_keys
+    return query_keys, pool_keys, _l2_distances
 
 
 def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig) -> SmoothedGrid:
@@ -249,50 +253,40 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         raise DimensionError(
             f"codebook size mismatch: grid {query_grid.codebook_size}, pool {pool.codebook_size}"
         )
-    query_keys, pool_keys = _selection_keys(query_grid, pool, config)
+    query, candidates, distance = _selection_keys(query_grid, pool, config)
+    score = config.key is NeighborKey.SCORE
+    js = score and config.divergence is DivergenceKind.JS
     width, patches = pool.width, pool.patch_count
+    flat = candidates.reshape(width * patches, -1)  # row n is pool entry (n // L, n % L)
     # Negentropies the calls would recompute are passed in, computed once.
-    cached = {}
-    if pool_keys is not None:
-        query, candidates, distance = query_keys, pool_keys, _l2_distances
-    else:
-        query, candidates = query_grid.probs, pool.probs
-        distance = functools.partial(pairwise_divergence, kind=config.divergence.value)
-    # Fill the (L, N) distance matrix.
     if config.scope is PoolScope.ALL_PATCH:
-        # candidate n is pool entry (n // L, n % L)
-        flat = candidates.reshape(width * patches, -1)
-        if pool_keys is None:
-            cached["pool_negentropy"] = negentropy(flat)
-        screened = None
-        if pool_keys is None and config.divergence is DivergenceKind.JS:
-            # the candidates the float32 screen cannot rule out; None if its proof failed
-            screened = screened_js(query, flat, config.k, query_negentropy=negentropy(query), **cached)
+        cached = {"pool_negentropy": negentropy(flat)} if score else {}
+        # the candidates the float32 screen cannot rule out; None if its proof failed
+        screened = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
+                               **cached) if js else None
         if screened is None:
             # one call per patch; the matrix and its sort index grow as W * L**2
             distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
             index = np.arange(width * patches)
         else:
             distances, index = screened
-        position, patch = np.divmod(index, patches)
     else:
         # candidate j of patch l is pool entry (j, l); one call per pair,
         # comparing all L patches row by row (so KL takes the query's logs
         # once per pair)
-        if pool_keys is None and config.divergence is DivergenceKind.JS:
-            cached["query_negentropy"] = negentropy(query)
+        cached = {"query_negentropy": negentropy(query)} if js else {}
         distances = np.stack([distance(query, candidates[j], **cached) for j in range(width)],
                              axis=1)
-        position, patch = np.arange(width), np.arange(patches)[:, None]
-    pair = np.broadcast_to(pool.pair_indices[position], distances.shape)
-    position = np.broadcast_to(position, distances.shape)
-    patch = np.broadcast_to(patch, distances.shape)
-    blended, selection = _select_and_blend(
-        query_grid.probs, distances, pool.probs, position, patch, pair, config
+        index = np.arange(width) * patches + np.arange(patches)[:, None]
+    # ties break by (pair index, patch index): patch < L, so one integer orders them
+    rank = pool.pair_indices[index // patches] * patches + index % patches
+    blended, chosen, chosen_distance, weight = _select_and_blend(
+        query_grid.probs, distances, pool.probs.reshape(width * patches, -1), index, rank, config
     )
     # The blend is convex: SmoothedGrid's simplex check divides out any drift.
     blended.flags.writeable = False  # frozen and owned: the grid keeps it uncopied
-    return SmoothedGrid(probs=blended, **selection)
+    return SmoothedGrid(probs=blended, pair=pool.pair_indices[chosen // patches],
+                        patch=chosen % patches, distance=chosen_distance, weight=weight)
 
 
 def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarray:
@@ -316,11 +310,9 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
                 f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
         if len(vectors):
-            index = np.arange(len(vectors))[None]
-            out[l] = _select_and_blend(
-                query[l:l + 1], _l2_distances(query[l], vectors)[None], vectors[:, None],
-                index, np.zeros_like(index), index, config,
-            )[0][0]
+            index = np.arange(len(vectors))
+            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query[l], vectors)[None],
+                                       vectors, index, index, config)[0][0]
     return out
 
 

@@ -108,7 +108,7 @@ def generate_world(
         rng = np.random.default_rng(children[i])
         ident = f"item{i:04d}"
         inputs = rng.integers(0, codebook_size, size=patch_count)
-        outputs = np.array([rule(int(v), codebook_size) for v in inputs])
+        outputs = np.array(rule(inputs, codebook_size))
         features = np.zeros((codebook_size, rows, cols))
         features[inputs, np.repeat(np.arange(rows), cols), np.tile(np.arange(cols), rows)] = 1.0
         features += FEATURE_NOISE * rng.normal(size=features.shape)

@@ -154,6 +154,56 @@ def test_oracle_equivalence():
         print(f"  {instances} instances across {len(combos)} variants, max |diff| = {worst:.2e}")
 
 
+def permuted_tied_pool(rng, pool):
+    """``pool`` with distinct pair ranks in [1, m] in no particular order,
+    as RAND mode draws them, and with entries copied across pairs and
+    patches, so that exact distance ties must break by (pair index, patch
+    index) and not by pool position."""
+    width, patches = pool.width, pool.patch_count
+    m = width + int(rng.integers(0, 3))
+    arrays = [pool.probs.copy(), pool.feature_keys.copy(), pool.patch_keys.copy()]
+    if width >= 2:
+        source, target = rng.choice(width, size=2, replace=False)
+        for array in arrays:
+            array[target] = array[source]  # a whole pair repeated: per-patch ties
+    for _ in range(int(rng.integers(1, 4))):
+        source = (rng.integers(width), rng.integers(patches))
+        target = (rng.integers(width), rng.integers(patches))
+        for array in arrays:
+            array[target] = array[source]  # one entry repeated: all-patch ties
+    probs, feature_keys, patch_keys = arrays
+    return PromptPool(probs=probs, pair_indices=rng.choice(m, size=width, replace=False) + 1,
+                      prompts=(), mode=PoolMode.RAND, m=m, feature_keys=feature_keys,
+                      patch_keys=patch_keys)
+
+
+def test_oracle_equivalence_breaks_ties_by_pair_index():
+    with criterion("oracle-equivalence-tie-break"):
+        rng = np.random.default_rng(8)  # its own stream: the instances above stay as they are
+        combos = list(itertools.product(DivergenceKind, Aggregation, PoolScope, NeighborKey))
+        instances = 0
+        for divergence, aggregation, scope, key in combos:
+            for _ in range(6):
+                query, pool, width = random_oracle_instance(rng, scope, 12, 32)
+                pool = permuted_tied_pool(rng, pool)
+                config = SmoothingConfig(
+                    m=pool.m,
+                    k=int(rng.integers(1, width + 3)),
+                    alpha=float(rng.choice([0.3, 1.0])),
+                    tau=float(rng.choice([0.1, 1.0, 5.0])),
+                    divergence=divergence,
+                    aggregation=aggregation,
+                    scope=scope,
+                    key=key,
+                )
+                fast = smooth_grid(query, pool, config)
+                slow = brute_force_smooth(query, pool, config)
+                assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-9
+                assert_same_selection(fast, slow)
+                instances += 1
+        print(f"  {instances} instances with permuted pair indices and repeated entries")
+
+
 def full_size_instance(rng):
     patches, size, width = 64, 128, 8
     qd = [rng.dirichlet(np.ones(size)) for _ in range(patches)]

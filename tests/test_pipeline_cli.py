@@ -193,6 +193,17 @@ class TestFilePipeline:
         with pytest.raises(ConfigError):
             run_pipeline(load_config(overrides={"backend": "file"}))
 
+    def test_float_ground_truth_tokens_are_3(self, tmp_path, capsys):
+        config = self.make_inputs(tmp_path)
+        write_tensor(np.array([[0.5, 1.5, 2.0], [3.7, 0.0, 1.0]], dtype=np.float32),
+                     tmp_path / "gt.pnct", meta={"kind": "token-grid"})
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        assert str(tmp_path / "gt.pnct") in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCliFlow:
     def setup_retrieval_files(self, tmp_path, rng):
@@ -353,6 +364,28 @@ class TestCliFlow:
             assert owner.feature_keys.dtype == np.float64
             assert not owner.feature_keys.flags.writeable
             np.testing.assert_array_equal(owner.feature_keys, keys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pool_keys_are_refused(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(13)
+        region = (2, 2)
+        save_grid(random_grid(rng, 4, 5, prompt=PromptSpec("x0", "x0.out", "query", region)),
+                  tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=3, region=region), tmp_path / "p.pnct")
+        write_tensor(rng.normal(size=(4, 6)).astype(np.float32), tmp_path / "qk.pnct")
+        pool_keys = rng.normal(size=(3, 4, 6)).astype(np.float32)
+        pool_keys[1, 2, 3] = bad
+        write_tensor(pool_keys, tmp_path / "pk.pnct")
+        code = run_cli([
+            "smooth", "--query", str(tmp_path / "g.pnct"), "--pool", str(tmp_path / "p.pnct"),
+            "--key", "feature", "--query-keys", str(tmp_path / "qk.pnct"),
+            "--pool-keys", str(tmp_path / "pk.pnct"),
+            "--out", str(tmp_path / "s.pnct"), "--diag", str(tmp_path / "d.json"),
+        ])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.pnct").exists()
+        assert not (tmp_path / "d.json").exists()
 
     def test_no_temp_files_after_cli_writes(self, tmp_path):
         code = run_cli(["run", "--out", str(tmp_path / "r.json")])
@@ -614,12 +647,18 @@ class TestExitCodes:
         '{"query": "item0004", "items": [["item0000", "high"]]}',
         '{"query": "item0004", "items": [["item0000"]]}',
         '{"query": "item0004", "items": "item0000"}',
-    ], ids=["no-query", "bad-json", "str-score", "short-entry", "str-items"])
-    def test_malformed_retrieved_set_is_3(self, tmp_path, text):
+        '{"query": "item0004", "items": [["item0000", NaN]]}',
+        '{"query": "item0004", "items": [["item0000", 0.5], ["item0001", 0.9]]}',
+        '{"query": "item0004", "items": [["item0000", 0.9], ["item0000", 0.5]]}',
+    ], ids=["no-query", "bad-json", "str-score", "short-entry", "str-items",
+            "nan-score", "increasing", "repeated-id"])
+    def test_malformed_retrieved_set_is_3(self, tmp_path, capsys, text):
         (tmp_path / "r.json").write_text(text)
         code = run_cli(["pool", "--backend", "synth", "--retrieved", str(tmp_path / "r.json"),
                         "--out", str(tmp_path / "p.pnct")])
         assert code == 3
+        assert str(tmp_path / "r.json") in capsys.readouterr().err
+        assert not (tmp_path / "p.pnct").exists()
 
     @pytest.mark.parametrize("meta", [
         {"ids": 5},

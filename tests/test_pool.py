@@ -307,6 +307,21 @@ class TestKeyOwnership:
             assert not held.flags.writeable
             np.testing.assert_array_equal(held, before)
 
+    @pytest.mark.parametrize("owner", ["grid", "pool"])
+    @pytest.mark.parametrize("name", ["feature_keys", "patch_keys"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_keys_rejected(self, owner, name, bad):
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(4), size=(2, 3))
+        keys = rng.normal(size=(2, 3, 5))
+        keys[1, 2, 4] = bad
+        with pytest.raises(ValidationError, match=f"{name} contain non-finite"):
+            if owner == "grid":
+                ScoreGrid(probs=probs[1], **{name: keys[1]})
+            else:
+                PromptPool(probs=probs, pair_indices=[1, 2], prompts=(), mode=None, m=2,
+                           **{name: keys})
+
     def test_frozen_owned_keys_kept_uncopied(self):
         keys = np.random.default_rng(4).normal(size=(3, 5))
         keys.flags.writeable = False

@@ -403,17 +403,16 @@ def dense_all_patch_js(query_grid, pool, config):
     cached = negentropy(flat)
     distances = np.stack([pairwise_divergence(query_grid.probs[l], flat, pool_negentropy=cached)
                           for l in range(patches)])
-    position, patch = np.divmod(np.arange(width * patches), patches)
-    pair = np.broadcast_to(pool.pair_indices[position], distances.shape)
-    position = np.broadcast_to(position, distances.shape)
-    patch = np.broadcast_to(patch, distances.shape)
-    blended, selection = _select_and_blend(
-        query_grid.probs, distances, pool.probs, position, patch, pair, config
+    index = np.arange(width * patches)
+    rank = pool.pair_indices[index // patches] * patches + index % patches
+    blended, chosen, distance, weight = _select_and_blend(
+        query_grid.probs, distances, flat, index, rank, config
     )
     totals = blended.sum(axis=1, keepdims=True)
     drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
     blended[drifted] /= totals[drifted]
-    return SmoothedGrid(probs=blended, **selection)
+    return SmoothedGrid(probs=blended, pair=pool.pair_indices[chosen // patches],
+                        patch=chosen % patches, distance=distance, weight=weight)
 
 
 @st.composite
