@@ -33,7 +33,7 @@ from .pool import (
     save_pool,
     save_tokens,
 )
-from .retrieval import FeatureMap, FeatureVector, RetrievalIndex, RetrievedSet, flatten_normalize, top_m
+from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
 from .smoothing import Aggregation, DivergenceKind, NeighborKey, PoolScope, smooth_grid
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
 from .tensorfile import atomic_write_text, read_json, read_tensor, write_tensor
@@ -51,21 +51,20 @@ def _flag_overrides(**sections: dict) -> dict:
     return {name: flags for name, flags in given.items() if flags}
 
 
-def _read_features(path, ranks: tuple[int, int]) -> tuple[np.ndarray, dict]:
-    """The feature tensor in ``path`` and its sidecar; its rank must be
-    one of ``ranks``: flat vectors or (C, H, W) maps, one or a stack."""
+def _read_features(path, stacked: bool) -> tuple[np.ndarray, dict]:
+    """The feature tensor in ``path`` and its sidecar: flat vectors or
+    (C, H, W) maps, a stack of them if ``stacked``, else one. A row (one
+    vector or map) must not be empty."""
+    ranks = (2, 4) if stacked else (1, 3)
     array, meta = read_tensor(path)
     if array.ndim not in ranks:
         raise DimensionError(
             f"{path}: feature tensor must be rank {ranks[0]} or {ranks[1]}, got shape {array.shape}"
         )
+    row_shape = array.shape[1:] if stacked else array.shape
+    if 0 in row_shape:
+        raise DimensionError(f"{path}: feature rows of shape {row_shape} are empty")
     return array, meta
-
-
-def _feature_vector(array: np.ndarray, ident: str) -> FeatureVector:
-    if array.ndim == 1:
-        array = array.reshape(1, 1, -1)
-    return flatten_normalize(FeatureMap(array, identifier=ident))
 
 
 @click.group()
@@ -83,16 +82,17 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     """Rank support items by dot similarity of normalized feature maps."""
     config = load_config(config_path, _flag_overrides(retrieval={"m": m}))
     m = config["retrieval"]["m"]
-    array, meta = _read_features(index_path, (2, 4))
+    array, meta = _read_features(index_path, stacked=True)
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
-    vectors = [_feature_vector(row, ident) for row, ident in zip(array, ids)]
+    # channel-major, then row, then column
+    vectors = [FeatureVector(np.ravel(row), ident) for row, ident in zip(array, ids)]
     try:
         index = RetrievalIndex(vectors)
     except ValidationError as exc:
         raise FormatError(f"{index_path}: {exc}") from exc
-    q_array, q_meta = _read_features(query_path, (1, 3))
+    q_array, q_meta = _read_features(query_path, stacked=False)
     q_id = meta_field(q_meta, "id", query_path, str) if "id" in q_meta else "query"
-    query = _feature_vector(q_array, q_id)
+    query = FeatureVector(np.ravel(q_array), q_id)
     result = top_m(query, index, m)
     _write_json(
         {
@@ -140,21 +140,19 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
     save_pool(pool, out_path)
 
 
-def _read_keys(path) -> np.ndarray:
-    # read-only and owned: both key fields keep it uncopied
+def _with_keys(owner, path):
+    """``owner`` with the key tensor in ``path``, if given, as both its key
+    fields: one tensor serves whichever key type the config selects. Keys
+    the owner refuses are a FormatError naming the file."""
+    if path is None:
+        return owner
     tensor = read_tensor(path)[0]
-    return frozen(np.asarray(tensor, dtype=np.float64), tensor)
-
-
-def _attach_keys(grid, pool, query_keys_path, pool_keys_path):
-    # one tensor serves whichever key type the config selects
-    if query_keys_path is not None:
-        keys = _read_keys(query_keys_path)
-        grid = dataclasses.replace(grid, feature_keys=keys, patch_keys=keys)
-    if pool_keys_path is not None:
-        keys = _read_keys(pool_keys_path)
-        pool = dataclasses.replace(pool, feature_keys=keys, patch_keys=keys)
-    return grid, pool
+    # read-only and owned: both key fields keep it uncopied
+    keys = frozen(np.asarray(tensor, dtype=np.float64), tensor)
+    try:
+        return dataclasses.replace(owner, feature_keys=keys, patch_keys=keys)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @cli.command()
@@ -181,7 +179,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     }))
     grid, shape = load_grid(query_path)
     pool = load_pool(pool_path)
-    grid, pool = _attach_keys(grid, pool, query_keys_path, pool_keys_path)
+    grid, pool = _with_keys(grid, query_keys_path), _with_keys(pool, pool_keys_path)
     sconfig = smoothing_config(config, m=pool.m)
     result = smooth_grid(grid, pool, sconfig)
     write_tensor(result.probs, out_path,

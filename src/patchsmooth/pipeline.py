@@ -190,11 +190,6 @@ def _file_pipeline(config: dict) -> PipelineReport:
     baseline_tokens = decode_argmax(query_grid)
     smoothed_tokens = decode_argmax(smoothed)
 
-    artifacts = {}
-    if "out_tokens" in files:
-        save_tokens(smoothed_tokens, shape, files["out_tokens"], config=echo["smoothing"])
-        artifacts["out_tokens"] = files["out_tokens"]
-
     reports = ()
     if "gt_tokens" in files:
         gt, _ = read_tensor(files["gt_tokens"])
@@ -206,6 +201,12 @@ def _file_pipeline(config: dict) -> PipelineReport:
             "smoothed_tokens": smoothed_tokens,
             "truth": gt.reshape(-1),
         }], echo)
+
+    # written last: a run refused on any input leaves no tokens behind
+    artifacts = {}
+    if "out_tokens" in files:
+        save_tokens(smoothed_tokens, shape, files["out_tokens"], config=echo["smoothing"])
+        artifacts["out_tokens"] = files["out_tokens"]
     return PipelineReport(config=echo, reports=reports, artifacts=artifacts)
 
 

@@ -345,15 +345,19 @@ def save_pool(pool: PromptPool, path: str | Path) -> None:
 
 def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[np.ndarray, dict]:
     """The f32 score tensor of ``rank`` in ``path``, rows normalized, and
-    its sidecar, whose ``kind`` must be ``kind`` if that is given."""
+    its sidecar, whose ``kind`` must be ``kind`` if that is given. Scores
+    that cannot be normalized are a FormatError naming the file."""
     array, meta = read_tensor(path)
     if kind is not None and meta.get("kind") != kind:
-        raise ValidationError(f"{path} is not a {kind} file")
+        raise FormatError(f"{path} is not a {kind} file")
     if array.dtype.kind != "f":
         raise FormatError(f"{path}: scores must be f32, got {array.dtype.name}")
     if array.ndim != rank:
         raise DimensionError(f"{path}: score tensor must be rank {rank}, got shape {array.shape}")
-    return normalize_scores(array), meta
+    try:
+        return normalize_scores(array), meta
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_pool(path: str | Path) -> PromptPool:

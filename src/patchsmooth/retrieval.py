@@ -33,6 +33,7 @@ from .divergence import _U32, _gamma32, frozen, screen_survivors
 from .errors import ConfigError, DimensionError, ValidationError
 
 
+# Kept only for the benchmark workloads, which build their index rows with it.
 @dataclass(frozen=True)
 class FeatureMap:
     """A (channels, height, width) feature tensor for one item."""
@@ -84,6 +85,7 @@ class FeatureVector:
         return values
 
 
+# Kept only for the benchmark workloads, as FeatureMap is.
 def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
     """Flatten channel-major row-major; the vector computes its norm."""
     return FeatureVector(np.ravel(feature_map.values), feature_map.identifier)

@@ -1,7 +1,7 @@
 """Score smoothing: divergence-weighted k-NN blending of pooled distributions.
 
 For every masked patch the query's own distribution s is blended with its
-k nearest pool entries:
+k nearest pool entries among those from the top-m retrieved pairs:
 
     s_hat = (1 - alpha) * s + alpha * sum_i w_i * u_i
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +71,9 @@ class PoolScope(enum.Enum):
 class SmoothingConfig:
     """Hyperparameters of one smoothing run.
 
+    ``m`` picks the candidates: ``smooth_grid`` blends only the pool
+    entries whose pair index is at most m, those of the top-m retrieved
+    pairs, so one pool built at the largest m serves every smaller m.
     ``k`` defaults to min(5, m). ``alpha`` weighs the pooled signal
     (1.0 suits segmentation/colorization style tasks, 0.7 detection);
     ``tau`` is the softmax temperature (1.0 default).
@@ -254,9 +257,16 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
             f"codebook size mismatch: grid {query_grid.codebook_size}, pool {pool.codebook_size}"
         )
     query, candidates, distance = _selection_keys(query_grid, pool, config)
+    probs, pair_indices = pool.probs, pool.pair_indices
+    if config.m < pool.m:  # only the entries of the top-m pairs are candidates
+        kept = np.flatnonzero(pair_indices <= config.m)
+        if not len(kept):
+            raise ConfigError(f"no pool entry is from the top m={config.m} pairs: "
+                              f"pair indices {pair_indices.tolist()}")
+        candidates, probs, pair_indices = candidates[kept], probs[kept], pair_indices[kept]
     score = config.key is NeighborKey.SCORE
     js = score and config.divergence is DivergenceKind.JS
-    width, patches = pool.width, pool.patch_count
+    width, patches = len(probs), pool.patch_count
     flat = candidates.reshape(width * patches, -1)  # row n is pool entry (n // L, n % L)
     # Negentropies the calls would recompute are passed in, computed once.
     if config.scope is PoolScope.ALL_PATCH:
@@ -279,13 +289,13 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
                              axis=1)
         index = np.arange(width) * patches + np.arange(patches)[:, None]
     # ties break by (pair index, patch index): patch < L, so one integer orders them
-    rank = pool.pair_indices[index // patches] * patches + index % patches
+    rank = pair_indices[index // patches] * patches + index % patches
     blended, chosen, chosen_distance, weight = _select_and_blend(
-        query_grid.probs, distances, pool.probs.reshape(width * patches, -1), index, rank, config
+        query_grid.probs, distances, probs.reshape(width * patches, -1), index, rank, config
     )
     # The blend is convex: SmoothedGrid's simplex check divides out any drift.
     blended.flags.writeable = False  # frozen and owned: the grid keeps it uncopied
-    return SmoothedGrid(probs=blended, pair=pool.pair_indices[chosen // patches],
+    return SmoothedGrid(probs=blended, pair=pair_indices[chosen // patches],
                         patch=chosen % patches, distance=chosen_distance, weight=weight)
 
 
@@ -338,4 +348,5 @@ def aggregate_sequences(grids: Sequence[ScoreGrid], config: SmoothingConfig) -> 
         mode=None,
         m=len(grids) - 1,
     )
-    return smooth_grid(first, pool, config)
+    # every grid is pooled, however small config.m; k stays as resolved
+    return smooth_grid(first, pool, replace(config, m=max(config.m, len(grids) - 1)))

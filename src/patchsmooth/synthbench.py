@@ -29,7 +29,7 @@ from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
 from .errors import ConfigError, MissingItemError
 from .metrics import decode_argmax, eval_reports
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
-from .retrieval import FeatureMap, RetrievalIndex, flatten_normalize, top_m
+from .retrieval import FeatureVector, RetrievalIndex, top_m
 from .smoothing import SmoothingConfig, smooth_grid
 
 RNG_FAMILY = "numpy-pcg64"
@@ -72,7 +72,7 @@ class SyntheticWorld:
         return self.items[item_id]
 
     def feature_vector(self, item_id: str):
-        return flatten_normalize(FeatureMap(self.item(item_id).features, identifier=item_id))
+        return FeatureVector(np.ravel(self.item(item_id).features), item_id)
 
     def support_index(self) -> RetrievalIndex:
         return RetrievalIndex([self.feature_vector(i) for i in self.support_ids])
@@ -242,21 +242,6 @@ def _js_to_truth(probs, truth) -> float:
     return float(np.mean(pairwise_divergence(probs, onehots)))
 
 
-def _pool_prefix(pool: PromptPool, m: int) -> PromptPool:
-    """The pool of the first ``m`` retrieved pairs: top-m is a prefix of
-    top-max(m) and scoring is deterministic, so mode q's rows for pairs
-    1..m are exactly the first m rows."""
-    return PromptPool(
-        probs=pool.probs[:m],
-        pair_indices=pool.pair_indices[:m],
-        prompts=pool.prompts[:m],
-        mode=pool.mode,
-        m=m,
-        feature_keys=None if pool.feature_keys is None else pool.feature_keys[:m],
-        patch_keys=None if pool.patch_keys is None else pool.patch_keys[:m],
-    )
-
-
 def _baseline(pool: PromptPool) -> ScoreGrid:
     """Pool row 0 as a grid: mode q's first prompt is the single-pair
     prompt [x_1, y_1, query]."""
@@ -271,7 +256,7 @@ def _baseline(pool: PromptPool) -> ScoreGrid:
 def _with_smoothed_arm(row: dict, baseline: ScoreGrid, pool: PromptPool,
                        config: SmoothingConfig) -> dict:
     """``row`` plus the smoothed arm of one config."""
-    smoothed = smooth_grid(baseline, _pool_prefix(pool, config.m), config)
+    smoothed = smooth_grid(baseline, pool, config)
     return {
         **row,
         "smoothed_tokens": decode_argmax(smoothed),
@@ -320,7 +305,7 @@ def run_bias_experiment(
     for i in picked:
         q = world.query_ids[i]
         # each prompt is scored once, at the largest m; every config smooths
-        # against a prefix of that pool
+        # against that pool, whose entries from pairs 1..m are its candidates
         pool = build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
         baseline = _baseline(pool)
         row = {"query": q, "baseline_tokens": decode_argmax(baseline),

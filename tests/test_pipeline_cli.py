@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchsmooth import cli as cli_module
-from patchsmooth.cli import _attach_keys, cli, main
+from patchsmooth.cli import _with_keys, cli, main
 from patchsmooth.errors import ConfigError
 from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline, smoothing_config
 from patchsmooth.pool import (
@@ -204,6 +204,27 @@ class TestFilePipeline:
         assert str(tmp_path / "gt.pnct") in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("gt, expected", [
+        (np.array([[0.5, 1.5, 2.0], [3.7, 0.0, 1.0]], dtype=np.float32), 3),
+        (np.array([[0, 1], [2, 3]], dtype=np.uint32), 4),
+    ], ids=["float", "wrong-length"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_refused_ground_truth_writes_no_tokens(self, tmp_path, gt, expected, existing):
+        config = self.make_inputs(tmp_path)
+        write_tensor(gt, tmp_path / "gt.pnct", meta={"kind": "token-grid"})
+        out = tmp_path / "out.pnct"
+        if existing:
+            out.write_bytes(b"earlier tokens")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "report.json")])
+        assert code == expected
+        assert not (tmp_path / "report.json").exists()
+        if existing:
+            assert out.read_bytes() == b"earlier tokens"
+        else:
+            assert not out.exists()
+
 
 class TestCliFlow:
     def setup_retrieval_files(self, tmp_path, rng):
@@ -357,7 +378,7 @@ class TestCliFlow:
         pool_keys = rng.normal(size=(3, 4, 6)).astype(np.float32)
         write_tensor(query_keys, tmp_path / "qk.pnct")
         write_tensor(pool_keys, tmp_path / "pk.pnct")
-        grid, pool = _attach_keys(grid, pool, tmp_path / "qk.pnct", tmp_path / "pk.pnct")
+        grid, pool = _with_keys(grid, tmp_path / "qk.pnct"), _with_keys(pool, tmp_path / "pk.pnct")
         for owner, keys in ((grid, query_keys), (pool, pool_keys)):
             assert owner.feature_keys is owner.patch_keys
             assert np.shares_memory(owner.feature_keys, owner.patch_keys)
@@ -382,8 +403,10 @@ class TestCliFlow:
             "--pool-keys", str(tmp_path / "pk.pnct"),
             "--out", str(tmp_path / "s.pnct"), "--diag", str(tmp_path / "d.json"),
         ])
-        assert code == 1
-        assert "non-finite" in capsys.readouterr().err
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert str(tmp_path / "pk.pnct") in err
         assert not (tmp_path / "s.pnct").exists()
         assert not (tmp_path / "d.json").exists()
 
@@ -450,6 +473,22 @@ class TestCliFlow:
         assert run_cli([*argv, str(tmp_path / "f64.json")]) == 0
         assert built[-1]._matrix.dtype == np.float64
         assert (tmp_path / "f32.json").read_bytes() == (tmp_path / "f64.json").read_bytes()
+
+    def test_retrieve_reads_u32_features_as_their_values(self, tmp_path):
+        # small integers are exact in float32: both files hold the same rows
+        features = np.random.default_rng(7).integers(0, 50, size=(9, 2, 3, 4))
+        argv = {}
+        for dtype in (np.uint32, np.float32):
+            name = np.dtype(dtype).name
+            write_tensor(features.astype(dtype), tmp_path / f"{name}.pnct",
+                         meta={"ids": [f"i{n}" for n in range(9)]})
+            write_tensor(features[4].astype(dtype), tmp_path / f"q{name}.pnct", meta={"id": "q"})
+            argv[name] = ["retrieve", "--index", str(tmp_path / f"{name}.pnct"),
+                          "--query", str(tmp_path / f"q{name}.pnct"), "--m", "5",
+                          "--out", str(tmp_path / f"{name}.json")]
+            assert run_cli(argv[name]) == 0
+        assert (tmp_path / "uint32.json").read_bytes() == (tmp_path / "float32.json").read_bytes()
+        assert json.loads((tmp_path / "uint32.json").read_text())["items"][0][0] == "i4"
 
     def test_pool_with_synth_backend(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -732,6 +771,24 @@ class TestExitCodes:
         assert str(paths[role]) in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("role, shape", [
+        ("index", (3, 0)), ("index", (3, 2, 0, 4)), ("query", (0,)), ("query", (2, 0, 4)),
+    ], ids=["index-flat", "index-map", "query-flat", "query-map"])
+    def test_empty_feature_row_is_4(self, tmp_path, capsys, role, shape):
+        vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        tensors = {"index": vectors, "query": vectors[0]}
+        tensors[role] = np.ones(shape, dtype=np.float32)
+        paths = {name: tmp_path / f"{name}.pnct" for name in tensors}
+        write_tensor(tensors["index"], paths["index"], meta={"ids": ["i0", "i1", "i2"]})
+        write_tensor(tensors["query"], paths["query"], meta={"id": "q"})
+        code = run_cli([
+            "retrieve", "--index", str(paths["index"]), "--query", str(paths["query"]),
+            "--m", "2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 4
+        assert str(paths[role]) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("metric", ["accuracy", "mse", "iou"])
     def test_eval_of_empty_tensors_is_4(self, tmp_path, metric):
         for name in ("pred", "gt"):
@@ -827,6 +884,61 @@ class TestExitCodes:
             "smooth", "--query", str(tokens), "--pool", str(tmp_path / "p.pnct")]
         assert run_cli(argv + ["--out", str(tmp_path / "o.pnct")]) == 3
         assert not (tmp_path / "o.pnct").exists()
+
+    @staticmethod
+    def spoiled(array, fault):
+        """A copy of the score or key tensor ``array`` with one fault."""
+        array = np.array(array)
+        rows = array.reshape(-1, array.shape[-1])
+        if fault == "zero-row":
+            rows[1] = 0.0
+        else:
+            rows[1, 2] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[fault]
+        return array
+
+    @pytest.mark.parametrize("role, fault", [
+        *itertools.product(["query", "decode", "pool", "prompt"],
+                           ["nan", "inf", "negative", "zero-row"]),
+        ("pool", "kind"), ("query-keys", "nan"), ("query-keys", "inf"),
+        ("pool-keys", "nan"), ("pool-keys", "inf"),
+    ])
+    def test_refused_score_or_key_values_are_3(self, tmp_path, capsys, role, fault):
+        # keys are unconstrained vectors: only non-finite entries are faults
+        rng = np.random.default_rng(3)
+        region = (2, 2)
+        save_grid(random_grid(rng, 4, 5, prompt=PromptSpec("s0", "s0.gt", "query", region)),
+                  tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=region), tmp_path / "p.pnct")
+        write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
+        write_tensor(rng.normal(size=(2, 4, 3)).astype(np.float32), tmp_path / "pk.pnct")
+        scores = TestCliFlow().setup_scores_dir(tmp_path, rng, ["s0", "s1"])
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
+        path = {"query": tmp_path / "g.pnct", "decode": tmp_path / "g.pnct",
+                "pool": tmp_path / "p.pnct", "prompt": scores / "s1.pnct",
+                "query-keys": tmp_path / "qk.pnct", "pool-keys": tmp_path / "pk.pnct"}[role]
+        array, meta = read_tensor(path)
+        if fault == "kind":
+            meta = {"kind": "score-grid"}
+        else:
+            array = self.spoiled(array, fault)
+        write_tensor(array, path, meta=meta)
+        out = tmp_path / "o.pnct"
+        if role == "decode":
+            argv = ["decode", "--in", str(path), "--out", str(out)]
+        elif role == "prompt":
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
+        else:
+            argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
+                    "--pool", str(tmp_path / "p.pnct"), "--key", "feature",
+                    "--query-keys", str(tmp_path / "qk.pnct"),
+                    "--pool-keys", str(tmp_path / "pk.pnct"),
+                    "--out", str(out), "--diag", str(tmp_path / "d.json")]
+        assert run_cli(argv) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "d.json").exists()
 
     MISSING = "<missing>"
 

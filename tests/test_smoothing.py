@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -760,3 +761,80 @@ class TestAggregateSequences:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_sequences([], SmoothingConfig.sequence_defaults())
+
+    def test_grids_beyond_config_m_are_still_pooled(self):
+        # four grids, m=2: grid 3 is the nearest and still blended in, as
+        # it is at m=3
+        grids = [self.grid_of(*rows) for rows in (
+            [[0.25, 0.75], [0.5, 0.5]], [[0.9, 0.1], [0.45, 0.55]],
+            [[0.8, 0.2], [0.1, 0.9]], [[0.3, 0.7], [0.6, 0.4]])]
+        config = SmoothingConfig.sequence_defaults()
+        assert config.m == 2 and config.k == 2
+        out = aggregate_sequences(grids, config)
+        assert out.pair.tolist() == [[3, 2], [1, 3]]
+        pool = PromptPool(probs=np.stack([g.probs for g in grids[1:]]),
+                          pair_indices=np.arange(1, 4), prompts=(), mode=None, m=3)
+        assert_same_bits(out, smooth_grid(grids[0], pool, SmoothingConfig(m=3, k=2, alpha=0.8)))
+
+
+def top_m_pool(pool, m):
+    """The pool of the entries of the top-m pairs, built explicitly."""
+    kept = pool.pair_indices <= m
+    keys = {name: None if getattr(pool, name) is None else getattr(pool, name)[kept]
+            for name in ("feature_keys", "patch_keys")}
+    return PromptPool(probs=pool.probs[kept], pair_indices=pool.pair_indices[kept], prompts=(),
+                      mode=pool.mode, m=m, **keys)
+
+
+class TestTopMCandidates:
+    """``config.m`` below some pair indices: only the top-m pairs' entries
+    are candidates, exactly as in the pool of those entries alone."""
+
+    def instance(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        patches, size, m = 5, 64, 6
+        if mode is PoolMode.Q:
+            indices = np.arange(1, m + 1)
+        else:  # RAND: m - 1 anchors, pair ranks in any order
+            indices = rng.choice(np.arange(1, m + 1), size=m - 1, replace=False)
+        # every entry is a copy of one of three rows (keys included), so
+        # distance ties recur and the tie-break rank must follow the rows
+        pick = rng.integers(3, size=(len(indices), patches))
+        pool = PromptPool(probs=rng.dirichlet(np.full(size, 0.3), size=3)[pick],
+                          pair_indices=indices, prompts=(), mode=mode, m=m,
+                          feature_keys=rng.normal(size=(3, 3))[pick],
+                          patch_keys=rng.normal(size=(3, 1))[pick])
+        query = ScoreGrid(probs=rng.dirichlet(np.full(size, 0.3), size=patches),
+                          feature_keys=rng.normal(size=(patches, 3)),
+                          patch_keys=rng.normal(size=(patches, 1)))
+        return query, pool
+
+    @pytest.mark.parametrize("mode", [PoolMode.Q, PoolMode.RAND], ids=["q", "rand"])
+    @pytest.mark.parametrize("key", [NeighborKey.SCORE, NeighborKey.FEATURE, NeighborKey.PATCH])
+    @pytest.mark.parametrize("divergence", list(DivergenceKind))
+    @pytest.mark.parametrize("scope", list(PoolScope))
+    def test_equals_the_explicit_top_m_pool(self, scope, divergence, key, mode):
+        for seed, m in itertools.product(range(3), (1, 2, 4)):
+            query, pool = self.instance(seed, mode)
+            if not (pool.pair_indices <= m).any():
+                continue
+            for k in (1, 3):
+                config = SmoothingConfig(m=m, k=k, alpha=0.7, tau=0.5, divergence=divergence,
+                                         key=key, scope=scope)
+                got = smooth_grid(query, pool, config)
+                assert set(got.pair.ravel().tolist()) <= set(range(1, m + 1))
+                assert_same_bits(got, smooth_grid(query, top_m_pool(pool, m), config))
+
+    def test_no_entry_within_the_top_m_is_a_config_error(self):
+        rng = np.random.default_rng(0)
+        pool = PromptPool(probs=rng.dirichlet(np.ones(4), size=(2, 3)), pair_indices=[3, 4],
+                          prompts=(), mode=PoolMode.RAND, m=4)
+        for scope in PoolScope:
+            with pytest.raises(ConfigError, match="top m=2"):
+                smooth_grid(random_grid(rng, 3, 4), pool, SmoothingConfig(m=2, scope=scope))
+
+    def test_m_at_or_above_the_pool_m_keeps_every_row(self):
+        rng = np.random.default_rng(1)
+        query, pool = random_grid(rng, 4, 6), random_pool(rng, 3, 4, 6)
+        full = smooth_grid(query, pool, SmoothingConfig(m=3, k=3))
+        assert_same_bits(smooth_grid(query, pool, SmoothingConfig(m=7, k=3)), full)
