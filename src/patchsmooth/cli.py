@@ -54,7 +54,7 @@ def _flag_overrides(**sections: dict) -> dict:
 def _read_features(path, stacked: bool) -> tuple[np.ndarray, dict]:
     """The feature tensor in ``path`` and its sidecar: flat vectors or
     (C, H, W) maps, a stack of them if ``stacked``, else one. A row (one
-    vector or map) must not be empty."""
+    vector or map) must not be empty, and a stack must hold a row."""
     ranks = (2, 4) if stacked else (1, 3)
     array, meta = read_tensor(path)
     if array.ndim not in ranks:
@@ -64,6 +64,8 @@ def _read_features(path, stacked: bool) -> tuple[np.ndarray, dict]:
     row_shape = array.shape[1:] if stacked else array.shape
     if 0 in row_shape:
         raise DimensionError(f"{path}: feature rows of shape {row_shape} are empty")
+    if stacked and array.shape[0] == 0:
+        raise DimensionError(f"{path}: feature tensor of shape {array.shape} holds no rows")
     return array, meta
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import pairwise_divergence
 from .errors import DimensionError, ValidationError
 from .pool import ScoreGrid
 from .smoothing import SmoothedGrid
@@ -87,9 +88,16 @@ class EvalReport:
         }
 
 
+def _js_to_truth(probs, truth) -> float:
+    """Mean JS divergence of the (L, |V|) ``probs`` from one-hot ``truth``."""
+    onehots = np.eye(probs.shape[1])[truth]
+    return float(np.mean(pairwise_divergence(probs, onehots)))
+
+
 def eval_reports(rows: list[dict], config: dict) -> tuple[EvalReport, ...]:
-    """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``
-    when the rows carry ``js_to_truth``. Each row holds ``query``,
+    """Accuracy and token MSE of both arms, then ``smoothed_js_to_truth``,
+    the smoothed grid's mean JS divergence from the one-hot truth, when
+    the rows carry ``smoothed_probs``. Each row holds ``query``,
     ``baseline_tokens``, ``smoothed_tokens`` and ``truth``."""
     reports = [
         EvalReport.from_items(
@@ -100,8 +108,10 @@ def eval_reports(rows: list[dict], config: dict) -> tuple[EvalReport, ...]:
         for metric, fn in (("accuracy", pixel_accuracy), ("mse", mse))
         for arm in ("baseline", "smoothed")
     ]
-    if "js_to_truth" in rows[0]:
+    if "smoothed_probs" in rows[0]:
         reports.append(EvalReport.from_items(
-            "smoothed_js_to_truth", [(r["query"], r["js_to_truth"]) for r in rows], config
+            "smoothed_js_to_truth",
+            [(r["query"], _js_to_truth(r["smoothed_probs"], r["truth"])) for r in rows],
+            config,
         ))
     return tuple(reports)

@@ -346,7 +346,8 @@ def save_pool(pool: PromptPool, path: str | Path) -> None:
 def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[np.ndarray, dict]:
     """The f32 score tensor of ``rank`` in ``path``, rows normalized, and
     its sidecar, whose ``kind`` must be ``kind`` if that is given. Scores
-    that cannot be normalized are a FormatError naming the file."""
+    that cannot be normalized are a FormatError, and rows shorter than 2
+    a DimensionError, naming the file."""
     array, meta = read_tensor(path)
     if kind is not None and meta.get("kind") != kind:
         raise FormatError(f"{path} is not a {kind} file")
@@ -354,6 +355,8 @@ def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[
         raise FormatError(f"{path}: scores must be f32, got {array.dtype.name}")
     if array.ndim != rank:
         raise DimensionError(f"{path}: score tensor must be rank {rank}, got shape {array.shape}")
+    if array.shape[-1] < 2:
+        raise DimensionError(f"{path}: score rows must have length >= 2, got shape {array.shape}")
     try:
         return normalize_scores(array), meta
     except ValidationError as exc:

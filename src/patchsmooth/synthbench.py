@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import CodebookSpec, normalize_scores, pairwise_divergence
+from .divergence import CodebookSpec, normalize_scores
 from .errors import ConfigError, MissingItemError
-from .metrics import decode_argmax, eval_reports
+from .metrics import decode_argmax, pixel_accuracy
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureVector, RetrievalIndex, top_m
 from .smoothing import SmoothingConfig, smooth_grid
@@ -103,21 +103,26 @@ def generate_world(
     children = root.spawn(n_items + 1)  # one stream per item, last one for the split
     patch_count = rows * cols
 
-    items: dict[str, WorldItem] = {}
+    # item i draws its tokens, then its feature noise, from its own stream
+    inputs = np.empty((n_items, patch_count), dtype=np.int64)
+    noise = np.empty((n_items, codebook_size, rows, cols))
     for i in range(n_items):
         rng = np.random.default_rng(children[i])
-        ident = f"item{i:04d}"
-        inputs = rng.integers(0, codebook_size, size=patch_count)
-        outputs = np.array(rule(inputs, codebook_size))
-        features = np.zeros((codebook_size, rows, cols))
-        features[inputs, np.repeat(np.arange(rows), cols), np.tile(np.arange(cols), rows)] = 1.0
-        features += FEATURE_NOISE * rng.normal(size=features.shape)
-        for arr in (inputs, outputs, features):
-            arr.flags.writeable = False
-        items[ident] = WorldItem(ident, inputs, outputs, features)
+        inputs[i] = rng.integers(0, codebook_size, size=patch_count)
+        noise[i] = rng.normal(size=noise.shape[1:])
+    outputs = np.array(rule(inputs, codebook_size))
+    features = np.zeros(noise.shape)
+    patch_row, patch_col = np.divmod(np.arange(patch_count), cols)
+    features[np.arange(n_items)[:, None], inputs, patch_row, patch_col] = 1.0
+    features += FEATURE_NOISE * noise
+    for arr in (inputs, outputs, features):
+        arr.flags.writeable = False
+    idents = [f"item{i:04d}" for i in range(n_items)]
+    items = {ident: WorldItem(ident, inputs[i], outputs[i], features[i])
+             for i, ident in enumerate(idents)}
 
     split_rng = np.random.default_rng(children[n_items])
-    order = [f"item{i:04d}" for i in split_rng.permutation(n_items)]
+    order = [idents[i] for i in split_rng.permutation(n_items)]
     n_support = min(n_items - 1, max(1, round(SUPPORT_FRACTION * n_items)))
     return SyntheticWorld(
         grid=(rows, cols),
@@ -237,11 +242,6 @@ class SyntheticScorerBackend:
 # ---------------------------------------------------------------------------
 
 
-def _js_to_truth(probs, truth) -> float:
-    onehots = np.eye(probs.shape[1])[truth]
-    return float(np.mean(pairwise_divergence(probs, onehots)))
-
-
 def _baseline(pool: PromptPool) -> ScoreGrid:
     """Pool row 0 as a grid: mode q's first prompt is the single-pair
     prompt [x_1, y_1, query]."""
@@ -257,11 +257,13 @@ def _with_smoothed_arm(row: dict, baseline: ScoreGrid, pool: PromptPool,
                        config: SmoothingConfig) -> dict:
     """``row`` plus the smoothed arm of one config."""
     smoothed = smooth_grid(baseline, pool, config)
-    return {
-        **row,
-        "smoothed_tokens": decode_argmax(smoothed),
-        "js_to_truth": _js_to_truth(smoothed.probs, row["truth"]),
-    }
+    return {**row, "smoothed_tokens": decode_argmax(smoothed), "smoothed_probs": smoothed.probs}
+
+
+def _mean_accuracy(rows: list[dict], arm: str) -> float:
+    """The mean ``pixel_accuracy`` of one arm's tokens over outcome rows:
+    the ``{arm}_accuracy`` aggregate ``metrics.eval_reports`` reports."""
+    return float(np.mean([pixel_accuracy(r[f"{arm}_tokens"], r["truth"]) for r in rows]))
 
 
 def run_bias_experiment(
@@ -273,10 +275,11 @@ def run_bias_experiment(
 ) -> list[list[dict]]:
     """Compare smoothed vs single-pair decoding across configurations.
 
-    Returns, for each config, one outcome row per query: ``query``,
-    ``baseline_tokens``, ``smoothed_tokens`` and ``truth`` as arrays, and
-    the mean JS divergence ``js_to_truth`` of the smoothed grid from the
-    one-hot truth; ``metrics.eval_reports`` turns rows into reports.
+    Returns, for each config, one outcome row per query: ``query``, then
+    ``baseline_tokens``, ``smoothed_tokens`` and ``truth`` as (L,) arrays
+    and ``smoothed_probs``, the smoothed grid's read-only (L, |V|) probs.
+    Rows hold outcomes, not metrics: ``metrics.eval_reports`` turns them
+    into reports, the JS divergence from the truth among them.
     Queries are drawn from the world's query split with the given seed;
     everything downstream is deterministic, so rows are reproducible
     bit for bit.
@@ -347,10 +350,9 @@ def run_seed_sweep(
     for seed in seeds:
         world = generate_world(seed, rows, cols, codebook_size, n_items, task_family)
         outcomes = run_bias_experiment(world, params, config_grid, n_queries, seed)
-        accuracy = [{r.metric: r.aggregate for r in eval_reports(rows, {})} for rows in outcomes]
-        row = {"seed": seed, "baseline": accuracy[0]["baseline_accuracy"]}
-        for m, acc in zip(m_values, accuracy):
-            row[f"m={m}"] = acc["smoothed_accuracy"]
+        row = {"seed": seed, "baseline": _mean_accuracy(outcomes[0], "baseline")}
+        for m, outcome_rows in zip(m_values, outcomes):
+            row[f"m={m}"] = _mean_accuracy(outcome_rows, "smoothed")
         per_seed.append(row)
 
     means = {

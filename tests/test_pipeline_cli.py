@@ -789,6 +789,41 @@ class TestExitCodes:
         assert str(paths[role]) in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_index_with_no_rows_is_4(self, tmp_path, capsys):
+        index, query = tmp_path / "index.pnct", tmp_path / "query.pnct"
+        write_tensor(np.ones((0, 8), dtype=np.float32), index, meta={"ids": []})
+        write_tensor(np.ones(8, dtype=np.float32), query, meta={"id": "q"})
+        code = run_cli(["retrieve", "--index", str(index), "--query", str(query),
+                        "--m", "2", "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        assert str(index) in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("role", ["decode", "query", "pool", "prompt"])
+    def test_score_rows_of_length_1_are_4(self, tmp_path, capsys, role):
+        rng = np.random.default_rng(4)
+        save_grid(random_grid(rng, 4, 5), tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), tmp_path / "p.pnct")
+        scores = TestCliFlow().setup_scores_dir(tmp_path, rng, ["s0", "s1"])
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
+        path = {"decode": tmp_path / "g.pnct", "query": tmp_path / "g.pnct",
+                "pool": tmp_path / "p.pnct", "prompt": scores / "s1.pnct"}[role]
+        array, meta = read_tensor(path)
+        write_tensor(np.ones(array.shape[:-1] + (1,), dtype=np.float32), path, meta=meta)
+        out = tmp_path / "o.pnct"
+        if role == "decode":
+            argv = ["decode", "--in", str(path), "--out", str(out)]
+        elif role == "prompt":
+            argv = ["pool", "--backend", "file", "--scores", str(scores),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
+        else:
+            argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
+                    "--pool", str(tmp_path / "p.pnct"), "--out", str(out)]
+        assert run_cli(argv) == 4
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("metric", ["accuracy", "mse", "iou"])
     def test_eval_of_empty_tensors_is_4(self, tmp_path, metric):
         for name in ("pred", "gt"):

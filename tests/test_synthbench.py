@@ -9,9 +9,10 @@ import pytest
 from conftest import assert_same_selection
 from oracle import brute_force_smooth
 from patchsmooth import errors, synthbench
+from patchsmooth.divergence import pairwise_divergence
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.metrics import eval_reports
-from patchsmooth.pipeline import run_pipeline
+from patchsmooth.pipeline import load_config, run_pipeline, smoothing_config, synth_world
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
     Aggregation,
@@ -91,6 +92,32 @@ class TestGenerateWorld:
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed"):
             generate_world(-1, 2, 2, 4, 8)
+
+    @pytest.mark.parametrize("task, rule", [
+        ("identity", lambda t, size: t),
+        ("shift", lambda t, size: (t + 1) % size),
+        ("reverse", lambda t, size: size - 1 - t),
+    ], ids=["identity", "shift", "reverse"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_items_follow_their_own_streams(self, task, rule, seed):
+        # item i draws its tokens, then its feature noise, from child i of
+        # the seed's SeedSequence; the last child is the split's
+        rows, cols, size, n_items = 2, 3, 5, 9
+        world = generate_world(seed, rows, cols, size, n_items, task)
+        children = np.random.SeedSequence(seed).spawn(n_items + 1)
+        for i in range(n_items):
+            rng = np.random.default_rng(children[i])
+            tokens = rng.integers(0, size, size=rows * cols)
+            features = np.zeros((size, rows, cols))
+            for patch, token in enumerate(tokens):
+                features[token, patch // cols, patch % cols] = 1.0
+            features += synthbench.FEATURE_NOISE * rng.normal(size=(size, rows, cols))
+            item = world.item(f"item{i:04d}")
+            for got, want in ((item.input_tokens, tokens), (item.output_tokens, rule(tokens, size)),
+                              (item.features, features)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
 
 class TestBiasedScorerParams:
@@ -329,9 +356,11 @@ class TestBiasExperiment:
             assert len(rows_a) == len(rows_b) == 2
             for row_a, row_b in zip(rows_a, rows_b):
                 assert row_a.keys() == row_b.keys() == {
-                    "query", "baseline_tokens", "smoothed_tokens", "truth", "js_to_truth"}
+                    "query", "baseline_tokens", "smoothed_tokens", "truth", "smoothed_probs"}
                 assert row_a["query"] == row_b["query"]
-                assert row_a["js_to_truth"] == row_b["js_to_truth"]
+                assert row_a["smoothed_probs"].shape == (world.patch_count, world.codebook.size)
+                assert row_a["smoothed_probs"].tobytes() == row_b["smoothed_probs"].tobytes()
+                assert not row_a["smoothed_probs"].flags.writeable
                 for key in ("baseline_tokens", "smoothed_tokens", "truth"):
                     assert isinstance(row_a[key], np.ndarray)
                     assert row_a[key].shape == (world.patch_count,)
@@ -440,8 +469,38 @@ class TestBiasExperiment:
         with pytest.raises(ConfigError):
             run_seed_sweep(seeds=seeds)
 
+    @pytest.mark.parametrize("task", ["identity", "shift"])
+    @pytest.mark.parametrize("m_values", [(1, 2, 4), (3, 5)])
+    def test_sweep_accuracies_equal_eval_reports(self, task, m_values):
+        seeds = range(5)
+        report = run_seed_sweep(seeds=seeds, task_family=task, m_values=m_values)
+        grid = [SmoothingConfig(m=m) for m in m_values]
+        for seed, row in zip(seeds, report["per_seed"]):
+            world = generate_world(seed, 4, 4, 8, 24, task)
+            outcomes = run_bias_experiment(world, self.params, grid, n_queries=3, seed=seed)
+            assert row["baseline"] == accuracy(outcomes[0], "baseline")
+            for m, rows in zip(m_values, outcomes):
+                assert row[f"m={m}"] == accuracy(rows, "smoothed")
+
+    def test_run_reports_js_to_truth(self):
+        config = load_config()
+        world, params = synth_world(config)
+        smoothing = smoothing_config(config, m=config["retrieval"]["m"])
+        [rows] = run_bias_experiment(world, params, [smoothing], n_queries=config["queries"]["n"],
+                                     seed=config["queries"]["seed"])
+        report = run_pipeline(config).report("smoothed_js_to_truth")
+        size = world.codebook.size
+        want = []
+        for row in rows:
+            onehots = np.zeros((world.patch_count, size))
+            onehots[np.arange(world.patch_count), row["truth"]] = 1.0
+            want.append((row["query"], float(np.mean(pairwise_divergence(row["smoothed_probs"],
+                                                                         onehots)))))
+        assert list(report.per_item) == want
+        assert report.aggregate == float(np.mean([js for _, js in want]))
+
     def test_run_and_sweep_agree(self):
-        # both paths turn the same outcome rows into reports with eval_reports
+        # the sweep's accuracies are eval_reports' aggregates of the same rows
         pipeline = run_pipeline({"world": {"seed": 5}, "retrieval": {"m": 2}, "queries": {"seed": 5}})
         sweep = run_seed_sweep(seeds=[5], m_values=(2,))
         assert pipeline.report("smoothed_accuracy").aggregate == sweep["per_seed"][0]["m=2"]
