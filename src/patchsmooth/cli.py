@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .divergence import frozen
-from .errors import DimensionError, FormatError, PatchSmoothError, ValidationError
+from .errors import DimensionError, FormatError, PatchSmoothError, refused_in
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
 from .pool import (
@@ -86,15 +86,14 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     m = config["retrieval"]["m"]
     array, meta = _read_features(index_path, stacked=True)
     ids = meta_field(meta, "ids", index_path, list, length=array.shape[0], items=str)
-    # channel-major, then row, then column
-    vectors = [FeatureVector(np.ravel(row), ident) for row, ident in zip(array, ids)]
-    try:
+    with refused_in(index_path):
+        # channel-major, then row, then column
+        vectors = [FeatureVector(np.ravel(row), ident) for row, ident in zip(array, ids)]
         index = RetrievalIndex(vectors)
-    except ValidationError as exc:
-        raise FormatError(f"{index_path}: {exc}") from exc
     q_array, q_meta = _read_features(query_path, stacked=False)
     q_id = meta_field(q_meta, "id", query_path, str) if "id" in q_meta else "query"
-    query = FeatureVector(np.ravel(q_array), q_id)
+    with refused_in(query_path):
+        query = FeatureVector(np.ravel(q_array), q_id)
     result = top_m(query, index, m)
     _write_json(
         {
@@ -114,10 +113,8 @@ def _retrieved_from_json(path) -> RetrievedSet:
         if not (len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool)):
             raise FormatError(f"{path}: field 'items' holds {entry!r}, not an [id, score] pair")
-    try:
+    with refused_in(path):
         return RetrievedSet(items=tuple((i, float(s)) for i, s in items), query_id=query)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 @cli.command("pool")
@@ -145,16 +142,14 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
 def _with_keys(owner, path):
     """``owner`` with the key tensor in ``path``, if given, as both its key
     fields: one tensor serves whichever key type the config selects. Keys
-    the owner refuses are a FormatError naming the file."""
+    the owner refuses name the file (``refused_in``)."""
     if path is None:
         return owner
     tensor = read_tensor(path)[0]
     # read-only and owned: both key fields keep it uncopied
     keys = frozen(np.asarray(tensor, dtype=np.float64), tensor)
-    try:
+    with refused_in(path):
         return dataclasses.replace(owner, feature_keys=keys, patch_keys=keys)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 @cli.command()

@@ -33,14 +33,13 @@ as the query. Both results are clamped at 0 against rounding.
 
 ``screened_js`` finds each of R query rows' k JS-nearest among N
 candidates without the exact kernel on all R * N pairs. One float32 pass
-ranks every pair, each pair's sum one float32 BLAS dot, with a proven
-per-pair error bound eps (derived in ``_screen_band``; about 1e-3 nats
-at V = 1024) that holds for any summation order and BLAS thread count.
-``screen_survivors`` keeps a candidate when its lower bound reaches its
-row's k-th smallest upper bound, and only survivors go through
-``pairwise_divergence``, so their distances are bit-identical to the
-dense ones. ``screened_js`` returns None when no band can be proven
-(``_gamma32``) or once a survivor leaves its band, and the caller goes
+ranks every pair, one BLAS dot each, with a proven error bound eps
+(``_screen_band``; about 1e-3 nats at V = 1024) that holds for any
+summation order and BLAS thread count. ``screen_survivors`` keeps a
+candidate when its lower bound reaches its row's k-th smallest upper
+bound; survivors get ``pairwise_divergence``, the others +inf, in the
+(R, N) matrix the dense kernel fills. The result is None when no band is
+proven (``_gamma32``) or a survivor leaves its band, and the caller goes
 dense; ``retrieval.top_m`` screens with the same rule. KL, and every JS
 comparison outside ``screened_js``, run on the dense kernel alone.
 """
@@ -412,48 +411,41 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
 def screen_survivors(estimate, band, k: int, exact):
     """The rule both certified screens share, over (R, N) screened values.
 
-    Each value's exact counterpart lies within ``band`` (broadcast to
-    ``estimate``) of its ``estimate``, and lower values rank first. A
-    candidate survives when its lower end reaches the k-th smallest upper
-    end of its row: at least k exact values lie at or below that end, so
-    every candidate that can be among the k lowest by exact value, ties
-    included, survives. ``exact(r, c)`` gives the exact values of the
-    survivors (row r, column c). Returns r, c and those values, or None
-    once one left its band: the proof failed, and the caller goes dense.
+    Each exact value lies within ``band`` (broadcast) of its ``estimate``;
+    lower values rank first. A candidate survives when its lower end
+    reaches the k-th smallest upper end of its row: at least k exact values
+    lie at or below that end, so every candidate that can be among the k
+    lowest, ties included, survives. Returns the (R, N) exact values,
+    ``exact(r, c)`` at the survivors (rows r, columns c) and +inf
+    elsewhere, or None once a survivor left its band: the caller goes dense.
     """
     band = np.broadcast_to(band, estimate.shape)
     kth = min(k, estimate.shape[1]) - 1
     reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
     r, c = np.nonzero(estimate - band <= reach)
-    values = exact(r, c)
-    if np.any(np.abs(values - estimate[r, c]) > band[r, c]):
+    values = np.full(estimate.shape, np.inf)
+    values[r, c] = exact(r, c)
+    if np.any(np.abs(values[r, c] - estimate[r, c]) > band[r, c]):
         return None
-    return r, c, values
+    return values
 
 
 def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
-                pool_negentropy: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """JS from each row of the (R, V) ``query`` to those of the (N, V)
-    ``pool`` rows that can be among its k nearest.
-
-    Returns (R, S) ``distances`` and ``candidates``: row r lists, in
-    ascending pool order, every pool row whose band (``_screen_band``)
-    reaches the k-th smallest upper end of its row's bands, and its exact
-    JS as ``pairwise_divergence`` gives it. Shorter rows are padded with
-    distance +inf and candidate 0. Every pool row within the k-th smallest
-    exact distance of row r is listed -- the k rows with the lowest upper
-    ends have exact distances at most that k-th upper end -- so the k
-    nearest by (distance, any tie-break) are the same over S as over N;
-    or None when ``_screen_band`` proves no band, or as
-    ``screen_survivors`` gives it. Both operands must be
-    distributions (``simplex_rows``), the pool nonempty; the negentropies
-    are ``negentropy`` of each.
+                pool_negentropy: np.ndarray) -> np.ndarray | None:
+    """The (R, N) JS from each row of the (R, V) ``query`` to each of the
+    (N, V) ``pool`` rows, exact as ``pairwise_divergence`` gives it where
+    ``screen_survivors`` keeps the pair and +inf where it rules the pair
+    out, so the k nearest by (distance, any tie-break) are those of the
+    dense matrix; or None when ``_screen_band`` proves no band, or a
+    survivor leaves it. Both operands must be distributions
+    (``simplex_rows``), the pool nonempty; the negentropies are
+    ``negentropy`` of each.
     """
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
     (rows, width), n = query.shape, len(pool)
     sums = _screen_sums(query, pool)
-    found = []  # (query row, pool row, exact JS) triples
+    distances = np.empty((rows, n))
     # rows per block: the (rows, N) bands and the survivors' gathered rows
     # (about k per row) each stay near BLOCK_ELEMENTS
     step = max(1, BLOCK_ELEMENTS // max(n, k * width))
@@ -464,19 +456,10 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
             return None
         estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
         estimate -= 0.5 * block - LN2
-        survivors = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
+        exact = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
             query[first + r], pool[c], query_negentropy=query_negentropy[first + r],
             pool_negentropy=pool_negentropy[c]))
-        if survivors is None:
+        if exact is None:
             return None
-        r, c, d = survivors
-        found.append((first + r, c, d))
-    # np.nonzero lists survivors by row, then column, so no sort is needed
-    q, c, d = (np.concatenate(parts) for parts in zip(*found))
-    counts = np.bincount(q, minlength=rows)
-    slot = np.arange(len(q)) - np.repeat(np.cumsum(counts) - counts, counts)
-    distances = np.full((rows, counts.max()), np.inf)
-    candidates = np.zeros(distances.shape, np.int64)
-    distances[q, slot] = d
-    candidates[q, slot] = c
-    return distances, candidates
+        distances[first:first + step] = exact
+    return distances

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, refused_in
 from .metrics import EvalReport, decode_argmax, eval_reports
 from .pool import load_grid, load_pool, save_tokens
 from .smoothing import (
@@ -195,12 +195,13 @@ def _file_pipeline(config: dict) -> PipelineReport:
         gt, _ = read_tensor(files["gt_tokens"])
         if gt.dtype.kind != "u":
             raise FormatError(f"{files['gt_tokens']}: tokens must be u32, got {gt.dtype.name}")
-        reports = eval_reports([{
-            "query": files.get("item_id", "item0"),
-            "baseline_tokens": baseline_tokens,
-            "smoothed_tokens": smoothed_tokens,
-            "truth": gt.reshape(-1),
-        }], echo)
+        with refused_in(files["gt_tokens"]):
+            reports = eval_reports([{
+                "query": files.get("item_id", "item0"),
+                "baseline_tokens": baseline_tokens,
+                "smoothed_tokens": smoothed_tokens,
+                "truth": gt.reshape(-1),
+            }], echo)
 
     # written last: a run refused on any input leaves no tokens behind
     artifacts = {}

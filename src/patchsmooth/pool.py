@@ -18,7 +18,14 @@ from typing import Protocol
 import numpy as np
 
 from .divergence import frozen, normalize_scores, simplex_rows
-from .errors import ConfigError, DimensionError, FormatError, MissingItemError, ValidationError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    FormatError,
+    MissingItemError,
+    ValidationError,
+    refused_in,
+)
 from .retrieval import RetrievedSet
 from .tensorfile import read_json, read_tensor, write_tensor
 
@@ -40,6 +47,12 @@ class PromptSpec:
     @property
     def patch_count(self) -> int:
         return self.masked_region[0] * self.masked_region[1]
+
+
+def _check_mask(prompt: PromptSpec | None, patches: int, owner: str) -> None:
+    """A DimensionError unless ``prompt``, if any, masks the ``patches`` of its ``owner``."""
+    if prompt is not None and prompt.patch_count != patches:
+        raise DimensionError(f"{owner} has {patches} patches, prompt masks {prompt.patch_count}")
 
 
 def _frozen_keys(keys, leading: tuple[int, ...], name: str):
@@ -77,10 +90,7 @@ class ScoreGrid:
         if len(self.probs) == 0:
             raise ValidationError("score grid has no patches")
         probs = simplex_rows(self.probs)
-        if self.prompt is not None and len(probs) != self.prompt.patch_count:
-            raise DimensionError(
-                f"grid has {len(probs)} patches, prompt masks {self.prompt.patch_count}"
-            )
+        _check_mask(self.prompt, len(probs), "grid")
         object.__setattr__(self, "probs", probs)
         for name in ("feature_keys", "patch_keys"):
             object.__setattr__(self, name, _frozen_keys(getattr(self, name), (len(probs),), name))
@@ -122,7 +132,8 @@ class PromptPool:
     ``probs`` is (W, L, |V|): row ``probs[j, l]`` is patch l as scored by
     the prompt built around retrieved pair ``pair_indices[j]``, one of
     distinct pair ranks in [1, m], and ``prompts`` is empty or holds
-    prompt j for row j. The optional key arrays are (W, L, dim).
+    prompt j for row j, each masking the L patches. The optional key
+    arrays are (W, L, dim).
     """
 
     probs: np.ndarray = field(repr=False)
@@ -152,6 +163,8 @@ class PromptPool:
             )
         if self.prompts and len(self.prompts) != len(probs):
             raise ValidationError(f"{len(self.prompts)} prompts for a pool of width {len(probs)}")
+        for prompt in self.prompts:
+            _check_mask(prompt, probs.shape[1], "pool")
         indices = indices.astype(np.int64, copy=False)
         indices.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -199,8 +212,6 @@ def build_pool(
     """
     item_ids = list(retrieved.ids)
     m = len(item_ids)
-    if m < 1:
-        raise ValidationError("retrieved set is empty")
     if mode in (PoolMode.SEQ, PoolMode.RAND) and m < 2:
         raise ConfigError(f"mode {mode.value} needs m >= 2, got {m}")
     if mode is PoolMode.RAND and seed is None:
@@ -357,22 +368,20 @@ def _read_scores(path: str | Path, rank: int, kind: str | None = None) -> tuple[
         raise DimensionError(f"{path}: score tensor must be rank {rank}, got shape {array.shape}")
     if array.shape[-1] < 2:
         raise DimensionError(f"{path}: score rows must have length >= 2, got shape {array.shape}")
-    try:
+    with refused_in(path):
         return normalize_scores(array), meta
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_pool(path: str | Path) -> PromptPool:
-    """The pool in ``path``; a sidecar that breaks ``PromptPool``'s
-    provenance rule is a FormatError naming the file."""
+    """The pool in ``path``; a sidecar ``PromptPool`` refuses is refused
+    naming the file (``refused_in``)."""
     probs, meta = _read_scores(path, 3, kind="prompt-pool")
     try:
         mode = PoolMode(meta["mode"]) if meta.get("mode") else None
     except ValueError as exc:
         raise FormatError(f"{path}: field 'mode': {exc}") from exc
     prompts = meta_field(meta, "prompts", path, list, items=dict)
-    try:
+    with refused_in(path):
         return PromptPool(
             probs=probs,
             pair_indices=meta_field(meta, "pair_indices", path, list, items=int),
@@ -380,8 +389,6 @@ def load_pool(path: str | Path) -> PromptPool:
             mode=mode,
             m=meta_field(meta, "m", path, int),
         )
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_grid(grid: ScoreGrid, path: str | Path) -> None:
@@ -395,14 +402,11 @@ def save_grid(grid: ScoreGrid, path: str | Path) -> None:
 def load_grid(path: str | Path) -> tuple[ScoreGrid, tuple[int, int]]:
     """The score grid in ``path`` and the (rows, cols) its L patches form:
     the sidecar's ``grid``, else the prompt's masked region, else (1, L).
-    A sidecar prompt that ``PromptSpec`` refuses is a FormatError naming
-    the file."""
+    A sidecar prompt that ``ScoreGrid`` refuses is refused naming the file."""
     probs, meta = _read_scores(path, 2)
-    try:
+    with refused_in(path):
         prompt = _prompt_from_meta(meta["prompt"], path) if "prompt" in meta else None
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    grid = ScoreGrid(probs=probs, prompt=prompt)
+        grid = ScoreGrid(probs=probs, prompt=prompt)
     rows, cols = prompt.masked_region if prompt is not None else (1, len(grid))
     if "grid" in meta:
         rows, cols = meta_field(meta, "grid", path, list, 2, int)

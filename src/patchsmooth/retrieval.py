@@ -15,10 +15,10 @@ scores every row in one float32 pass scaled by 1/norm, with a proven
 band around each score (``_dot_band``); the rows whose band reaches the
 m-th largest lower end survive (the rule ``divergence.screen_survivors``
 shares with the all-patch JS screen), and only those, about m of them,
-get their float64 unit row rebuilt and the exact dot. A survivor whose
-exact score leaves its band sends the query to the dense path, the same
-exact dot over every row. Selection and scores are therefore those of a
-stable sort of every row's exact dot.
+get their float64 unit row rebuilt and the exact dot; the others score
+-inf. A survivor whose exact score leaves its band sends the query to the
+dense path, the same exact dot over every row. Selection and scores are
+therefore those of a stable sort of every row's exact dot.
 """
 
 from __future__ import annotations
@@ -134,12 +134,14 @@ class RetrievalIndex:
 
 @dataclass(frozen=True)
 class RetrievedSet:
-    """Top-m items for one query, descending similarity."""
+    """Top-m items for one query, at least one, descending similarity."""
 
     items: tuple[tuple[str, float], ...]
     query_id: str = ""
 
     def __post_init__(self):
+        if not self.items:
+            raise ValidationError("retrieved set is empty")
         scores = [s for _, s in self.items]
         if not all(math.isfinite(s) for s in scores):
             raise ValidationError("retrieved scores must be finite")
@@ -214,7 +216,7 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
         raise DimensionError(f"query dim {query.row.size} != index dim {index.dim}")
     q = query.values
     band = _dot_band(index.dim)
-    survivors = None
+    negated = None
     if band is not None:
         # Screen: the negated float32 scores over the norms, so the m most
         # similar rows are the m lowest values. Survivors: the rows that can
@@ -224,17 +226,14 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
             band = band + index.dim * 2.0 ** -147 / index._norms
         unproven = ~np.isfinite(estimate)
         estimate[unproven], band[unproven] = 0.0, np.inf
-        survivors = screen_survivors(estimate[None], band, m,
-                                     lambda _, c: -_exact_scores(index, c, q))
-    if survivors is None:  # no band, or a survivor left it: every row gets the exact dot
-        candidates = np.arange(len(index))
-        negated = -_exact_scores(index, candidates, q)
+        negated = screen_survivors(estimate[None], band, m,
+                                   lambda _, c: -_exact_scores(index, c, q))
+    if negated is None:  # no band, or a survivor left it: every row gets the exact dot
+        negated = -_exact_scores(index, range(len(index)), q)
     else:
-        _, candidates, negated = survivors
-    # candidates ascend in index order, so a stable sort keeps the tie rule
+        negated = negated[0]  # +inf, ruled out, sorts after the m survivors
+    # a stable sort keeps the tie rule: insertion order
     order = np.argsort(negated, kind="stable")[:m]
     ids = index.ids
-    return RetrievedSet(
-        items=tuple((ids[i], float(-s)) for i, s in zip(candidates[order], negated[order])),
-        query_id=query.identifier,
-    )
+    return RetrievedSet(items=tuple((ids[i], float(-negated[i])) for i in order),
+                        query_id=query.identifier)

@@ -21,14 +21,13 @@ What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 ``pair``, ``patch``, ``distance`` and ``weight``.
 
 In the all-patch scope each patch has W * L candidates. For JS over score
-keys, ``divergence.screened_js`` first ranks them all in one float32 pass
-(one BLAS dot per pair) with a proven per-pair error bound eps, and the
-matrix holds only the candidates whose band reaches the k-th smallest
-upper bound (k to 2k per patch on typical scores), each with its exact
-float64 distance; if one escapes its band, or no band can be proven, the
-whole call fills the dense matrix instead. Selection and blend are
-therefore bit-identical to the dense matrix. The per-patch scope (W
-candidates), KL and the l2 keys fill the dense matrix.
+keys, ``divergence.screened_js`` ranks them all in one float32 pass with
+a proven per-pair error bound; only those whose band reaches the k-th
+smallest upper bound (k to 2k per patch on typical scores) get their
+exact distance, the others +inf, which sorts last. If one escapes its
+band, or no band is proven, the call fills the dense matrix instead:
+selection and blend are bit-identical either way. The per-patch scope
+(W candidates), KL and the l2 keys fill the dense matrix.
 """
 
 from __future__ import annotations
@@ -271,15 +270,13 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
     # Negentropies the calls would recompute are passed in, computed once.
     if config.scope is PoolScope.ALL_PATCH:
         cached = {"pool_negentropy": negentropy(flat)} if score else {}
-        # the candidates the float32 screen cannot rule out; None if its proof failed
-        screened = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
-                               **cached) if js else None
-        if screened is None:
+        # +inf where the float32 screen rules a candidate out; None if its proof failed
+        distances = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
+                                **cached) if js else None
+        if distances is None:
             # one call per patch; the matrix and its sort index grow as W * L**2
             distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
-            index = np.arange(width * patches)
-        else:
-            distances, index = screened
+        index = np.arange(width * patches)
     else:
         # candidate j of patch l is pool entry (j, l); one call per pair,
         # comparing all L patches row by row (so KL takes the query's logs

@@ -508,3 +508,34 @@ class TestEntropyKernel:
     def test_cached_negentropy_shape_checked(self):
         with pytest.raises(DimensionError):
             pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)), pool_negentropy=[0.0, 0.0])
+
+
+class TestScreenSurvivors:
+    # band 0.1, k = 2: row 0's upper ends reach 1.1, row 1's 2.15, so the
+    # candidates whose lower end is at most that survive
+    estimate = np.array([[0.0, 1.0, 5.0, 1.1], [3.0, 2.0, 9.0, 2.05]])
+    kept = np.array([[True, True, False, True], [False, True, False, True]])
+
+    def test_exact_values_on_the_survivors_and_inf_off_them(self):
+        asked = []
+
+        def exact(r, c):
+            asked.append((r.tolist(), c.tolist()))
+            return self.estimate[r, c] + 0.05
+
+        got = divergence.screen_survivors(self.estimate, 0.1, 2, exact)
+        assert asked == [tuple(a.tolist() for a in np.nonzero(self.kept))]
+        assert got.dtype == np.float64 and got.shape == self.estimate.shape
+        np.testing.assert_array_equal(got, np.where(self.kept, self.estimate + 0.05, np.inf))
+
+    def test_k_beyond_the_row_keeps_every_candidate(self):
+        got = divergence.screen_survivors(self.estimate, 0.1, 9, lambda r, c: self.estimate[r, c])
+        np.testing.assert_array_equal(got, self.estimate)
+
+    def test_survivor_outside_its_band_is_none(self):
+        def one_escapes(r, c):
+            values = self.estimate[r, c].copy()
+            values[-1] += 0.2
+            return values
+
+        assert divergence.screen_survivors(self.estimate, 0.1, 2, one_escapes) is None

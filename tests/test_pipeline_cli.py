@@ -689,8 +689,9 @@ class TestExitCodes:
         '{"query": "item0004", "items": [["item0000", NaN]]}',
         '{"query": "item0004", "items": [["item0000", 0.5], ["item0001", 0.9]]}',
         '{"query": "item0004", "items": [["item0000", 0.9], ["item0000", 0.5]]}',
+        '{"query": "item0004", "items": []}',
     ], ids=["no-query", "bad-json", "str-score", "short-entry", "str-items",
-            "nan-score", "increasing", "repeated-id"])
+            "nan-score", "increasing", "repeated-id", "no-items"])
     def test_malformed_retrieved_set_is_3(self, tmp_path, capsys, text):
         (tmp_path / "r.json").write_text(text)
         code = run_cli(["pool", "--backend", "synth", "--retrieved", str(tmp_path / "r.json"),
@@ -718,12 +719,14 @@ class TestExitCodes:
         assert str(tmp_path / "index.pnct") in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def retrieve_code(self, tmp_path, query_id="q", flags=("--m", "2"), zero_row=False):
+    def retrieve_code(self, tmp_path, query_id="q", flags=("--m", "2"), spoil=None):
         vectors = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
-        if zero_row:
-            vectors[1] = 0.0
+        query = vectors[0].copy()
+        if spoil is not None:  # (role, value): index row 1 or the query set to value
+            role, value = spoil
+            (vectors[1] if role == "index" else query)[:] = value
         write_tensor(vectors, tmp_path / "index.pnct", meta={"ids": ["i0", "i1", "i2"]})
-        write_tensor(vectors[0], tmp_path / "q.pnct", meta={"id": query_id})
+        write_tensor(query, tmp_path / "q.pnct", meta={"id": query_id})
         return run_cli([
             "retrieve", "--index", str(tmp_path / "index.pnct"),
             "--query", str(tmp_path / "q.pnct"), *flags, "--out", str(tmp_path / "r.json"),
@@ -735,9 +738,13 @@ class TestExitCodes:
         assert str(tmp_path / "q.pnct") in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_all_zero_feature_row_is_1(self, tmp_path, capsys):
-        assert self.retrieve_code(tmp_path, zero_row=True) == 1
-        assert "'i1'" in capsys.readouterr().err
+    @pytest.mark.parametrize("role", ["index", "query"])
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_degenerate_feature_vector_is_3(self, tmp_path, capsys, role, value):
+        assert self.retrieve_code(tmp_path, spoil=(role, value)) == 3
+        err = capsys.readouterr().err
+        path, ident = {"index": ("index.pnct", "'i1'"), "query": ("q.pnct", "'q'")}[role]
+        assert str(tmp_path / path) in err and ident in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flags, config", [(["--m", "0"], None), (["--m", "-2"], None),
@@ -1042,6 +1049,101 @@ class TestExitCodes:
             if target == "grid":
                 argv = ["decode", "--in", str(path), "--out", str(tmp_path / "t.pnct")]
         assert run_cli(argv) == 3
+
+    @staticmethod
+    def respoiled(path, array=None, **meta):
+        """Rewrite the tensor file ``path`` with ``array`` in place of its
+        own, if given, and ``meta`` merged over its sidecar."""
+        own, sidecar = read_tensor(path)
+        write_tensor(own if array is None else array, path, meta={**sidecar, **meta})
+
+    NINE_PATCH_PROMPT = {"in_context_input": "s0", "in_context_output": "s0.gt",
+                         "anchor": "query", "masked_region": [3, 3]}
+
+    #: the file whose shape each case refuses
+    REFUSED_SHAPES = {
+        "query-keys-shape": "qk.pnct", "pool-keys-shape": "pk.pnct",
+        "grid-prompt-decode": "g.pnct", "grid-prompt-smooth": "g.pnct", "grid-prompt-run": "g.pnct",
+        "pool-prompt": "p.pnct", "gt-length": "tokens.pnct",
+    }
+
+    @pytest.mark.parametrize("case", REFUSED_SHAPES)
+    def test_shape_refused_in_a_file_is_4_naming_it(self, tmp_path, capsys, case):
+        refused = self.REFUSED_SHAPES[case]
+        _, _, config = file_backend_setup(tmp_path)
+        rng = np.random.default_rng(5)
+        write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
+        write_tensor(rng.normal(size=(2, 4, 3)).astype(np.float32), tmp_path / "pk.pnct")
+        if case.endswith("keys-shape"):  # one patch short
+            self.respoiled(tmp_path / refused, read_tensor(tmp_path / refused)[0][..., :3, :])
+        elif case.startswith("grid-prompt"):
+            self.respoiled(tmp_path / refused, prompt=self.NINE_PATCH_PROMPT)
+        elif case == "pool-prompt":
+            self.respoiled(tmp_path / refused, prompts=[self.NINE_PATCH_PROMPT] * 2)
+        else:
+            self.respoiled(tmp_path / refused, np.zeros(5, dtype=np.uint32))
+        out = tmp_path / "o.pnct"
+        if case == "grid-prompt-decode":
+            argv = ["decode", "--in", str(tmp_path / "g.pnct"), "--out", str(out)]
+        elif case in ("grid-prompt-run", "gt-length"):
+            config["files"]["out_tokens"] = str(out)
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o.json")]
+        else:
+            argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
+                    "--pool", str(tmp_path / "p.pnct"), "--key", "feature",
+                    "--query-keys", str(tmp_path / "qk.pnct"),
+                    "--pool-keys", str(tmp_path / "pk.pnct"), "--out", str(out)]
+        assert run_cli(argv) == 4
+        assert f"error: {tmp_path / refused}: " in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.json").exists()
+
+    #: each case's exit code and a fragment of its message
+    REFUSED_OPTIONS = {
+        "config-array": (2, "must hold a JSON object"),
+        "divergence-run": (2, "invalid smoothing section"),
+        "divergence-smooth": (2, "invalid smoothing section"),
+        "pool-file-no-scores": (2, "--scores is required"),
+        "scorer-zero-mass": (2, "positive total mass"),
+        "scorer-coupling": (2, "similarity coupling must lie in [0, 1]"),
+        "synth-run-no-queries": (2, "at least one query"),
+        "key-widths": (4, "pool feature_keys have length 2, query keys 3"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED_OPTIONS)
+    def test_refused_option_or_operand(self, tmp_path, capsys, case):
+        code, fragment = self.REFUSED_OPTIONS[case]
+        file_backend_setup(tmp_path)
+        config = {
+            "config-array": [],
+            "divergence-run": {"smoothing": {"divergence": "hellinger"}},
+            "divergence-smooth": {"smoothing": {"divergence": "hellinger"}},
+            "scorer-zero-mass": {"scorer": {"beta_truth": 0.0, "beta_pair": 0.0,
+                                            "epsilon_noise": 0.0}},
+            "scorer-coupling": {"scorer": {"similarity_coupling": 2.0}},
+        }.get(case, {})
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out = tmp_path / "o.out"
+        smooth = ["smooth", "--query", str(tmp_path / "g.pnct"), "--pool", str(tmp_path / "p.pnct"),
+                  "--out", str(out)]
+        if case == "divergence-smooth":
+            argv = smooth + ["--config", str(tmp_path / "c.json")]
+        elif case == "pool-file-no-scores":
+            argv = ["pool", "--backend", "file", "--retrieved", str(tmp_path / "r.json"),
+                    "--out", str(out)]
+        elif case == "synth-run-no-queries":
+            argv = ["synth-run", "--queries", "0", "--report", str(out)]
+        elif case == "key-widths":
+            rng = np.random.default_rng(6)
+            write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
+            write_tensor(rng.normal(size=(2, 4, 2)).astype(np.float32), tmp_path / "pk.pnct")
+            argv = smooth + ["--key", "feature", "--query-keys", str(tmp_path / "qk.pnct"),
+                             "--pool-keys", str(tmp_path / "pk.pnct")]
+        else:
+            argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(out)]
+        assert run_cli(argv) == code
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- fuzzing the JSON documents that point at files -------------------------

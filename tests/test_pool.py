@@ -202,6 +202,14 @@ class TestPoolInvariants:
             self.pool_of([1, 2], prompts=(self.PROMPT,))
         assert self.pool_of([1, 2], prompts=(self.PROMPT,) * 2).prompts == (self.PROMPT,) * 2
 
+    def test_each_prompt_masks_the_pool_patches(self):
+        # the rule ScoreGrid applies to its one prompt
+        wide = PromptSpec("a", "a.out", "q", (3, 3))
+        with pytest.raises(DimensionError, match="pool has 4 patches, prompt masks 9"):
+            self.pool_of([1, 2], prompts=(self.PROMPT, wide))
+        with pytest.raises(DimensionError, match="grid has 4 patches, prompt masks 9"):
+            ScoreGrid(probs=self.pool_of([1, 2]).probs[0], prompt=wide)
+
     def test_rows_must_be_distributions(self):
         with pytest.raises(ValidationError):
             ScoreGrid(probs=[[0.5, 0.6]])

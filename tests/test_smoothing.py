@@ -512,18 +512,17 @@ class TestJsScreen:
         flat = pool.probs.reshape(pool.width * pool.patch_count, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            distances, candidates = screened_js(
+            distances = screened_js(
                 query_grid.probs, flat, config.k,
                 query_negentropy=negentropy(query_grid.probs), pool_negentropy=negentropy(flat))
             expected = dense_all_patch_js(query_grid, pool, config)
             got = smooth_grid(query_grid, pool, config)
+        assert distances.shape == (len(query_grid), len(flat))
         cached = negentropy(flat)
         for l, row in enumerate(query_grid.probs):
             dense = pairwise_divergence(row, flat, pool_negentropy=cached)
-            listed = np.isfinite(distances[l])
-            kept = candidates[l, listed]
-            assert np.all(np.diff(kept) > 0)
-            assert distances[l, listed].tobytes() == dense[kept].tobytes()
+            kept = np.flatnonzero(np.isfinite(distances[l]))
+            assert distances[l, kept].tobytes() == dense[kept].tobytes()
             nearest = np.flatnonzero(dense <= np.sort(dense)[min(config.k, len(dense)) - 1])
             assert set(nearest) <= set(kept.tolist())
         assert_same_bits(got, expected)
@@ -620,7 +619,7 @@ class TestJsScreen:
             screened = screened_js(query, flat, k, query_negentropy=negentropy(query),
                                    pool_negentropy=negentropy(flat))
         assert screened is not None
-        survivors = np.isfinite(screened[0]).sum(axis=1)
+        survivors = np.isfinite(screened).sum(axis=1)
         assert survivors.mean() <= 2 * k
 
     def test_output_does_not_depend_on_the_blas_thread_count(self, tmp_path):
