@@ -22,7 +22,7 @@ import numpy as np
 from .divergence import frozen
 from .errors import DimensionError, FormatError, PatchSmoothError, refused_in
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
-from .pipeline import load_config, run_pipeline, smoothing_config, synth_world
+from .pipeline import load_config, run_pipeline, synth_world
 from .pool import (
     FileScorerBackend,
     PoolMode,
@@ -34,9 +34,10 @@ from .pool import (
     save_tokens,
 )
 from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
-from .smoothing import Aggregation, DivergenceKind, NeighborKey, PoolScope, smooth_grid
+from .smoothing import (Aggregation, DivergenceKind, NeighborKey, PoolScope, SmoothingConfig,
+                        smooth_grid)
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import atomic_write_text, read_json, read_tensor, write_tensor
+from .tensorfile import atomic_write_text, holds_float, read_json, read_tensor, write_tensor
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -110,8 +111,7 @@ def _retrieved_from_json(path) -> RetrievedSet:
     query = meta_field(payload, "query", path, str)
     items = meta_field(payload, "items", path, list, items=list)
     for entry in items:
-        if not (len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool)):
+        if not (len(entry) == 2 and isinstance(entry[0], str) and holds_float(entry[1])):
             raise FormatError(f"{path}: field 'items' holds {entry!r}, not an [id, score] pair")
     with refused_in(path):
         return RetrievedSet(items=tuple((i, float(s)) for i, s in items), query_id=query)
@@ -177,7 +177,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     grid, shape = load_grid(query_path)
     pool = load_pool(pool_path)
     grid, pool = _with_keys(grid, query_keys_path), _with_keys(pool, pool_keys_path)
-    sconfig = smoothing_config(config, m=pool.m)
+    sconfig = SmoothingConfig(m=pool.m, **config["smoothing"])
     result = smooth_grid(grid, pool, sconfig)
     write_tensor(result.probs, out_path,
                  meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})

@@ -376,35 +376,31 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
     over the float32 y = max(query[r], t) + max(pool[n], t), t the
     smallest normal float32.
 
-    Each operand is cast to float32 and clipped once; the pass works on
-    blocks of at most ``SCREEN_ELEMENTS`` candidate elements per query row,
-    and each pair's sum is one BLAS dot.
+    Each operand is cast to float32 and clipped once; the pass takes one
+    query row at a time against blocks of at most ``SCREEN_ELEMENTS``
+    candidate elements, and each pair's sum is one BLAS dot.
     """
     rows, width = query.shape
     n = len(pool)
     step = min(n, max(1, SCREEN_ELEMENTS // width))
-    query_step = min(rows, max(1, SCREEN_ELEMENTS // (step * width)))
     query32 = query.astype(np.float32)
     np.maximum(query32, _F32_TINY, out=query32)
     block32 = np.empty((step, width), np.float32)
-    mixture = np.empty((query_step, step, width), np.float32)
-    logs = np.empty_like(mixture)
-    dots = np.empty((query_step, step, 1, 1), np.float32)
+    mixture = np.empty_like(block32)
+    logs = np.empty_like(block32)
+    dots = np.empty((step, 1, 1), np.float32)
     sums = np.empty((rows, n))
     for start in range(0, n, step):
         block = block32[:min(step, n - start)]
         stop = start + len(block)
         block[...] = pool[start:stop]
         np.maximum(block, _F32_TINY, out=block)
-        for first in range(0, rows, query_step):
-            rows32 = query32[first:first + query_step]
-            y = mixture[:len(rows32), :len(block)]
-            ln_y = logs[:len(rows32), :len(block)]
-            dot = dots[:len(rows32), :len(block)]
-            np.add(rows32[:, None], block, out=y)
+        y, ln_y, dot = mixture[:len(block)], logs[:len(block)], dots[:len(block)]
+        for row in range(rows):
+            np.add(query32[row], block, out=y)
             np.log(y, out=ln_y)
-            np.matmul(ln_y[..., None, :], y[..., :, None], out=dot)
-            sums[first:first + len(rows32), start:stop] = dot[..., 0, 0]
+            np.matmul(ln_y[:, None, :], y[:, :, None], out=dot)
+            sums[row, start:stop] = dot[:, 0, 0]
     return sums
 
 

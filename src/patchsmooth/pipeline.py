@@ -17,16 +17,9 @@ from pathlib import Path
 from .errors import ConfigError, FormatError, refused_in
 from .metrics import EvalReport, decode_argmax, eval_reports
 from .pool import load_grid, load_pool, save_tokens
-from .smoothing import (
-    Aggregation,
-    DivergenceKind,
-    NeighborKey,
-    PoolScope,
-    SmoothingConfig,
-    smooth_grid,
-)
+from .smoothing import SmoothingConfig, smooth_grid
 from .synthbench import BiasedScorerParams, SyntheticWorld, generate_world, run_bias_experiment
-from .tensorfile import read_json, read_tensor
+from .tensorfile import holds_float, read_json, read_tensor
 
 DEFAULT_CONFIG = {
     "backend": "synth",
@@ -103,8 +96,8 @@ def _expected_types(default) -> tuple[type, ...]:
 
 
 def _check_config(config: dict, schema: dict, prefix: str = "") -> None:
-    """ConfigError naming the key path of the first key ``schema`` lacks
-    or whose value is not of its default's type."""
+    """ConfigError naming the key path of the first key ``schema`` lacks or
+    whose value is not of its default's type, a float's within its range."""
     for key, value in config.items():
         name = prefix + key
         if key not in schema:
@@ -113,25 +106,10 @@ def _check_config(config: dict, schema: dict, prefix: str = "") -> None:
         if isinstance(value, bool) or not isinstance(value, expected):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
             raise ConfigError(f"config key {name!r} must be {names}, got {value!r}")
+        if isinstance(schema[key], float) and not holds_float(value):
+            raise ConfigError(f"config key {name!r} must be a float, got an int beyond its range")
         if isinstance(value, dict):
             _check_config(value, schema[key], name + ".")
-
-
-def smoothing_config(config: dict, m: int) -> SmoothingConfig:
-    section = config["smoothing"]
-    try:
-        return SmoothingConfig(
-            m=m,
-            k=section["k"],
-            alpha=float(section["alpha"]),
-            tau=float(section["tau"]),
-            divergence=DivergenceKind(section["divergence"]),
-            key=NeighborKey(section["key"]),
-            aggregation=Aggregation(section["aggregation"]),
-            scope=PoolScope(section["scope"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid smoothing section: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -168,7 +146,7 @@ def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
 
 def _synth_pipeline(config: dict) -> PipelineReport:
     world, params = synth_world(config)
-    smoothing = smoothing_config(config, m=config["retrieval"]["m"])
+    smoothing = SmoothingConfig(m=config["retrieval"]["m"], **config["smoothing"])
     [rows] = run_bias_experiment(
         world, params, [smoothing], n_queries=config["queries"]["n"], seed=config["queries"]["seed"]
     )
@@ -183,7 +161,7 @@ def _file_pipeline(config: dict) -> PipelineReport:
             raise ConfigError(f"file backend needs files.{required}")
     query_grid, shape = load_grid(files["query_scores"])
     pool = load_pool(files["pool"])
-    smoothing = smoothing_config(config, m=pool.m)
+    smoothing = SmoothingConfig(m=pool.m, **config["smoothing"])
     smoothed = smooth_grid(query_grid, pool, smoothing)
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
 

@@ -304,13 +304,13 @@ class FileScorerBackend:
         key = f"{prompt.in_context_input}__{prompt.in_context_output}__{prompt.anchor}"
         if key not in self._prompt_files:
             raise MissingItemError(f"no exported scores for prompt {key!r}")
-        probs, _ = _read_scores(self._dir / self._prompt_files[key], 2)
-        expected = (prompt.patch_count, self._codebook_size)
-        if probs.shape != expected:
-            raise DimensionError(
-                f"exported tensor {key!r} has shape {probs.shape}, expected {expected}"
-            )
-        return ScoreGrid(probs=probs, prompt=prompt)
+        path = self._dir / self._prompt_files[key]
+        probs, _ = _read_scores(path, 2)
+        if probs.shape[1] != self._codebook_size:
+            raise DimensionError(f"{path}: rows of {probs.shape[1]} codes, "
+                                 f"expected the manifest's {self._codebook_size}")
+        with refused_in(path):
+            return ScoreGrid(probs=probs, prompt=prompt)
 
 
 def meta_field(meta, name: str, source, kind: type, length: int | None = None,

@@ -92,29 +92,27 @@ def flatten_normalize(feature_map: FeatureMap) -> FeatureVector:
 
 
 class RetrievalIndex:
-    """Immutable collection of support-set feature vectors: one read-only
-    (N, dim) matrix of their rows in the rows' common float type, their
-    float64 norms and the ids. Entry order is the insertion order; it is
-    the tie-breaking order for equal similarities, so it must be fixed
-    before any query runs.
+    """Immutable collection of at least one support-set feature vector:
+    one read-only (N, dim) matrix of their rows in the rows' common float
+    type, their float64 norms and the ids. Entry order, the insertion
+    order, breaks ties in similarity, so it is fixed before any query runs.
     """
 
     def __init__(self, entries: Sequence[FeatureVector]):
         entries = tuple(entries)
+        if not entries:
+            raise ValidationError("a retrieval index needs at least one entry")
         self._ids = tuple(e.identifier for e in entries)
         self._norms = np.array([e.norm for e in entries], dtype=np.float64)
-        if entries:
-            dim = entries[0].row.size
-            for e in entries:
-                if e.row.size != dim:
-                    raise DimensionError(
-                        f"index vectors disagree in length: {dim} vs {e.row.size} ({e.identifier!r})"
-                    )
-            if len(set(self._ids)) != len(self._ids):
-                raise ValidationError("duplicate item ids in retrieval index")
-            self._matrix = np.stack([e.row for e in entries])
-        else:
-            self._matrix = np.empty((0, 0), np.float32)
+        dim = entries[0].row.size
+        for e in entries:
+            if e.row.size != dim:
+                raise DimensionError(
+                    f"index vectors disagree in length: {dim} vs {e.row.size} ({e.identifier!r})"
+                )
+        if len(set(self._ids)) != len(self._ids):
+            raise ValidationError("duplicate item ids in retrieval index")
+        self._matrix = np.stack([e.row for e in entries])
         with np.errstate(over="ignore"):  # a float64 row beyond float32 gets an infinite band
             self._screen = self._matrix.astype(np.float32, copy=False)
         for array in (self._matrix, self._screen, self._norms):
@@ -210,8 +208,6 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
     """
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
-    if len(index) == 0:
-        raise ValidationError("cannot retrieve from an empty index")
     if query.row.size != index.dim:
         raise DimensionError(f"query dim {query.row.size} != index dim {index.dim}")
     q = query.values

@@ -76,6 +76,9 @@ class SmoothingConfig:
     ``k`` defaults to min(5, m). ``alpha`` weighs the pooled signal
     (1.0 suits segmentation/colorization style tasks, 0.7 detection);
     ``tau`` is the softmax temperature (1.0 default).
+
+    The other fields are a config's ``smoothing`` section: an enum field
+    takes a member or its value, and ``SmoothingConfig(**c.echo()) == c``.
     """
 
     m: int
@@ -98,6 +101,14 @@ class SmoothingConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "tau", float(self.tau))
+        try:  # a config section names each member by its value
+            for name, kind in (("divergence", DivergenceKind), ("key", NeighborKey),
+                               ("aggregation", Aggregation), ("scope", PoolScope)):
+                object.__setattr__(self, name, kind(getattr(self, name)))
+        except ValueError as exc:
+            raise ConfigError(f"invalid smoothing section: {exc}") from exc
 
     @classmethod
     def feature_defaults(cls, m: int = 2, **overrides) -> "SmoothingConfig":

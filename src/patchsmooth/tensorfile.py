@@ -23,6 +23,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -107,12 +108,19 @@ def _read_bytes(path: Path) -> bytes:
 def read_json(path: str | Path, invalid: type[PatchSmoothError]):
     """The JSON document at ``path``. A path that cannot be read (missing,
     a directory, no permission) is a ConfigError; bytes that are not UTF-8
-    JSON raise ``invalid``. Both messages name the path."""
+    JSON, or JSON the parser cannot hold, raise ``invalid``. Both messages
+    name the path."""
     path = Path(path)
     try:
         return json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also nested too deep or an int too long
         raise invalid(f"{path}: invalid JSON: {exc}") from exc
+
+
+def holds_float(value) -> bool:
+    """Whether ``value`` is a JSON number (a bool is none) within the float range."""
+    return not isinstance(value, bool) and (
+        isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max)
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
@@ -162,7 +170,7 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, dict]:
     meta_bytes = blob[offset : offset + meta_len]
     try:
         meta = json.loads(meta_bytes.decode("utf-8")) if meta_len else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON sidecar at offset {offset}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: JSON sidecar at offset {offset} is not an object")

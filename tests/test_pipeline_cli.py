@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import re
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchsmooth import cli as cli_module
+from patchsmooth import pipeline, synthbench
 from patchsmooth.cli import _with_keys, cli, main
 from patchsmooth.errors import ConfigError
-from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline, smoothing_config
+from patchsmooth.pipeline import DEFAULT_CONFIG, load_config, run_pipeline
 from patchsmooth.pool import (
     PoolMode,
     PromptPool,
@@ -99,16 +101,54 @@ class TestConfig:
 
     def test_echo_round_trips_for_every_enum_combination(self):
         enums = (DivergenceKind, NeighborKey, Aggregation, PoolScope)
-        for divergence, key, aggregation, scope in itertools.product(*enums):
-            config = SmoothingConfig(m=3, k=2, alpha=0.5, tau=2.0, divergence=divergence, key=key,
+        numbers = [dict(k=2, alpha=0.5, tau=2.0), dict(k=None, alpha=1, tau=2)]
+        for (divergence, key, aggregation, scope), given in itertools.product(
+                itertools.product(*enums), numbers):
+            config = SmoothingConfig(m=3, **given, divergence=divergence, key=key,
                                      aggregation=aggregation, scope=scope)
             echo = json.loads(json.dumps(config.echo()))
             assert list(echo) == [f.name for f in dataclasses.fields(SmoothingConfig)]
-            assert smoothing_config({"smoothing": echo}, m=echo["m"]) == config
+            assert type(echo["alpha"]) is type(echo["tau"]) is float
+            assert SmoothingConfig(**echo) == config
+            assert SmoothingConfig(**config.echo()) == config
         choices = {p.name: list(p.type.choices) for p in cli.commands["smooth"].params
                    if isinstance(p.type, click.Choice)}
         assert choices == {name: [member.value for member in kind]
                            for name, kind in zip(("div", "key", "agg", "scope"), enums)}
+
+    def test_operating_point_copies_agree(self, monkeypatch, tmp_path):
+        """``DEFAULT_CONFIG``, ``run_seed_sweep``'s defaults and ``synth-run``'s
+        flag defaults each hold the operating point (the benchmark calls
+        ``run_seed_sweep`` on its defaults, so the copies stay): all three
+        build the same world, scorer, query count and smoothing."""
+        class Built(Exception):
+            pass
+
+        built = []
+        signature = inspect.signature(synthbench.generate_world)
+
+        def world(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            built.append({name: v for name, v in bound.arguments.items() if name != "seed"})
+
+        def experiment(world, params, config_grid, n_queries, seed):
+            built[-1].update(params=params, configs=config_grid, n_queries=n_queries)
+            raise Built
+
+        for module in (pipeline, synthbench):
+            monkeypatch.setattr(module, "generate_world", world)
+            monkeypatch.setattr(module, "run_bias_experiment", experiment)
+        with pytest.raises(Built):
+            run_pipeline(load_config())
+        with pytest.raises(Built):
+            synthbench.run_seed_sweep(seeds=[0], m_values=(DEFAULT_CONFIG["retrieval"]["m"],))
+        with pytest.raises(Built):
+            main(["synth-run", "--report", str(tmp_path / "sweep.json")])
+        assert len(built) == 3 and built[0] == built[1] == built[2]
+        defaults = {f.name: getattr(f.default, "value", f.default)
+                    for f in dataclasses.fields(SmoothingConfig) if f.name != "m"}
+        assert DEFAULT_CONFIG["smoothing"] == defaults
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -658,8 +698,8 @@ class TestExitCodes:
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("document", ["config", "manifest", "retrieved"])
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
-    def test_unreadable_json_document(self, tmp_path, document, kind):
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8", "too-deep", "long-int"])
+    def test_unreadable_json_document(self, tmp_path, capsys, document, kind):
         scores, _, config = file_backend_setup(tmp_path)
         paths = {"config": tmp_path / "c.json", "manifest": scores / "manifest.json",
                  "retrieved": tmp_path / "r.json"}
@@ -668,8 +708,10 @@ class TestExitCodes:
         path.unlink()
         if kind == "directory":
             path.mkdir()
-        else:
+        elif kind == "non-utf8":
             path.write_bytes(b"\xff\xfe{}")
+        else:  # JSON the parser cannot hold: nested beyond its recursion limit, or a long int
+            path.write_text("[" * 200_000 + "]" * 200_000 if kind == "too-deep" else "1" * 5000)
         if document == "config":
             argv = ["run", "--config", str(path), "--out", str(tmp_path / "report.json")]
         else:
@@ -679,6 +721,7 @@ class TestExitCodes:
         # what invalid JSON is at that site
         expected = 2 if kind == "directory" or document == "config" else 3
         assert run_cli(argv) == expected
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         '{"items": [["item0000", 0.9]]}',
@@ -690,8 +733,12 @@ class TestExitCodes:
         '{"query": "item0004", "items": [["item0000", 0.5], ["item0001", 0.9]]}',
         '{"query": "item0004", "items": [["item0000", 0.9], ["item0000", 0.5]]}',
         '{"query": "item0004", "items": []}',
+        '{"query": "item0004", "items": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        '{"query": "item0004", "items": [["item0000", ' + "9" * 5000 + "]]}",
+        '{"query": "item0004", "items": [["item0000", 1' + "0" * 400 + "]]}",
     ], ids=["no-query", "bad-json", "str-score", "short-entry", "str-items",
-            "nan-score", "increasing", "repeated-id", "no-items"])
+            "nan-score", "increasing", "repeated-id", "no-items", "too-deep", "long-int",
+            "beyond-float"])
     def test_malformed_retrieved_set_is_3(self, tmp_path, capsys, text):
         (tmp_path / "r.json").write_text(text)
         code = run_cli(["pool", "--backend", "synth", "--retrieved", str(tmp_path / "r.json"),
@@ -932,6 +979,8 @@ class TestExitCodes:
         """A copy of the score or key tensor ``array`` with one fault."""
         array = np.array(array)
         rows = array.reshape(-1, array.shape[-1])
+        if fault == "no-rows":
+            return array[:0]
         if fault == "zero-row":
             rows[1] = 0.0
         else:
@@ -941,7 +990,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("role, fault", [
         *itertools.product(["query", "decode", "pool", "prompt"],
                            ["nan", "inf", "negative", "zero-row"]),
-        ("pool", "kind"), ("query-keys", "nan"), ("query-keys", "inf"),
+        ("pool", "kind"), ("prompt", "no-rows"), ("query-keys", "nan"), ("query-keys", "inf"),
         ("pool-keys", "nan"), ("pool-keys", "inf"),
     ])
     def test_refused_score_or_key_values_are_3(self, tmp_path, capsys, role, fault):
@@ -1064,7 +1113,8 @@ class TestExitCodes:
     REFUSED_SHAPES = {
         "query-keys-shape": "qk.pnct", "pool-keys-shape": "pk.pnct",
         "grid-prompt-decode": "g.pnct", "grid-prompt-smooth": "g.pnct", "grid-prompt-run": "g.pnct",
-        "pool-prompt": "p.pnct", "gt-length": "tokens.pnct",
+        "pool-prompt": "p.pnct", "gt-length": "tokens.pnct", "exported-length": "scores/s1.pnct",
+        "exported-width": "scores/s1.pnct",
     }
 
     @pytest.mark.parametrize("case", REFUSED_SHAPES)
@@ -1080,11 +1130,18 @@ class TestExitCodes:
             self.respoiled(tmp_path / refused, prompt=self.NINE_PATCH_PROMPT)
         elif case == "pool-prompt":
             self.respoiled(tmp_path / refused, prompts=[self.NINE_PATCH_PROMPT] * 2)
+        elif case == "exported-length":  # one patch short
+            self.respoiled(tmp_path / refused, read_tensor(tmp_path / refused)[0][:3])
+        elif case == "exported-width":  # one code short of the manifest's codebook
+            self.respoiled(tmp_path / refused, read_tensor(tmp_path / refused)[0][:, :4])
         else:
             self.respoiled(tmp_path / refused, np.zeros(5, dtype=np.uint32))
         out = tmp_path / "o.pnct"
         if case == "grid-prompt-decode":
             argv = ["decode", "--in", str(tmp_path / "g.pnct"), "--out", str(out)]
+        elif case.startswith("exported"):
+            argv = ["pool", "--backend", "file", "--scores", str(tmp_path / "scores"),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
         elif case in ("grid-prompt-run", "gt-length"):
             config["files"]["out_tokens"] = str(out)
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -1108,6 +1165,11 @@ class TestExitCodes:
         "scorer-coupling": (2, "similarity coupling must lie in [0, 1]"),
         "synth-run-no-queries": (2, "at least one query"),
         "key-widths": (4, "pool feature_keys have length 2, query keys 3"),
+        "config-too-deep": (2, "invalid JSON: maximum recursion depth"),
+        "config-long-int": (2, "invalid JSON: Exceeds the limit"),
+        **{f"{key}-beyond-float": (2, f"config key {key!r} must be a float")
+           for key in ("smoothing.alpha", "smoothing.tau", "scorer.beta_truth",
+                       "scorer.beta_pair", "scorer.epsilon_noise")},
     }
 
     @pytest.mark.parametrize("case", REFUSED_OPTIONS)
@@ -1122,7 +1184,14 @@ class TestExitCodes:
                                             "epsilon_noise": 0.0}},
             "scorer-coupling": {"scorer": {"similarity_coupling": 2.0}},
         }.get(case, {})
-        (tmp_path / "c.json").write_text(json.dumps(config))
+        if case.endswith("-beyond-float"):  # an int no float holds
+            section, key = case.removesuffix("-beyond-float").split(".")
+            config = {section: {key: 10 ** 400}}
+        text = {  # JSON the parser cannot hold
+            "config-too-deep": '{"smoothing": ' + "[" * 200_000 + "]" * 200_000 + "}",
+            "config-long-int": '{"queries": {"n": ' + "1" * 5000 + "}}",
+        }.get(case) or json.dumps(config)
+        (tmp_path / "c.json").write_text(text)
         out = tmp_path / "o.out"
         smooth = ["smooth", "--query", str(tmp_path / "g.pnct"), "--pool", str(tmp_path / "p.pnct"),
                   "--out", str(out)]

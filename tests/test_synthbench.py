@@ -12,7 +12,7 @@ from patchsmooth import errors, synthbench
 from patchsmooth.divergence import pairwise_divergence
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.metrics import eval_reports
-from patchsmooth.pipeline import load_config, run_pipeline, smoothing_config, synth_world
+from patchsmooth.pipeline import load_config, run_pipeline, synth_world
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from patchsmooth.smoothing import (
     Aggregation,
@@ -485,7 +485,7 @@ class TestBiasExperiment:
     def test_run_reports_js_to_truth(self):
         config = load_config()
         world, params = synth_world(config)
-        smoothing = smoothing_config(config, m=config["retrieval"]["m"])
+        smoothing = SmoothingConfig(m=config["retrieval"]["m"], **config["smoothing"])
         [rows] = run_bias_experiment(world, params, [smoothing], n_queries=config["queries"]["n"],
                                      seed=config["queries"]["seed"])
         report = run_pipeline(config).report("smoothed_js_to_truth")

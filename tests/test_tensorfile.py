@@ -215,6 +215,16 @@ def test_sidecar_must_be_a_json_object(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("meta", [b"[" * 200_000 + b"]" * 200_000, b"1" * 5000],
+                         ids=["too-deep", "long-int"])
+def test_sidecar_the_parser_cannot_hold_is_format_error(tmp_path, meta):
+    path = tmp_path / "t.pnct"
+    path.write_bytes(sealed(b"PNCL" + struct.pack("<IIIQI", 1, 1, 1, 1, len(meta)) + meta
+                            + struct.pack("<f", 1.0)))
+    with pytest.raises(FormatError, match=f"{path}: invalid JSON sidecar"):
+        read_tensor(path)
+
+
 @functools.cache
 def pncl_files() -> dict[str, bytes]:
     """A pool file and a grid file as ``save_pool``/``save_grid`` write them."""
