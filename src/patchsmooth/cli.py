@@ -12,9 +12,8 @@ Exit codes: 0 success, 2 configuration error, 3 file format error,
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -37,11 +36,7 @@ from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
 from .smoothing import (Aggregation, DivergenceKind, NeighborKey, PoolScope, SmoothingConfig,
                         smooth_grid)
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import atomic_write_text, holds_float, read_json, read_tensor, write_tensor
-
-
-def _write_json(payload: dict, path: str | Path) -> None:
-    atomic_write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+from .tensorfile import holds_float, read_json, read_tensor, write_json, write_tensor
 
 
 def _flag_overrides(**sections: dict) -> dict:
@@ -96,7 +91,7 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     with refused_in(query_path):
         query = FeatureVector(np.ravel(q_array), q_id)
     result = top_m(query, index, m)
-    _write_json(
+    write_json(
         {
             "query": result.query_id,
             "m": m,
@@ -182,12 +177,13 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     write_tensor(result.probs, out_path,
                  meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})
     if diag_path is not None:
-        _write_json(
+        write_json(
             {
                 "config": sconfig.echo(),
                 "per_patch": [
-                    [
-                        {"pair": p, "patch": l, "distance": d, "weight": w}
+                    [  # an unreachable (+inf) neighbour has weight 0 and no JSON distance
+                        {"pair": p, "patch": l, "distance": d if math.isfinite(d) else None,
+                         "weight": w}
                         for p, l, d, w in zip(pairs, patches, distances, weights)
                     ]
                     for pairs, patches, distances, weights in zip(
@@ -217,53 +213,58 @@ def decode(in_path, out_path):
 @click.option("--item-id", default="item0")
 def eval_cmd(pred_path, gt_path, metric, out_path, item_id):
     """Score a prediction tensor against ground truth."""
-    pred, _ = read_tensor(pred_path)
-    gt, _ = read_tensor(gt_path)
-    if metric == "iou":
-        value = iou(pred != 0, gt != 0)
-    elif metric == "mse":
-        value = mse(pred, gt)
-    else:
-        value = pixel_accuracy(pred, gt)
+    pred, gt = read_tensor(pred_path)[0], read_tensor(gt_path)[0]
+    for path, array in ((pred_path, pred), (gt_path, gt)):
+        if not np.isfinite(array).all():
+            raise FormatError(f"{path}: tensor contains non-finite entries")
+    with refused_in(f"{pred_path}, {gt_path}"):  # a shape refused names both files
+        if metric == "iou":
+            value = iou(pred != 0, gt != 0)
+        elif metric == "mse":
+            value = mse(pred, gt)
+        else:
+            value = pixel_accuracy(pred, gt)
     report = EvalReport.from_items(metric, [(item_id, value)], config={"metric": metric})
-    _write_json(report.to_dict(), out_path)
+    write_json(report.to_dict(), out_path)
 
 
 @cli.command("synth-run")
 @click.option("--seed", type=int, default=0, help="First seed of the sweep.")
 @click.option("--n-seeds", type=int, default=1)
-@click.option("--rows", type=int, default=4)
-@click.option("--cols", type=int, default=4)
-@click.option("--codebook", type=int, default=8)
-@click.option("--items", type=int, default=24)
-@click.option("--bias", default="0.45,0.45,0.1", help="beta_truth,beta_pair,epsilon_noise")
+@click.option("--rows", type=int, default=None)
+@click.option("--cols", type=int, default=None)
+@click.option("--codebook", type=int, default=None)
+@click.option("--items", type=int, default=None)
+@click.option("--bias", default=None, help="beta_truth,beta_pair,epsilon_noise")
 @click.option("--m", "m_list", default="4", help="Comma-separated pool widths to sweep.")
 @click.option("--k", type=int, default=None)
-@click.option("--alpha", type=float, default=1.0)
-@click.option("--tau", type=float, default=1.0)
-@click.option("--queries", "n_queries", type=int, default=3)
-@click.option("--task", default="identity")
+@click.option("--alpha", type=float, default=None)
+@click.option("--tau", type=float, default=None)
+@click.option("--queries", "n_queries", type=int, default=None)
+@click.option("--task", default=None)
 @click.option("--report", "report_path", required=True, type=click.Path())
 def synth_run(seed, n_seeds, rows, cols, codebook, items, bias, m_list, k, alpha, tau,
               n_queries, task, report_path):
-    """Seeded bias-reduction experiment on the synthetic world."""
-    try:
-        beta_truth, beta_pair, epsilon = (float(x) for x in bias.split(","))
-    except ValueError as exc:
-        raise click.UsageError(f"--bias must be three comma-separated floats: {exc}")
+    """Seeded bias-reduction experiment on the synthetic world; a flag
+    left unset takes ``run_seed_sweep``'s default."""
+    given = dict(rows=rows, cols=cols, codebook_size=codebook, n_items=items, task_family=task,
+                 n_queries=n_queries, alpha=alpha, tau=tau, k=k)
+    if bias is not None:
+        try:
+            beta_truth, beta_pair, epsilon = (float(x) for x in bias.split(","))
+        except ValueError as exc:
+            raise click.UsageError(f"--bias must be three comma-separated floats: {exc}")
+        given["params"] = BiasedScorerParams(beta_truth=beta_truth, beta_pair=beta_pair,
+                                             epsilon_noise=epsilon)
     try:
         m_values = tuple(int(x) for x in m_list.split(","))
     except ValueError as exc:
         raise click.UsageError(f"--m must be comma-separated integers: {exc}")
     if repeated := [m for i, m in enumerate(m_values) if m in m_values[:i]]:
         raise click.UsageError(f"--m repeats the width {repeated[0]}")
-    params = BiasedScorerParams(beta_truth=beta_truth, beta_pair=beta_pair, epsilon_noise=epsilon)
-    report = run_seed_sweep(
-        seeds=range(seed, seed + n_seeds),
-        rows=rows, cols=cols, codebook_size=codebook, n_items=items, task_family=task,
-        params=params, m_values=m_values, n_queries=n_queries, alpha=alpha, tau=tau, k=k,
-    )
-    _write_json(report, report_path)
+    report = run_seed_sweep(seeds=range(seed, seed + n_seeds), m_values=m_values,
+                            **{name: v for name, v in given.items() if v is not None})
+    write_json(report, report_path)
 
 
 @cli.command()
@@ -279,8 +280,7 @@ def run(config_path, out_path, seed, m, alpha, tau, k):
     config = load_config(config_path, _flag_overrides(
         world={"seed": seed}, retrieval={"m": m}, smoothing={"alpha": alpha, "tau": tau, "k": k},
     ))
-    report = run_pipeline(config)
-    atomic_write_text(report.to_json(), out_path)
+    write_json(run_pipeline(config).to_dict(), out_path)
 
 
 def main(argv=None):

@@ -10,7 +10,6 @@ them byte for byte.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,9 +126,6 @@ class PipelineReport:
             "reports": [r.to_dict() for r in self.reports],
             "artifacts": self.artifacts,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def report(self, metric: str) -> EvalReport:
         for r in self.reports:

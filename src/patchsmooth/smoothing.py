@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -75,7 +76,8 @@ class SmoothingConfig:
     pairs, so one pool built at the largest m serves every smaller m.
     ``k`` defaults to min(5, m). ``alpha`` weighs the pooled signal
     (1.0 suits segmentation/colorization style tasks, 0.7 detection);
-    ``tau`` is the softmax temperature (1.0 default).
+    ``tau`` is the softmax temperature (1.0 default), positive and finite:
+    as tau -> inf the weights approach ``Aggregation.AVERAGE``.
 
     The other fields are a config's ``smoothing`` section: an enum field
     takes a member or its value, and ``SmoothingConfig(**c.echo()) == c``.
@@ -99,8 +101,8 @@ class SmoothingConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "tau", float(self.tau))
         try:  # a config section names each member by its value

@@ -63,7 +63,7 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     # written through the buffer protocol: no bytes copy of the payload
     payload = np.ascontiguousarray(array.astype(_DTYPE_CODES[code], copy=False))
 
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8") if meta else b""
+    meta_bytes = json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8") if meta else b""
     header = bytearray()
     header += MAGIC
     header += struct.pack("<III", VERSION, code, array.ndim)
@@ -73,11 +73,6 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF)
 
     _atomic_write(path, header, payload, crc)
-
-
-def atomic_write_text(text: str, path: str | Path) -> None:
-    """Write text via a temp file in the target directory plus rename."""
-    _atomic_write(Path(path), text.encode("utf-8"))
 
 
 def _atomic_write(path: Path, *chunks) -> None:
@@ -115,6 +110,14 @@ def read_json(path: str | Path, invalid: type[PatchSmoothError]):
         return json.loads(_read_bytes(path).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also nested too deep or an int too long
         raise invalid(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write ``payload`` atomically as RFC 8259 JSON: sorted keys, a
+    two-space indent and a final newline. NaN and +-inf have no JSON form,
+    so they raise ValueError; every caller refuses them where they enter."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _atomic_write(Path(path), text.encode("utf-8"))
 
 
 def holds_float(value) -> bool:

@@ -29,7 +29,7 @@ from patchsmooth.smoothing import (
     smooth_grid,
 )
 from patchsmooth.synthbench import DEFAULT_SWEEP_SEEDS, run_seed_sweep
-from patchsmooth.tensorfile import read_tensor, write_tensor
+from patchsmooth.tensorfile import read_tensor, write_json, write_tensor
 
 
 @contextmanager
@@ -368,14 +368,14 @@ def test_metric_correctness():
 
 def test_reproducibility():
     with criterion("reproducibility"):
-        first = run_pipeline(load_config()).to_json()
-        second = run_pipeline(load_config()).to_json()
-        assert first.encode() == second.encode()
-
         import tempfile
 
         rng = np.random.default_rng(2)
         with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            for path in (first, second):
+                write_json(run_pipeline(load_config()).to_dict(), path)
+            assert first.read_bytes() == second.read_bytes()
             for name, array in [
                 ("f.pnct", rng.normal(size=(6, 3)).astype(np.float32)),
                 ("u.pnct", rng.integers(0, 2**31, size=(2, 2, 2), dtype=np.uint32)),

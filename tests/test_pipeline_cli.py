@@ -38,7 +38,7 @@ from patchsmooth.smoothing import (
     SmoothingConfig,
     smooth_grid,
 )
-from patchsmooth.tensorfile import read_tensor, write_tensor
+from patchsmooth.tensorfile import read_tensor, write_json, write_tensor
 
 
 def run_cli(argv):
@@ -117,10 +117,11 @@ class TestConfig:
                            for name, kind in zip(("div", "key", "agg", "scope"), enums)}
 
     def test_operating_point_copies_agree(self, monkeypatch, tmp_path):
-        """``DEFAULT_CONFIG``, ``run_seed_sweep``'s defaults and ``synth-run``'s
-        flag defaults each hold the operating point (the benchmark calls
-        ``run_seed_sweep`` on its defaults, so the copies stay): all three
-        build the same world, scorer, query count and smoothing."""
+        """``DEFAULT_CONFIG`` and ``run_seed_sweep``'s defaults each hold the
+        operating point (the benchmark calls ``run_seed_sweep`` on its
+        defaults, so both copies stay; ``synth-run`` passes only the flags
+        it is given): ``run``, the sweep and ``synth-run`` build the same
+        world, scorer, query count and smoothing."""
         class Built(Exception):
             pass
 
@@ -174,10 +175,10 @@ class TestSynthPipeline:
             report.report("baseline_mse").per_item
         )
 
-    def test_byte_reproducible(self):
-        a = run_pipeline(load_config()).to_json()
-        b = run_pipeline(load_config()).to_json()
-        assert a == b
+    def test_byte_reproducible(self, tmp_path):
+        for name in ("a.json", "b.json"):
+            write_json(run_pipeline(load_config()).to_dict(), tmp_path / name)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_config_echo_resolves_k(self):
         report = run_pipeline(load_config())
@@ -1167,6 +1168,10 @@ class TestExitCodes:
         "key-widths": (4, "pool feature_keys have length 2, query keys 3"),
         "config-too-deep": (2, "invalid JSON: maximum recursion depth"),
         "config-long-int": (2, "invalid JSON: Exceeds the limit"),
+        # an overflowing float parses as inf; Python's JSON reader accepts Infinity
+        **{case: (2, "tau must be positive and finite, got inf")
+           for case in ("tau-1e400", "tau-infinity", "run-tau-inf", "smooth-tau-inf",
+                        "synth-run-tau-inf")},
         **{f"{key}-beyond-float": (2, f"config key {key!r} must be a float")
            for key in ("smoothing.alpha", "smoothing.tau", "scorer.beta_truth",
                        "scorer.beta_pair", "scorer.epsilon_noise")},
@@ -1190,6 +1195,8 @@ class TestExitCodes:
         text = {  # JSON the parser cannot hold
             "config-too-deep": '{"smoothing": ' + "[" * 200_000 + "]" * 200_000 + "}",
             "config-long-int": '{"queries": {"n": ' + "1" * 5000 + "}}",
+            "tau-1e400": '{"smoothing": {"tau": 1e400}}',
+            "tau-infinity": '{"smoothing": {"tau": Infinity}}',
         }.get(case) or json.dumps(config)
         (tmp_path / "c.json").write_text(text)
         out = tmp_path / "o.out"
@@ -1202,6 +1209,10 @@ class TestExitCodes:
                     "--out", str(out)]
         elif case == "synth-run-no-queries":
             argv = ["synth-run", "--queries", "0", "--report", str(out)]
+        elif case == "synth-run-tau-inf":
+            argv = ["synth-run", "--tau", "inf", "--report", str(out)]
+        elif case == "smooth-tau-inf":
+            argv = smooth + ["--tau", "inf"]
         elif case == "key-widths":
             rng = np.random.default_rng(6)
             write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
@@ -1210,8 +1221,35 @@ class TestExitCodes:
                              "--pool-keys", str(tmp_path / "pk.pnct")]
         else:
             argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(out)]
+            if case == "run-tau-inf":
+                argv += ["--tau", "inf"]
         assert run_cli(argv) == code
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", ["iou", "mse", "accuracy"])
+    @pytest.mark.parametrize("case, code, named", [("pred-nan", 3, ["pred"]),
+                                                   ("gt-inf", 3, ["gt"]),
+                                                   ("shape", 4, ["pred", "gt"])])
+    def test_refused_eval_input_names_its_files(self, tmp_path, capsys, metric, case, code,
+                                                named):
+        """A non-finite entry is a value refused in a file (exit 3), under
+        every metric; a shape mismatch names both files (exit 4)."""
+        pred = np.array([[0.0, 1.0]], dtype=np.float32)
+        gt = np.array([[0.0, 1.0, 1.0]] if case == "shape" else [[0.0, 1.0]], dtype=np.float32)
+        if case == "pred-nan":
+            pred[0, 1] = np.nan
+        elif case == "gt-inf":
+            gt[0, 0] = np.inf
+        write_tensor(pred, tmp_path / "pred.pnct")
+        write_tensor(gt, tmp_path / "gt.pnct")
+        out = tmp_path / "eval.json"
+        assert run_cli(["eval", "--pred", str(tmp_path / "pred.pnct"),
+                        "--gt", str(tmp_path / "gt.pnct"), "--metric", metric,
+                        "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert all(str(tmp_path / f"{name}.pnct") in err for name in named)
+        assert ("shape mismatch" in err) == (case == "shape")
         assert not out.exists()
 
 
@@ -1252,6 +1290,50 @@ def file_backend_setup(tmp: Path) -> tuple[Path, dict, dict]:
         "item_id": "query",
     }}
     return scores, json.loads((scores / "manifest.json").read_text()), config
+
+
+def strict_json(path: Path):
+    """The JSON document at ``path``; NaN, Infinity and -Infinity, which
+    RFC 8259 does not allow, fail the test."""
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_json_document_is_strict_json(tmp_path):
+    """Every command that writes a JSON document writes RFC 8259 JSON,
+    also the diag of a KL neighbour at +inf."""
+    _, _, config = file_backend_setup(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    TestCliFlow().setup_retrieval_files(tmp_path, np.random.default_rng(3))
+    # KL(entry || query) is +inf for pair 1's entries, which put mass on code 2
+    prompts = tuple(PromptSpec(f"s{i}", f"s{i}.gt", "query", (2, 2)) for i in range(2))
+    save_grid(ScoreGrid(probs=np.tile([0.5, 0.5, 0.0], (4, 1)), prompt=prompts[0]),
+              tmp_path / "kl-grid.pnct")
+    save_pool(PromptPool(probs=np.stack([np.tile([0.2, 0.3, 0.5], (4, 1)),
+                                         np.tile([0.6, 0.4, 0.0], (4, 1))]),
+                         pair_indices=np.arange(1, 3), prompts=prompts, mode=PoolMode.Q, m=2),
+              tmp_path / "kl-pool.pnct")
+    tokens = str(tmp_path / "tokens.pnct")
+    commands = {
+        "retrieved.json": ["retrieve", "--index", str(tmp_path / "index.pnct"),
+                           "--query", str(tmp_path / "query.pnct"), "--out"],
+        "diag.json": ["smooth", "--query", str(tmp_path / "kl-grid.pnct"),
+                      "--pool", str(tmp_path / "kl-pool.pnct"), "--div", "kl",
+                      "--out", str(tmp_path / "kl-smoothed.pnct"), "--diag"],
+        **{f"{metric}.json": ["eval", "--pred", tokens, "--gt", tokens, "--metric", metric,
+                              "--out"] for metric in ("iou", "mse", "accuracy")},
+        "sweep.json": ["synth-run", "--rows", "2", "--cols", "2", "--codebook", "4",
+                       "--items", "10", "--m", "1,2", "--queries", "2", "--report"],
+        "synth-report.json": ["run", "--out"],
+        "file-report.json": ["run", "--config", str(tmp_path / "c.json"), "--out"],
+    }
+    for name, argv in commands.items():
+        assert run_cli([*argv, str(tmp_path / name)]) == 0, name
+        strict_json(tmp_path / name)
+    per_patch = strict_json(tmp_path / "diag.json")["per_patch"]
+    assert [[(n["pair"], n["distance"] is None, n["weight"]) for n in patch][1]
+            for patch in per_patch] == [(1, True, 0.0)] * 4
 
 
 MUTATIONS = st.one_of(
