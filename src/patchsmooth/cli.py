@@ -36,7 +36,8 @@ from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
 from .smoothing import (Aggregation, DivergenceKind, NeighborKey, PoolScope, SmoothingConfig,
                         smooth_grid)
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import holds_float, read_json, read_tensor, write_json, write_tensor
+from .tensorfile import (holds_float, json_chunks, read_json, read_tensor, tensor_chunks,
+                         write_files, write_json)
 
 
 def _flag_overrides(**sections: dict) -> dict:
@@ -90,7 +91,8 @@ def retrieve(index_path, query_path, m, out_path, config_path):
     q_id = meta_field(q_meta, "id", query_path, str) if "id" in q_meta else "query"
     with refused_in(query_path):
         query = FeatureVector(np.ravel(q_array), q_id)
-    result = top_m(query, index, m)
+    with refused_in(f"{index_path}, {query_path}"):  # a refusal names both files
+        result = top_m(query, index, m)
     write_json(
         {
             "query": result.query_id,
@@ -173,27 +175,26 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     pool = load_pool(pool_path)
     grid, pool = _with_keys(grid, query_keys_path), _with_keys(pool, pool_keys_path)
     sconfig = SmoothingConfig(m=pool.m, **config["smoothing"])
-    result = smooth_grid(grid, pool, sconfig)
-    write_tensor(result.probs, out_path,
-                 meta={"kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})
+    with refused_in(f"{query_path}, {pool_path}"):  # a refusal names both files
+        result = smooth_grid(grid, pool, sconfig)
+    outputs = {out_path: tensor_chunks(result.probs, meta={
+        "kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})}
     if diag_path is not None:
-        write_json(
-            {
-                "config": sconfig.echo(),
-                "per_patch": [
-                    [  # an unreachable (+inf) neighbour has weight 0 and no JSON distance
-                        {"pair": p, "patch": l, "distance": d if math.isfinite(d) else None,
-                         "weight": w}
-                        for p, l, d, w in zip(pairs, patches, distances, weights)
-                    ]
-                    for pairs, patches, distances, weights in zip(
-                        result.pair.tolist(), result.patch.tolist(),
-                        result.distance.tolist(), result.weight.tolist(),
-                    )
-                ],
-            },
-            diag_path,
-        )
+        outputs[diag_path] = json_chunks({
+            "config": sconfig.echo(),
+            "per_patch": [
+                [  # an unreachable (+inf) neighbour has weight 0 and no JSON distance
+                    {"pair": p, "patch": l, "distance": d if math.isfinite(d) else None,
+                     "weight": w}
+                    for p, l, d, w in zip(pairs, patches, distances, weights)
+                ]
+                for pairs, patches, distances, weights in zip(
+                    result.pair.tolist(), result.patch.tolist(),
+                    result.distance.tolist(), result.weight.tolist(),
+                )
+            ],
+        })
+    write_files(outputs)  # both or neither
 
 
 @cli.command()

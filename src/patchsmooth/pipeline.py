@@ -158,7 +158,8 @@ def _file_pipeline(config: dict) -> PipelineReport:
     query_grid, shape = load_grid(files["query_scores"])
     pool = load_pool(files["pool"])
     smoothing = SmoothingConfig(m=pool.m, **config["smoothing"])
-    smoothed = smooth_grid(query_grid, pool, smoothing)
+    with refused_in(f"{files['query_scores']}, {files['pool']}"):  # a refusal names both files
+        smoothed = smooth_grid(query_grid, pool, smoothing)
     echo = _deep_merge(config, {"smoothing": smoothing.echo()})
 
     baseline_tokens = decode_argmax(query_grid)

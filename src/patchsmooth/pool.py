@@ -254,7 +254,11 @@ def build_pool(
 
 
 def _stacked_keys(keys):
-    return None if any(k is None for k in keys) else np.stack(keys)
+    if any(k is None for k in keys):
+        return None
+    stacked = np.stack(keys)
+    stacked.flags.writeable = False  # frozen and owned: the pool keeps it uncopied
+    return stacked
 
 
 class FileScorerBackend:

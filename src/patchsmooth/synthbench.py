@@ -30,7 +30,7 @@ from .errors import ConfigError, MissingItemError
 from .metrics import decode_argmax, pixel_accuracy
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
 from .retrieval import FeatureVector, RetrievalIndex, top_m
-from .smoothing import SmoothingConfig, smooth_grid
+from .smoothing import PoolScope, SmoothingConfig, smooth_grid
 
 RNG_FAMILY = "numpy-pcg64"
 FEATURE_NOISE = 0.05
@@ -209,7 +209,9 @@ def synthetic_score(
     feature_keys = np.zeros((world.patch_count, 2 * size))
     feature_keys[patches, truth] = 1.0
     feature_keys[patches, size + pair_tokens] += 1.0
-    patch_keys = np.argmax(scores, axis=1).astype(np.float64)[:, None]
+    patch_keys = np.argmax(scores, axis=1, keepdims=True).astype(np.float64)
+    for keys in (feature_keys, patch_keys):
+        keys.flags.writeable = False  # frozen and owned: the grid keeps them uncopied
     return ScoreGrid(
         probs=normalize_scores(scores),
         prompt=prompt,
@@ -244,20 +246,35 @@ class SyntheticScorerBackend:
 
 def _baseline(pool: PromptPool) -> ScoreGrid:
     """Pool row 0 as a grid: mode q's first prompt is the single-pair
-    prompt [x_1, y_1, query]."""
+    prompt [x_1, y_1, query], for each query of a joint pool."""
     return ScoreGrid(
         probs=pool.probs[0],
-        prompt=pool.prompts[0],
+        prompt=pool.prompts[0] if pool.prompts else None,
         feature_keys=None if pool.feature_keys is None else pool.feature_keys[0],
         patch_keys=None if pool.patch_keys is None else pool.patch_keys[0],
     )
 
 
-def _with_smoothed_arm(row: dict, baseline: ScoreGrid, pool: PromptPool,
-                       config: SmoothingConfig) -> dict:
-    """``row`` plus the smoothed arm of one config."""
-    smoothed = smooth_grid(baseline, pool, config)
-    return {**row, "smoothed_tokens": decode_argmax(smoothed), "smoothed_probs": smoothed.probs}
+def _joint_pool(pools: list[PromptPool]) -> PromptPool:
+    """The mode-q pools of several queries, each with pair indices 1..W,
+    side by side on the patch axis: one (W, Q * L, |V|) pool. In the
+    per-patch scope a patch sees only its own entries, so each patch
+    smooths against it bit for bit as against its query's own pool."""
+
+    def joint(arrays):
+        array = np.concatenate(arrays, axis=1)
+        array.flags.writeable = False  # frozen and owned: the pool keeps it uncopied
+        return array
+
+    return PromptPool(
+        probs=joint([p.probs for p in pools]),
+        pair_indices=pools[0].pair_indices,
+        prompts=(),
+        mode=PoolMode.Q,
+        m=pools[0].m,
+        feature_keys=joint([p.feature_keys for p in pools]),
+        patch_keys=joint([p.patch_keys for p in pools]),
+    )
 
 
 def _mean_accuracy(rows: list[dict], arm: str) -> float:
@@ -302,19 +319,34 @@ def run_bias_experiment(
 
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(world.query_ids), size=n_queries, replace=False))
+    queries = [world.query_ids[i] for i in picked]
     scorer = SyntheticScorerBackend(world, params)
     index = world.support_index()
-    arms = []  # per query: its baseline row, baseline grid and pool
-    for i in picked:
-        q = world.query_ids[i]
-        # each prompt is scored once, at the largest m; every config smooths
-        # against that pool, whose entries from pairs 1..m are its candidates
-        pool = build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
-        baseline = _baseline(pool)
-        row = {"query": q, "baseline_tokens": decode_argmax(baseline),
-               "truth": world.item(q).output_tokens}
-        arms.append((row, baseline, pool))
-    return [[_with_smoothed_arm(*arm, config) for arm in arms] for config in config_grid]
+    # each prompt is scored once, at the largest m; every config smooths
+    # against those pools, whose entries from pairs 1..m are its candidates
+    pools = [build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
+             for q in queries]
+    groups = {}  # per scope, built at its first config: (baseline grid, pool) of each group
+    outcomes = []
+    for config in config_grid:
+        if config.scope not in groups:
+            # one joint pool smooths every query in one call in the per-patch
+            # scope; in the all-patch scope a query's patches must see only
+            # its own pool
+            grouped = [_joint_pool(pools)] if config.scope is PoolScope.PER_PATCH else pools
+            groups[config.scope] = [(_baseline(p), p) for p in grouped]
+        arms = []  # per query: baseline tokens, smoothed tokens, smoothed probs
+        for baseline, pool in groups[config.scope]:
+            smoothed = smooth_grid(baseline, pool, config)
+            n = pool.patch_count // world.patch_count  # the queries in the group
+            arms += zip(*(np.split(a, n) for a in (decode_argmax(baseline),
+                                                    decode_argmax(smoothed), smoothed.probs)))
+        outcomes.append([
+            {"query": q, "baseline_tokens": b, "truth": world.item(q).output_tokens,
+             "smoothed_tokens": t, "smoothed_probs": p}
+            for q, (b, t, p) in zip(queries, arms)
+        ])
+    return outcomes
 
 
 def run_seed_sweep(

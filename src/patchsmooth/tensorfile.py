@@ -14,11 +14,12 @@ Layout (all integers little-endian):
     end-4   4           CRC32 (zlib) over every preceding byte
 
 Writes are atomic: data goes to a temp file in the target directory and
-is renamed into place.
+is renamed into place. ``write_files`` writes several files all or none.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -47,13 +48,13 @@ def _dtype_code(array: np.ndarray) -> int:
     raise FormatError(f"unsupported dtype {array.dtype} for tensor container")
 
 
-def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) -> None:
-    """Serialize one array plus its JSON sidecar, atomically.
+def tensor_chunks(array: np.ndarray, meta: dict | None = None) -> tuple:
+    """The bytes of one array plus its JSON sidecar in the container, as
+    chunks for ``write_files``.
 
     Floats are stored as f32, so float64 input is narrowed (rounded to
     nearest); integers are stored as u32 and must fit it.
     """
-    path = Path(path)
     array = np.asarray(array)
     code = _dtype_code(array)
     if code == 2 and array.size and (array.min() < 0 or array.max() > 0xFFFFFFFF):
@@ -71,26 +72,38 @@ def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) 
     header += struct.pack("<I", len(meta_bytes))
     header += meta_bytes
     crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF)
+    return header, payload, crc
 
-    _atomic_write(path, header, payload, crc)
+
+def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) -> None:
+    """Serialize one array plus its JSON sidecar, atomically (``tensor_chunks``)."""
+    write_files({path: tensor_chunks(array, meta)})
 
 
-def _atomic_write(path: Path, *chunks) -> None:
-    """Write ``chunks`` to a temp file in ``path``'s directory, then rename
-    it to ``path``; a path that cannot be written is a ConfigError."""
+def write_files(files: dict) -> None:
+    """Write each ``{path: chunks}`` entry, all or none: every file goes to
+    a temp file in its target directory, and the temp files are renamed
+    into place only once all are written. A path that cannot be written
+    is a ConfigError naming it, and leaves no file and no temp file."""
+    staged = []  # (temp path, path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
+        for path, chunks in files.items():
+            path = Path(path)
+            if path.is_dir():  # refused now: its rename would fail after the others
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            staged.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
+        for tmp, path in staged:
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in staged:  # a renamed temp file exists no more
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -112,12 +125,18 @@ def read_json(path: str | Path, invalid: type[PatchSmoothError]):
         raise invalid(f"{path}: invalid JSON: {exc}") from exc
 
 
-def write_json(payload, path: str | Path) -> None:
-    """Write ``payload`` atomically as RFC 8259 JSON: sorted keys, a
-    two-space indent and a final newline. NaN and +-inf have no JSON form,
-    so they raise ValueError; every caller refuses them where they enter."""
+def json_chunks(payload) -> tuple[bytes]:
+    """``payload`` as RFC 8259 JSON, as chunks for ``write_files``: sorted
+    keys, a two-space indent and a final newline. NaN and +-inf have no
+    JSON form, so they raise ValueError; every caller refuses them where
+    they enter."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    _atomic_write(Path(path), text.encode("utf-8"))
+    return (text.encode("utf-8"),)
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write ``payload`` atomically as RFC 8259 JSON (``json_chunks``)."""
+    write_files({path: json_chunks(payload)})
 
 
 def holds_float(value) -> bool:

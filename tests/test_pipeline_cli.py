@@ -931,6 +931,56 @@ class TestExitCodes:
         assert code == 4
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("case, expected", [
+        ("smooth-patches", 4), ("smooth-unreachable", 3), ("run-patches", 4), ("retrieve-dim", 4),
+    ])
+    def test_two_file_refusal_names_both_files(self, tmp_path, capsys, case, expected):
+        # a refusal that needs both inputs to happen is in neither file alone
+        rng = np.random.default_rng(0)
+        first, second = tmp_path / "a.pnct", tmp_path / "b.pnct"
+        out = tmp_path / "o.pnct"
+        if case == "retrieve-dim":
+            write_tensor(rng.normal(size=(3, 8)).astype(np.float32), first,
+                         meta={"ids": ["i0", "i1", "i2"]})
+            write_tensor(rng.normal(size=12).astype(np.float32), second, meta={"id": "q"})
+            argv = ["retrieve", "--index", str(first), "--query", str(second), "--m", "2",
+                    "--out", str(out)]
+        else:
+            patches = 5 if case.endswith("patches") else 4
+            probs = rng.dirichlet(np.ones(5), size=patches)
+            if case == "smooth-unreachable":
+                probs[:, 1:] = 0.0  # every pool row has mass where the query has none: KL = +inf
+                probs[:, 0] = 1.0
+            save_grid(ScoreGrid(probs=probs), first)
+            save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), second)
+            if case == "run-patches":
+                (tmp_path / "c.json").write_text(json.dumps({"backend": "file", "files": {
+                    "query_scores": str(first), "pool": str(second), "out_tokens": str(out)}}))
+                argv = ["run", "--config", str(tmp_path / "c.json"),
+                        "--out", str(tmp_path / "report.json")]
+            else:
+                argv = ["smooth", "--query", str(first), "--pool", str(second), "--div", "kl",
+                        "--out", str(out), "--diag", str(tmp_path / "d.json")]
+        assert run_cli(argv) == expected
+        assert f"{first}, {second}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "d.json").exists() and not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_unwritable_diag_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        rng = np.random.default_rng(0)
+        save_grid(random_grid(rng, 4, 5), tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), tmp_path / "p.pnct")
+        out, diag = tmp_path / "o.pnct", tmp_path / "no-such-dir" / "d.json"
+        if existing:
+            out.write_bytes(b"an earlier output")
+        code = run_cli(["smooth", "--query", str(tmp_path / "g.pnct"),
+                        "--pool", str(tmp_path / "p.pnct"), "--out", str(out), "--diag", str(diag)])
+        assert code == 2
+        assert str(diag) in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier output" if existing else not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("case", ["config-query-scores", "manifest-prompt", "decode-out",
                                       "decode-out-directory"])
     def test_unreadable_path_is_2(self, tmp_path, capsys, case):

@@ -9,11 +9,13 @@ import pytest
 from conftest import assert_same_selection
 from oracle import brute_force_smooth
 from patchsmooth import errors, synthbench
+from patchsmooth import pool as pool_module
 from patchsmooth.divergence import pairwise_divergence
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.metrics import eval_reports
 from patchsmooth.pipeline import load_config, run_pipeline, synth_world
-from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
+from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
+from patchsmooth.retrieval import top_m
 from patchsmooth.smoothing import (
     Aggregation,
     DivergenceKind,
@@ -399,9 +401,6 @@ class TestBiasExperiment:
     def test_average_linearity_of_truth_mass(self):
         world = world_for(rows=2, cols=2, size=4, items=12)
         backend = SyntheticScorerBackend(world, self.params)
-        from patchsmooth.pool import build_pool
-        from patchsmooth.retrieval import top_m
-
         query = world.query_ids[0]
         retrieved = top_m(world.feature_vector(query), world.support_index(), 4)
         pool = build_pool(backend, retrieved, query)
@@ -430,14 +429,84 @@ class TestBiasExperiment:
         assert len(set(calls)) == len(calls)
         assert accuracy(outcomes[0], "smoothed") == accuracy(outcomes[0], "baseline")
 
-    def test_baseline_grid_built_once_per_query(self, monkeypatch):
+    @pytest.mark.parametrize("scopes, groups", [(["patch"], 1), (["all"], 3),
+                                                 (["patch", "all", "patch"], 4)],
+                             ids=["per-patch", "all-patch", "both"])
+    def test_baseline_grid_built_once_per_smoothing_group(self, monkeypatch, scopes, groups):
+        # one joint group holds every query in the per-patch scope; the
+        # all-patch scope has one group per query
         built = []
         baseline = synthbench._baseline
         monkeypatch.setattr(synthbench, "_baseline", lambda pool: built.append(pool) or baseline(pool))
         world = world_for(rows=2, cols=2, size=4, items=16)
-        grid = [SmoothingConfig(m=m) for m in (1, 2, 4)]
+        grid = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4) for scope in scopes]
         run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
-        assert len(built) == 3
+        assert len(built) == groups
+
+    def test_one_smooth_grid_call_per_smoothing_group(self, monkeypatch):
+        calls = []
+        smooth = synthbench.smooth_grid
+        monkeypatch.setattr(synthbench, "smooth_grid",
+                            lambda grid, pool, config: calls.append((pool, config))
+                            or smooth(grid, pool, config))
+        world = world_for(rows=2, cols=2, size=4, items=16)
+        grid = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4) for scope in ("patch", "all")]
+        run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        per_config = [sum(c is config for _, c in calls) for config in grid]
+        assert per_config == [1, 3] * 3
+        for pool, config in calls:
+            joint = config.scope is PoolScope.PER_PATCH
+            assert pool.patch_count == (3 if joint else 1) * world.patch_count
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_joint_sweep_equals_per_query_smoothing(self, seed):
+        # the rows of the joint per-patch call are bit for bit those of
+        # smoothing each query's own pool
+        world = world_for(seed=seed, rows=3, cols=3, size=5, items=20)
+        params = BiasedScorerParams(beta_truth=0.45, beta_pair=0.45, epsilon_noise=0.1,
+                                    similarity_coupling=0.5)
+        grid = [SmoothingConfig(m=m, divergence=divergence, key=key, scope=scope)
+                for divergence, key, scope in itertools.product(
+                    DivergenceKind, NeighborKey, PoolScope)
+                for m in (1, 2, 4)]
+        outcomes = run_bias_experiment(world, params, grid, n_queries=3, seed=seed)
+        scorer, index = SyntheticScorerBackend(world, params), world.support_index()
+        pools = {}
+        for config, rows in zip(grid, outcomes):
+            assert len(rows) == 3
+            for row in rows:
+                query = row["query"]
+                if query not in pools:
+                    pools[query] = build_pool(scorer, top_m(world.feature_vector(query), index, 4),
+                                              query)
+                pool = pools[query]
+                baseline = synthbench._baseline(pool)
+                want = smooth_grid(baseline, pool, config)
+                assert row["smoothed_probs"].tobytes() == want.probs.tobytes()
+                assert not row["smoothed_probs"].flags.writeable
+                assert row["smoothed_tokens"].tobytes() == np.argmax(want.probs, axis=1).tobytes()
+                assert row["baseline_tokens"].tobytes() == np.argmax(baseline.probs, axis=1).tobytes()
+                np.testing.assert_array_equal(row["truth"], world.item(query).output_tokens)
+
+    def test_library_made_keys_kept_uncopied(self, monkeypatch):
+        # the scorer's keys and build_pool's stacks of them are frozen where
+        # they are made, so neither ScoreGrid nor PromptPool copies them
+        kept = []
+        frozen_keys = pool_module._frozen_keys
+
+        def spy(keys, leading, name):
+            held = frozen_keys(keys, leading, name)
+            kept.append((keys, held))
+            return held
+
+        monkeypatch.setattr(pool_module, "_frozen_keys", spy)
+        world = world_for(items=10)
+        query = world.query_ids[0]
+        pool = build_pool(SyntheticScorerBackend(world, self.params),
+                          top_m(world.feature_vector(query), world.support_index(), 3), query)
+        assert len(kept) == 2 * (3 + 1)  # both key fields of three grids and of the pool
+        assert all(held is given for given, held in kept)
+        assert kept[-2][1] is pool.feature_keys and kept[-1][1] is pool.patch_keys
 
     def test_insufficient_support_rejected(self):
         world = world_for(items=4)  # 3 support items
