@@ -14,12 +14,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
 
 from .divergence import frozen
-from .errors import DimensionError, FormatError, PatchSmoothError, refused_in
+from .errors import DimensionError, FormatError, MissingItemError, PatchSmoothError, refused_in
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, run_pipeline, synth_world
 from .pool import (
@@ -126,13 +127,18 @@ def _retrieved_from_json(path) -> RetrievedSet:
 def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_path):
     """Build the per-patch prompt pool for one retrieved set."""
     retrieved = _retrieved_from_json(retrieved_path)
+    named = retrieved_path  # the files whose ids the backend resolves
     if backend == "file":
         if scores_dir is None:
             raise click.UsageError("--scores is required for the file backend")
         scorer = FileScorerBackend(scores_dir)
+        named = f"{retrieved_path}, {Path(scores_dir) / 'manifest.json'}"
     else:
         scorer = SyntheticScorerBackend(*synth_world(load_config(config_path)))
-    pool = build_pool(scorer, retrieved, retrieved.query_id, mode=PoolMode(mode), seed=seed)
+    try:
+        pool = build_pool(scorer, retrieved, retrieved.query_id, mode=PoolMode(mode), seed=seed)
+    except MissingItemError as exc:  # an id the backend cannot resolve: a value refused
+        raise FormatError(f"{named}: {exc}") from exc
     save_pool(pool, out_path)
 
 

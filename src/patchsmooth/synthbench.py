@@ -28,7 +28,7 @@ import numpy as np
 from .divergence import CodebookSpec, normalize_scores
 from .errors import ConfigError, MissingItemError
 from .metrics import decode_argmax, pixel_accuracy
-from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
+from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from .retrieval import FeatureVector, RetrievalIndex, top_m
 from .smoothing import PoolScope, SmoothingConfig, smooth_grid
 
@@ -178,46 +178,61 @@ def _resolve_pair_input(world: SyntheticWorld, prompt: PromptSpec) -> WorldItem:
     return pair
 
 
-def synthetic_score(
-    world: SyntheticWorld, params: BiasedScorerParams, prompt: PromptSpec
-) -> ScoreGrid:
-    """Score one prompt with the bias-controllable mixture."""
-    if prompt.masked_region != world.grid:
-        raise ConfigError(f"prompt masks {prompt.masked_region}, world grid is {world.grid}")
-    pair = _resolve_pair_input(world, prompt)
-    anchor = world.item(prompt.anchor)
-    size = world.codebook.size
+def _score_prompts(world: SyntheticWorld, params: BiasedScorerParams, pair_ids, anchor_ids):
+    """Score the prompts [x_pair, y_pair, anchor_q] of ``pair_ids``, Q ids
+    or W rows of Q, with the bias-controllable mixture, in one array pass.
+
+    Returns owned, read-only ``probs``, ``feature_keys`` (the
+    pre-distribution internal state and decoded patch value, used as
+    alternative neighbor keys) and ``patch_keys``, each of leading shape
+    (Q * L,) or (W, Q * L): entry [..., q * L + l] is patch l of the prompt
+    of pair id [..., q]. Every step is elementwise or per row, so an entry
+    has the same bits whatever else is scored with it. Ids are not checked.
+    """
+    pair_ids = np.asarray(pair_ids)
+    size, patches = world.codebook.size, world.patch_count
+    lead = pair_ids.shape[:-1] + (pair_ids.shape[-1] * patches,)
+    anchors = list(anchor_ids) * (pair_ids.size // len(anchor_ids))  # the anchor of each prompt
+    pair_tokens = np.concatenate([world.items[p].output_tokens for p in pair_ids.flat])
+    truth = np.concatenate([world.items[a].output_tokens for a in anchors])
 
     beta_truth, beta_pair = params.beta_truth, params.beta_pair
     if params.similarity_coupling > 0.0:
-        sim = float(
-            np.dot(world.feature_vector(anchor.identifier).values,
-                   world.feature_vector(pair.identifier).values)
-        )
-        shift = params.similarity_coupling * (1.0 - (sim + 1.0) / 2.0) * beta_truth
-        beta_truth -= shift
-        beta_pair += shift
+        betas = []
+        for pair, anchor in zip(pair_ids.flat, anchors):
+            sim = float(np.dot(world.feature_vector(anchor).values,
+                               world.feature_vector(pair).values))
+            shift = params.similarity_coupling * (1.0 - (sim + 1.0) / 2.0) * beta_truth
+            betas.append((beta_truth - shift, beta_pair + shift))
+        beta_truth, beta_pair = np.repeat(np.array(betas), patches, axis=0).T
 
-    truth = anchor.output_tokens
-    pair_tokens = pair.output_tokens
-    patches = np.arange(world.patch_count)
-    scores = np.full((world.patch_count, size), params.epsilon_noise / size)
-    scores[patches, truth] += beta_truth
-    scores[patches, pair_tokens] += beta_pair
-    # pre-distribution internal state and decoded patch value, used as
-    # alternative neighbor keys
-    feature_keys = np.zeros((world.patch_count, 2 * size))
-    feature_keys[patches, truth] = 1.0
-    feature_keys[patches, size + pair_tokens] += 1.0
-    patch_keys = np.argmax(scores, axis=1, keepdims=True).astype(np.float64)
+    rows = np.arange(len(truth))
+    scores = np.full(lead + (size,), params.epsilon_noise / size)
+    flat = scores.reshape(-1, size)  # a view: writes land in ``scores``
+    flat[rows, truth] += beta_truth
+    flat[rows, pair_tokens] += beta_pair
+    feature_keys = np.zeros(lead + (2 * size,))
+    flat = feature_keys.reshape(-1, 2 * size)
+    flat[rows, truth] = 1.0
+    flat[rows, size + pair_tokens] += 1.0
+    patch_keys = np.argmax(scores, axis=-1, keepdims=True).astype(np.float64)
     for keys in (feature_keys, patch_keys):
-        keys.flags.writeable = False  # frozen and owned: the grid keeps them uncopied
-    return ScoreGrid(
-        probs=normalize_scores(scores),
-        prompt=prompt,
-        feature_keys=feature_keys,
-        patch_keys=patch_keys,
-    )
+        keys.flags.writeable = False  # frozen and owned: a grid or pool keeps them uncopied
+    return normalize_scores(scores), feature_keys, patch_keys
+
+
+def synthetic_score(
+    world: SyntheticWorld, params: BiasedScorerParams, prompt: PromptSpec
+) -> ScoreGrid:
+    """Score one prompt with the bias-controllable mixture: the
+    one-prompt case of ``_score_prompts``, with its ids checked."""
+    if prompt.masked_region != world.grid:
+        raise ConfigError(f"prompt masks {prompt.masked_region}, world grid is {world.grid}")
+    pair = _resolve_pair_input(world, prompt)
+    world.item(prompt.anchor)
+    probs, feature_keys, patch_keys = _score_prompts(world, params, [pair.identifier],
+                                                     [prompt.anchor])
+    return ScoreGrid(probs=probs, prompt=prompt, feature_keys=feature_keys, patch_keys=patch_keys)
 
 
 class SyntheticScorerBackend:
@@ -249,31 +264,8 @@ def _baseline(pool: PromptPool) -> ScoreGrid:
     prompt [x_1, y_1, query], for each query of a joint pool."""
     return ScoreGrid(
         probs=pool.probs[0],
-        prompt=pool.prompts[0] if pool.prompts else None,
         feature_keys=None if pool.feature_keys is None else pool.feature_keys[0],
         patch_keys=None if pool.patch_keys is None else pool.patch_keys[0],
-    )
-
-
-def _joint_pool(pools: list[PromptPool]) -> PromptPool:
-    """The mode-q pools of several queries, each with pair indices 1..W,
-    side by side on the patch axis: one (W, Q * L, |V|) pool. In the
-    per-patch scope a patch sees only its own entries, so each patch
-    smooths against it bit for bit as against its query's own pool."""
-
-    def joint(arrays):
-        array = np.concatenate(arrays, axis=1)
-        array.flags.writeable = False  # frozen and owned: the pool keeps it uncopied
-        return array
-
-    return PromptPool(
-        probs=joint([p.probs for p in pools]),
-        pair_indices=pools[0].pair_indices,
-        prompts=(),
-        mode=PoolMode.Q,
-        m=pools[0].m,
-        feature_keys=joint([p.feature_keys for p in pools]),
-        patch_keys=joint([p.patch_keys for p in pools]),
     )
 
 
@@ -320,20 +312,27 @@ def run_bias_experiment(
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(world.query_ids), size=n_queries, replace=False))
     queries = [world.query_ids[i] for i in picked]
-    scorer = SyntheticScorerBackend(world, params)
     index = world.support_index()
-    # each prompt is scored once, at the largest m; every config smooths
-    # against those pools, whose entries from pairs 1..m are its candidates
-    pools = [build_pool(scorer, top_m(world.feature_vector(q), index, max_m), q, mode=PoolMode.Q)
-             for q in queries]
+    # each prompt is scored once, at the largest m, in one array pass: row j
+    # of the joint pool holds the prompt of pair j + 1 of every query, the
+    # queries side by side on the patch axis; every config smooths against
+    # it, its entries from pairs 1..m being the config's candidates
+    retrieved = [top_m(world.feature_vector(q), index, max_m).ids for q in queries]
+    probs, feature_keys, patch_keys = _score_prompts(world, params, list(zip(*retrieved)), queries)
+    joint = PromptPool(probs=probs, pair_indices=np.arange(1, max_m + 1), prompts=(),
+                       mode=PoolMode.Q, m=max_m, feature_keys=feature_keys, patch_keys=patch_keys)
     groups = {}  # per scope, built at its first config: (baseline grid, pool) of each group
     outcomes = []
     for config in config_grid:
         if config.scope not in groups:
-            # one joint pool smooths every query in one call in the per-patch
-            # scope; in the all-patch scope a query's patches must see only
-            # its own pool
-            grouped = [_joint_pool(pools)] if config.scope is PoolScope.PER_PATCH else pools
+            # the joint pool smooths every query in one call in the per-patch
+            # scope, as a patch sees only its own entries; in the all-patch
+            # scope a query's patches must see only its own pool
+            grouped = [joint]
+            if config.scope is PoolScope.ALL_PATCH:  # cut on the patch axis
+                cuts = (np.split(a, n_queries, axis=1) for a in (probs, feature_keys, patch_keys))
+                grouped = [dataclasses.replace(joint, probs=p, feature_keys=f, patch_keys=k)
+                           for p, f, k in zip(*cuts)]
             groups[config.scope] = [(_baseline(p), p) for p in grouped]
         arms = []  # per query: baseline tokens, smoothed tokens, smoothed probs
         for baseline, pool in groups[config.scope]:

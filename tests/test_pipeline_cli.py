@@ -748,6 +748,28 @@ class TestExitCodes:
         assert str(tmp_path / "r.json") in capsys.readouterr().err
         assert not (tmp_path / "p.pnct").exists()
 
+    @pytest.mark.parametrize("backend, item, query, named", [
+        ("synth", "nope", "item0004", "unknown item 'nope'"),
+        ("synth", "item0000", "nope", "unknown item 'nope'"),
+        ("file", "nope", "query", "no in-context pair registered for 'nope'"),
+        ("file", "s0", "other", "no exported scores for prompt 's0__s0.gt__other'"),
+    ], ids=["synth-pair", "synth-query", "file-pair", "file-prompt"])
+    def test_id_the_backend_cannot_resolve_is_3(self, tmp_path, capsys, backend, item, query,
+                                                 named):
+        # an id in the retrieved set is a value refused in that file; the
+        # file backend resolves it through its manifest, so both are named
+        scores, _, _ = file_backend_setup(tmp_path)
+        (tmp_path / "r.json").write_text(json.dumps({"query": query, "items": [[item, 0.9]]}))
+        argv = ["pool", "--backend", backend, "--retrieved", str(tmp_path / "r.json"),
+                "--out", str(tmp_path / "o.pnct")]
+        if backend == "file":
+            argv += ["--scores", str(scores)]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "r.json") in err and named in err
+        assert (str(scores / "manifest.json") in err) == (backend == "file")
+        assert not (tmp_path / "o.pnct").exists()
+
     @pytest.mark.parametrize("meta", [
         {"ids": 5},
         {"ids": [0, 1, 2]},

@@ -413,21 +413,94 @@ class TestBiasExperiment:
             assert out.probs[l, truth[l]] == pytest.approx(pool_mass, abs=1e-12)
 
     def test_sweep_scores_each_prompt_once(self, monkeypatch):
+        # one array pass scores every mode-q prompt at the largest m; the
+        # sweep builds no per-query pool and calls no scorer backend
         calls = []
-        score = SyntheticScorerBackend.score
+        score_prompts = synthbench._score_prompts
 
-        def counted(backend, prompt):
-            calls.append(prompt)
-            return score(backend, prompt)
+        def counted(world, params, pair_ids, anchor_ids):
+            calls.append((pair_ids, anchor_ids))
+            return score_prompts(world, params, pair_ids, anchor_ids)
 
-        monkeypatch.setattr(SyntheticScorerBackend, "score", counted)
+        def refused(*args, **kwargs):
+            raise AssertionError("the sweep scored a prompt outside its array pass")
+
+        monkeypatch.setattr(synthbench, "_score_prompts", counted)
+        monkeypatch.setattr(pool_module, "build_pool", refused)
+        monkeypatch.setattr(SyntheticScorerBackend, "score", refused)
         world = world_for(rows=2, cols=2, size=4, items=16)
-        grid = [SmoothingConfig(m=m) for m in (1, 2, 4)]
+        grid = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4) for scope in ("patch", "all")]
         outcomes = run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
-        # one pool of width 4 per query; its first row is the baseline
-        assert len(calls) == 3 * 4
-        assert len(set(calls)) == len(calls)
+        [(pair_ids, anchor_ids)] = calls
+        # pairs 1..4 (the largest m) of each of 3 queries; pair 1 gives the baseline
+        assert np.shape(pair_ids) == (4, 3) and len(anchor_ids) == 3
+        prompts = {(pair, anchor) for row in pair_ids for pair, anchor in zip(row, anchor_ids)}
+        assert len(prompts) == 3 * 4
         assert accuracy(outcomes[0], "smoothed") == accuracy(outcomes[0], "baseline")
+
+    @staticmethod
+    def loop_probs(world, params, pair, anchor):
+        """The mixture of one prompt, patch by patch: the reference."""
+        beta_truth, beta_pair = params.beta_truth, params.beta_pair
+        if params.similarity_coupling > 0.0:
+            sim = float(np.dot(world.feature_vector(anchor).values,
+                               world.feature_vector(pair).values))
+            shift = params.similarity_coupling * (1.0 - (sim + 1.0) / 2.0) * beta_truth
+            beta_truth, beta_pair = beta_truth - shift, beta_pair + shift
+        size = world.codebook.size
+        rows = []
+        for truth, token in zip(world.item(anchor).output_tokens, world.item(pair).output_tokens):
+            row = np.full(size, params.epsilon_noise / size)
+            row[truth] += beta_truth
+            row[token] += beta_pair
+            rows.append(row / row.sum())
+        return np.array(rows)
+
+    @pytest.mark.parametrize("task", sorted(synthbench.TASK_RULES))
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_prompt_score_is_its_row_of_the_array_pass(self, seed, coupling, task):
+        world = world_for(seed=seed, rows=3, cols=2, size=5, items=16, task=task)
+        params = BiasedScorerParams(0.45, 0.45, 0.1, similarity_coupling=coupling)
+        anchors = world.query_ids[:3]
+        pair_ids = [world.support_ids[j:j + 3] for j in range(4)]  # (W, Q) = (4, 3)
+        arrays = synthbench._score_prompts(world, params, pair_ids, anchors)
+        patches = world.patch_count
+        for j, q in itertools.product(range(4), range(3)):
+            grid = synthetic_score(world, params, prompt_for(world, pair_ids[j][q], anchors[q]))
+            rows = slice(q * patches, (q + 1) * patches)
+            for got, array in zip((grid.probs, grid.feature_keys, grid.patch_keys), arrays):
+                assert (got.shape, got.tobytes()) == (array[j, rows].shape, array[j, rows].tobytes())
+            want = self.loop_probs(world, params, pair_ids[j][q], anchors[q])
+            assert grid.probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_pool_is_build_pools_side_by_side(self, monkeypatch, seed, coupling):
+        # the per-patch config's pool is the queries' build_pool pools on
+        # the patch axis, holding the array pass's own arrays
+        made, pools = [], []
+        score_prompts, smooth = synthbench._score_prompts, synthbench.smooth_grid
+        monkeypatch.setattr(synthbench, "_score_prompts",
+                            lambda *args: made.append(score_prompts(*args)) or made[-1])
+        monkeypatch.setattr(synthbench, "smooth_grid",
+                            lambda grid, pool, config: pools.append(pool)
+                            or smooth(grid, pool, config))
+        world = world_for(seed=seed, rows=3, cols=3, size=5, items=20)
+        params = BiasedScorerParams(0.45, 0.45, 0.1, similarity_coupling=coupling)
+        [rows] = run_bias_experiment(world, params, [SmoothingConfig(m=4)], n_queries=3, seed=seed)
+        [joint], [(probs, feature_keys, patch_keys)] = pools, made
+        assert joint.probs is probs
+        assert joint.feature_keys is feature_keys and joint.patch_keys is patch_keys
+        scorer, index = SyntheticScorerBackend(world, params), world.support_index()
+        own = [build_pool(scorer, top_m(world.feature_vector(r["query"]), index, 4), r["query"])
+               for r in rows]
+        for name in ("probs", "feature_keys", "patch_keys"):
+            got = getattr(joint, name)
+            want = np.concatenate([getattr(pool, name) for pool in own], axis=1)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert joint.pair_indices.tolist() == own[0].pair_indices.tolist() == [1, 2, 3, 4]
+        assert (joint.mode, joint.m, joint.prompts) == (PoolMode.Q, 4, ())
 
     @pytest.mark.parametrize("scopes, groups", [(["patch"], 1), (["all"], 3),
                                                  (["patch", "all", "patch"], 4)],
