@@ -15,21 +15,20 @@ negentropy n(x) = sum_i x_i ln x_i (minus the Shannon entropy),
     JS(p, q)   = (n(p) + n(q)) / 2 - n((p + q) / 2)
     KL(u || s) = n(u) - sum_i u_i ln s_i
 
-n is computed once per row (``negentropy``); callers that compare the
-same rows many times, like smoothing, pass it in cached. Against N
-candidate rows, JS then takes one log per element of the N mixtures
-z = (p + q) / 2, and KL one log per element of the query: of one (V,)
-row, or of all N rows of a query compared row by row, so a caller that
-passes the same (N, V) query in several calls takes its logs each time.
-The rule
+Every call compares rows of an (R, V) query and an (N, V) pool over a
+list of (r, c) pairs, two index arrays that broadcast together; the
+caller chooses the pairs. n is computed once per row (``negentropy``),
+and a caller that compares the same rows again passes it in cached. JS
+then takes one log per element of each pair's mixture z = (p + q) / 2,
+and KL one log per element of the query, once per call. The rule
 z = 0 => z ln z = 0 is exact: logs are taken of max(z, smallest
 subnormal), which leaves every z > 0 -- subnormal ones included --
 untouched and makes a zero term 0 * finite = 0, with no log(0). Every
-per-row sum runs in the same order, so JS(p, p) and KL(p || p) are
-exactly 0 and JS is exactly symmetric. Candidate rows are processed in
-blocks of ``BLOCK_ELEMENTS`` elements through two reused buffers, so the
-temporaries do not grow with N; only KL's log of the query is as large
-as the query. Both results are clamped at 0 against rounding.
+pair's sum runs in the same order, whatever else its call holds, so
+JS(p, p) and KL(p || p) are exactly 0 and JS is exactly symmetric. Pairs
+run in blocks of ``BLOCK_ELEMENTS`` elements, each gathering its rows,
+so the temporaries do not grow with the pairs; only KL's log of the
+query is as large as the query. Both results are clamped at 0.
 
 ``screened_js`` finds each of R query rows' k JS-nearest among N
 candidates without the exact kernel on all R * N pairs. One float32 pass
@@ -106,10 +105,13 @@ def _row_sums(values: np.ndarray, subject: str) -> np.ndarray:
 
 def frozen(array: np.ndarray, source) -> np.ndarray:
     """``array``, the conversion of ``source`` to an array, read-only. It is
-    kept if the conversion made it, or if it is a read-only array that
-    owns its buffer; anything else, a writable array of the caller or a
-    view, is copied, so no caller's array is ever frozen."""
-    if not array.flags.owndata or (array is source and array.flags.writeable):
+    kept if the conversion made it, if it is a read-only array that owns
+    its buffer, or if it is a view whose base is such an array; anything
+    else, a writable array of the caller or a view of one, is copied, so
+    no caller's array is ever frozen."""
+    owner = array if array.flags.owndata else array.base  # of the buffer, if an array
+    if not (isinstance(owner, np.ndarray) and owner.flags.owndata
+            and (not owner.flags.writeable or (owner is array and array is not source))):
         array = array.copy()
     array.flags.writeable = False
     return array
@@ -200,74 +202,73 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def pairwise_divergence(query: np.ndarray, pool: np.ndarray, kind: str = "js", *,
-                        query_negentropy: float | np.ndarray | None = None,
+def pairwise_divergence(query: np.ndarray, pool: np.ndarray, rows, cols, kind: str = "js", *,
+                        query_negentropy: np.ndarray | None = None,
                         pool_negentropy: np.ndarray | None = None) -> np.ndarray:
-    """Divergence of each row of the (N, V) ``pool`` against ``query``.
+    """Divergence of pool row ``cols[i]`` against query row ``rows[i]``,
+    for every pair i.
 
-    ``query`` is one (V,) row, compared with every pool row, or an (N, V)
-    array, compared row by row: ``out[i]`` then pairs ``pool[i]`` with
-    ``query[i]``. ``kind="kl"`` computes KL(pool_i || query); ``kind="js"``
-    the symmetric JS. Both operands are taken to be distributions already
-    (see ``simplex_rows``). A caller that compares the same rows again
-    passes their ``negentropy`` (a float or an (N,) vector for the query,
-    an (N,) vector for the pool) instead of having it recomputed. An empty
-    pool yields an empty vector.
+    ``query`` is (R, V) and ``pool`` (N, V); ``rows`` and ``cols`` are
+    integer index arrays that broadcast together, and the result has their
+    broadcast shape. ``kind="kl"`` computes KL(pool[c] || query[r]);
+    ``kind="js"`` the symmetric JS. Both operands are taken to be
+    distributions already (see ``simplex_rows``). A caller that compares
+    the same rows again passes their (R,) and (N,) ``negentropy``.
     """
     if kind not in ("js", "kl"):
         raise ValidationError(f"unknown divergence kind {kind!r}")
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2 or query.shape not in ((pool.shape[1],), pool.shape):
-        raise DimensionError(
-            f"expected a (V,) or (N, V) query and an (N, V) pool, got {query.shape} and {pool.shape}"
-        )
-    n, width = pool.shape
-    if pool_negentropy is None:
-        pool_negentropy = negentropy(pool)
-    elif np.shape(pool_negentropy) != (n,):
-        raise DimensionError(
-            f"pool negentropy has shape {np.shape(pool_negentropy)}, expected ({n},)"
-        )
-    if query_negentropy is not None and np.shape(query_negentropy) != query.shape[:-1]:
-        raise DimensionError(
-            f"query negentropy has shape {np.shape(query_negentropy)}, "
-            f"expected {query.shape[:-1]}"
-        )
+    if query.ndim != 2 or pool.ndim != 2 or query.shape[1] != pool.shape[1]:
+        raise DimensionError(f"expected an (R, V) query and an (N, V) pool, "
+                             f"got {query.shape} and {pool.shape}")
+    rows, cols = np.broadcast_arrays(rows, cols)
+    shape, rows, cols = rows.shape, rows.ravel(), cols.ravel()
+    for index, side, name in ((rows, query, "row"), (cols, pool, "column")):
+        if index.size and not 0 <= index.min() <= index.max() < len(side):
+            raise DimensionError(f"a {name} index is outside [0, {len(side)})")
+    pool_negentropy = _cached_negentropy(pool_negentropy, pool, "pool")
+    width = pool.shape[1]
     step = _block_rows(width)
-    work = np.empty((min(n, step), width))
-    sums = np.empty(n)
+    work = np.empty((min(len(rows), step), width))
+    sums = np.empty(len(rows))
     if kind == "kl":
-        # sums[i] = sum_j pool[i, j] ln query[i, j], added up in the same
+        # sums[i] = sum_j pool[c, j] ln query[r, j], added up in the same
         # order as the negentropy (a BLAS matrix-vector product is not), so
-        # KL(u || u) is exactly 0. A (V,) query is broadcast to every row.
+        # KL(u || u) is exactly 0; the query's logs are gathered per block.
         absent = query == 0.0
         check_support = absent.any()
-        absent = np.broadcast_to(absent, pool.shape)
-        log_query = np.broadcast_to(np.log(np.maximum(query, _TINY)), pool.shape)
-        unsupported = np.zeros(n, dtype=bool)
-        for start in range(0, n, step):
-            block = pool[start:start + step]
-            stop = start + len(block)
-            np.multiply(block, log_query[start:stop], out=work[:len(block)])
-            work[:len(block)].sum(axis=1, out=sums[start:stop])
+        log_query = np.log(np.maximum(query, _TINY))
+        unsupported = np.zeros(len(rows), dtype=bool)
+        for start in range(0, len(rows), step):
+            r, c = rows[start:start + step], cols[start:start + step]
+            stop = start + len(r)
+            block = pool[c]
+            np.multiply(block, log_query[r], out=work[:len(r)])
+            work[:len(r)].sum(axis=1, out=sums[start:stop])
             if check_support:
-                unsupported[start:stop] = ((block > 0.0) & absent[start:stop]).any(axis=1)
-        out = np.maximum(pool_negentropy - sums, 0.0)  # Gibbs: rounding only
+                unsupported[start:stop] = ((block > 0.0) & absent[r]).any(axis=1)
+        out = np.maximum(pool_negentropy[cols] - sums, 0.0)  # Gibbs: rounding only
         out[unsupported] = np.inf
-        return out
-    if query_negentropy is None:
-        query_negentropy = negentropy(query)
-    query_rows = np.broadcast_to(query, pool.shape)
+        return out.reshape(shape)
+    query_negentropy = _cached_negentropy(query_negentropy, query, "query")
     mixture = np.empty_like(work)
-    for start in range(0, n, step):
-        block = pool[start:start + step]
-        stop = start + len(block)
-        z = mixture[:len(block)]
-        np.add(block, query_rows[start:stop], out=z)
+    for start in range(0, len(rows), step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        z = mixture[:len(r)]
+        np.add(pool[c], query[r], out=z)
         z *= 0.5
-        _xlogx_sums(z, sums[start:stop], work[:len(block)])
-    return np.maximum(0.5 * (pool_negentropy + query_negentropy) - sums, 0.0)
+        _xlogx_sums(z, sums[start:start + len(r)], work[:len(r)])
+    out = np.maximum(0.5 * (pool_negentropy[cols] + query_negentropy[rows]) - sums, 0.0)
+    return out.reshape(shape)
+
+
+def _cached_negentropy(given, rows: np.ndarray, name: str) -> np.ndarray:
+    """``negentropy(rows)``, or ``given`` once its shape is checked."""
+    if given is not None and np.shape(given) != (len(rows),):
+        raise DimensionError(f"{name} negentropy has shape {np.shape(given)}, "
+                             f"expected ({len(rows)},)")
+    return negentropy(rows) if given is None else np.asarray(given, dtype=np.float64)
 
 
 #: Elements in each float32 scratch buffer of ``screened_js``: the pass
@@ -437,14 +438,12 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
     (``simplex_rows``), the pool nonempty; the negentropies are
     ``negentropy`` of each.
     """
-    query = np.asarray(query, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
     (rows, width), n = query.shape, len(pool)
     sums = _screen_sums(query, pool)
     distances = np.empty((rows, n))
-    # rows per block: the (rows, N) bands and the survivors' gathered rows
-    # (about k per row) each stay near BLOCK_ELEMENTS
-    step = max(1, BLOCK_ELEMENTS // max(n, k * width))
+    # rows per block: the (rows, N) bands stay near BLOCK_ELEMENTS; the
+    # kernel blocks the survivors' gathered rows itself
+    step = max(1, BLOCK_ELEMENTS // n)
     for first in range(0, rows, step):
         block = sums[first:first + step]
         band = _screen_band(block, width)
@@ -453,8 +452,8 @@ def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
         estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
         estimate -= 0.5 * block - LN2
         exact = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
-            query[first + r], pool[c], query_negentropy=query_negentropy[first + r],
-            pool_negentropy=pool_negentropy[c]))
+            query, pool, first + r, c, query_negentropy=query_negentropy,
+            pool_negentropy=pool_negentropy))
         if exact is None:
             return None
         distances[first:first + step] = exact

@@ -91,7 +91,8 @@ class EvalReport:
 def _js_to_truth(probs, truth) -> float:
     """Mean JS divergence of the (L, |V|) ``probs`` from one-hot ``truth``."""
     onehots = np.eye(probs.shape[1])[truth]
-    return float(np.mean(pairwise_divergence(probs, onehots)))
+    patches = np.arange(len(probs))
+    return float(np.mean(pairwise_divergence(probs, onehots, patches, patches)))
 
 
 def eval_reports(rows: list[dict], config: dict) -> tuple[EvalReport, ...]:

@@ -20,14 +20,15 @@ and its rank pair index * L + patch index breaks ties in that order.
 What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 ``pair``, ``patch``, ``distance`` and ``weight``.
 
-In the all-patch scope each patch has W * L candidates. For JS over score
-keys, ``divergence.screened_js`` ranks them all in one float32 pass with
-a proven per-pair error bound; only those whose band reaches the k-th
-smallest upper bound (k to 2k per patch on typical scores) get their
-exact distance, the others +inf, which sorts last. If one escapes its
-band, or no band is proven, the call fills the dense matrix instead:
-selection and blend are bit-identical either way. The per-patch scope
-(W candidates), KL and the l2 keys fill the dense matrix.
+The scope decides only which (patch, candidate) pairs exist: (l, j * L + l)
+per patch, every (l, n) over all patches. One call of the distance kernel
+over those pairs fills the dense matrix. For JS over score keys in the
+all-patch scope, ``divergence.screened_js`` first ranks every pair in one
+float32 pass with a proven per-pair error bound; only those whose band
+reaches the k-th smallest upper bound (k to 2k per patch on typical
+scores) get their exact distance, the others +inf, which sorts last. If
+one escapes its band, or no band is proven, the dense matrix is filled
+instead: selection and blend are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import negentropy, pairwise_divergence, screened_js, simplex_rows
+from .divergence import _block_rows, negentropy, pairwise_divergence, screened_js, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -204,12 +205,18 @@ def _aggregation_weights(distances: np.ndarray, config: SmoothingConfig) -> np.n
     return weights
 
 
-def _l2_distances(query, candidates) -> np.ndarray:
-    """l2 distance of each row of ``candidates`` (N, d) to ``query``, one
-    (d,) row or (N, d) row by row. Each is the square root of a BLAS dot
-    product, exactly as ``np.linalg.norm`` of the difference computes it."""
-    diff = candidates - query
-    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+def _l2_distances(query, candidates, rows, cols) -> np.ndarray:
+    """l2 distance of candidate row ``cols[i]`` to query row ``rows[i]``
+    over pairs and blocks as ``pairwise_divergence`` takes them. Each is the
+    square root of a BLAS dot, as ``np.linalg.norm`` of the difference."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    out = np.empty(rows.shape)
+    rows, cols, flat = rows.ravel(), cols.ravel(), out.reshape(-1)
+    step = _block_rows(query.shape[1])
+    for start in range(0, len(flat), step):
+        diff = candidates[cols[start:start + step]] - query[rows[start:start + step]]
+        flat[start:start + len(diff)] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return out
 
 
 def _select_and_blend(rows, distances, values, index, rank, config: SmoothingConfig):
@@ -240,8 +247,8 @@ def _select_and_blend(rows, distances, values, index, rank, config: SmoothingCon
 
 def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
     """The (L, d) query rows and (W, L, d) pool rows that ``config.key``
-    compares, and the distance from a (d,) row, or (N, d) rows row by
-    row, to (N, d) rows."""
+    compares, and their distance over pair lists (``pairwise_divergence``'s
+    form)."""
     if config.key is NeighborKey.SCORE:
         return grid.probs, pool.probs, functools.partial(
             pairwise_divergence, kind=config.divergence.value)
@@ -276,28 +283,19 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
             raise ConfigError(f"no pool entry is from the top m={config.m} pairs: "
                               f"pair indices {pair_indices.tolist()}")
         candidates, probs, pair_indices = candidates[kept], probs[kept], pair_indices[kept]
-    score = config.key is NeighborKey.SCORE
-    js = score and config.divergence is DivergenceKind.JS
     width, patches = len(probs), pool.patch_count
     flat = candidates.reshape(width * patches, -1)  # row n is pool entry (n // L, n % L)
-    # Negentropies the calls would recompute are passed in, computed once.
-    if config.scope is PoolScope.ALL_PATCH:
-        cached = {"pool_negentropy": negentropy(flat)} if score else {}
-        # +inf where the float32 screen rules a candidate out; None if its proof failed
-        distances = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
-                                **cached) if js else None
-        if distances is None:
-            # one call per patch; the matrix and its sort index grow as W * L**2
-            distances = np.stack([distance(query[l], flat, **cached) for l in range(patches)])
-        index = np.arange(width * patches)
-    else:
-        # candidate j of patch l is pool entry (j, l); one call per pair,
-        # comparing all L patches row by row (so KL takes the query's logs
-        # once per pair)
-        cached = {"query_negentropy": negentropy(query)} if js else {}
-        distances = np.stack([distance(query, candidates[j], **cached) for j in range(width)],
-                             axis=1)
+    distances = None
+    if config.scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (j, l)
         index = np.arange(width) * patches + np.arange(patches)[:, None]
+    else:
+        index = np.arange(width * patches)[None]
+        if config.key is NeighborKey.SCORE and config.divergence is DivergenceKind.JS:
+            # +inf where the float32 screen rules a candidate out; None if its proof failed
+            distances = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
+                                    pool_negentropy=negentropy(flat))
+    if distances is None:  # the dense matrix, one call; all-patch grows as W * L**2
+        distances = distance(query, flat, np.arange(patches)[:, None], index)
     # ties break by (pair index, patch index): patch < L, so one integer orders them
     rank = pair_indices[index // patches] * patches + index % patches
     blended, chosen, chosen_distance, weight = _select_and_blend(
@@ -330,8 +328,8 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
                 f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
         if len(vectors):
-            index = np.arange(len(vectors))
-            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query[l], vectors)[None],
+            index = np.arange(len(vectors))[None]
+            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query, vectors, l, index),
                                        vectors, index, index, config)[0][0]
     return out
 

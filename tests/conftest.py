@@ -57,8 +57,8 @@ def prob_vectors(draw, min_len=2, max_len=64):
 
 
 def divergence_of(kind, a, b):
-    """KL(a || b) or JS(a, b) of two distributions: the kernel on a one-row pool."""
-    return float(pairwise_divergence(b, a[None], kind=kind)[0])
+    """KL(a || b) or JS(a, b) of two distributions: the kernel on one pair."""
+    return float(pairwise_divergence(b[None], a[None], 0, 0, kind=kind))
 
 
 @st.composite

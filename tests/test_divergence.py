@@ -198,8 +198,11 @@ class TestValidationContract:
         values.flags.writeable = False
         assert simplex_rows(values) is values
         assert ScoreGrid(probs=values).probs is values
-        view = values[:1]
-        assert simplex_rows(view) is not view
+        view = values[:1]  # a view of a read-only array owning its buffer
+        assert simplex_rows(view) is view
+        writable = np.array([[0.25, 0.75], [0.5, 0.5]])
+        assert not np.shares_memory(simplex_rows(writable[:1]), writable)
+        assert writable.flags.writeable
 
     def test_keep_or_copy_rule(self):
         owned = np.array([0.25, 0.75])
@@ -212,8 +215,14 @@ class TestValidationContract:
         kept = frozen(writable, writable)
         assert not np.shares_memory(kept, writable) and not kept.flags.writeable
         assert writable.flags.writeable
-        view = owned[:1]
-        assert not frozen(view, view).flags.writeable and frozen(view, view).flags.owndata
+        view = owned[:1]  # kept: its base is read-only and owns its buffer
+        assert frozen(view, view) is view and not view.flags.writeable
+        writable_view = writable[:1]
+        copied = frozen(writable_view, writable_view)
+        assert not np.shares_memory(copied, writable) and not copied.flags.writeable
+        assert writable_view.flags.writeable and writable.flags.writeable
+        borrowed = np.frombuffer(owned.tobytes())  # read-only, over bytes no array owns
+        assert frozen(borrowed, borrowed) is not borrowed
 
     def test_normalized_scores_pass_to_constructors_uncopied(self):
         probs = normalize_scores(np.array([[3.0, 1.0], [1.0, 1.0]], dtype=np.float32))
@@ -310,33 +319,36 @@ def rows(*dists):
 
 class TestPairwise:
     def test_trivial_single_entry(self):
-        out = pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)))
+        out = pairwise_divergence(rows(dist(0.5, 0.5)), rows(dist(0.5, 0.5)), 0, [0])
         np.testing.assert_array_equal(out, [0.0])
 
     def test_derived_js_row(self):
-        query = dist(1, 0)
+        query = rows(dist(1, 0))
         pool = rows(dist(1, 0), dist(0.5, 0.5), dist(0, 1))
-        out = pairwise_divergence(query, pool, kind="js")
+        out = pairwise_divergence(query, pool, 0, np.arange(3), kind="js")
         np.testing.assert_allclose(out, [0.0, JS_POINT_VS_UNIFORM, LN2], atol=1e-9)
 
     def test_empty_pool_gives_empty_vector(self):
-        out = pairwise_divergence(dist(0.5, 0.5), np.empty((0, 2)))
+        out = pairwise_divergence(rows(dist(0.5, 0.5)), np.empty((0, 2)), 0, np.arange(0))
         assert out.shape == (0,)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            pairwise_divergence(dist(0.5, 0.5), np.empty((0, 2)), kind="hellinger")
+            pairwise_divergence(rows(dist(0.5, 0.5)), np.empty((0, 2)), 0, np.arange(0),
+                                kind="hellinger")
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            pairwise_divergence(dist(0.5, 0.5), rows(dist(0.2, 0.3, 0.5)))
+            pairwise_divergence(rows(dist(0.5, 0.5)), rows(dist(0.2, 0.3, 0.5)), 0, 0)
+        with pytest.raises(DimensionError):  # a query is (R, V), never one (V,) row
+            pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)), 0, 0)
 
     @given(distribution_pairs(), st.sampled_from(["js", "kl"]))
     @settings(max_examples=100)
     def test_matches_scalar_calls_exactly(self, pair, kind):
         query, other = pair
         pool = [other, query, other]
-        out = pairwise_divergence(query, rows(*pool), kind=kind)
+        out = pairwise_divergence(query[None], rows(*pool), 0, np.arange(3), kind=kind)
         expected = [divergence_of(kind, entry, query) for entry in pool]
         assert list(out) == expected
 
@@ -344,8 +356,8 @@ class TestPairwise:
     @settings(max_examples=100)
     def test_js_swap_invariance(self, pair):
         a, b = pair
-        assert list(pairwise_divergence(a, rows(b), kind="js")) == list(
-            pairwise_divergence(b, rows(a), kind="js")
+        assert list(pairwise_divergence(a[None], rows(b), 0, [0], kind="js")) == list(
+            pairwise_divergence(b[None], rows(a), 0, [0], kind="js")
         )
 
 
@@ -416,8 +428,8 @@ class TestEntropyKernel:
         p, q = pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pairwise_divergence(q, p[None], kind="js")[0]
-            swapped = pairwise_divergence(p, q[None], kind="js")[0]
+            got = pairwise_divergence(q[None], p[None], 0, [0], kind="js")[0]
+            swapped = pairwise_divergence(p[None], q[None], 0, [0], kind="js")[0]
         assert got == swapped
         assert 0.0 <= got <= LN2 + 1e-12
         assert abs(got - mp_js(p, q)) <= 1e-12
@@ -433,7 +445,7 @@ class TestEntropyKernel:
         u, s = pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pairwise_divergence(s, u[None], kind="kl")[0]
+            got = pairwise_divergence(s[None], u[None], 0, [0], kind="kl")[0]
         expected, oracle = mp_kl(u, s), oracle_kl(list(u), list(s))
         if math.isinf(expected):
             assert got == math.inf and oracle == math.inf
@@ -443,60 +455,78 @@ class TestEntropyKernel:
         if np.array_equal(u, s):
             assert got == 0.0
 
+    @staticmethod
+    def kernel_rows(rng, count, size):
+        """``count`` distributions of ``size`` tokens, a fifth of their
+        entries zero (KL is +inf on many pairs), none all zero."""
+        drawn = rng.dirichlet(np.full(size, 0.3), size=count)
+        drawn[rng.random(drawn.shape) < 0.2] = 0.0
+        dead = ~drawn.any(axis=-1)  # a fully zeroed row gets one entry back
+        drawn[dead, rng.integers(size, size=int(dead.sum()))] = 1.0
+        return simplex_rows(drawn / drawn.sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def assert_pairs_match_single_pairs(query, pool, r, c, kind):
+        """The kernel over the pairs (r, c), three pairs per block, equals
+        one one-pair call per pair bit for bit, with or without the
+        negentropies cached."""
+        expected = np.array([pairwise_divergence(query[i:i + 1], pool[j:j + 1], 0, 0, kind=kind)
+                             for i, j in zip(*(a.ravel() for a in np.broadcast_arrays(r, c)))])
+        blocked = divergence.BLOCK_ELEMENTS
+        try:
+            divergence.BLOCK_ELEMENTS = 3 * query.shape[1]  # three pairs per block
+            got = pairwise_divergence(query, pool, r, c, kind=kind)
+        finally:
+            divergence.BLOCK_ELEMENTS = blocked
+        assert got.shape == np.broadcast(r, c).shape
+        assert got.ravel().tobytes() == expected.tobytes()
+        if kind == "kl":  # +inf exactly where the pool row has mass the query row lacks
+            unsupported = ((pool[c] > 0.0) & (query[r] == 0.0)).any(axis=-1)
+            np.testing.assert_array_equal(np.isinf(got), unsupported)
+        np.testing.assert_array_equal(
+            got, pairwise_divergence(query, pool, r, c, kind=kind,
+                                     query_negentropy=negentropy(query),
+                                     pool_negentropy=negentropy(pool)))
+
     @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
     @example(139975, "js")  # draws two all-zero rows
     @settings(max_examples=30, deadline=None)
     def test_blocks_agree_exactly_with_single_rows(self, seed, kind):
+        # every (query row, pool row) pair as an (R, 1) x (1, N) broadcast,
+        # both in shuffled order; query rows repeat pool rows (distance 0)
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, 40))
-        pool = rng.dirichlet(np.full(size, 0.3), size=int(rng.integers(1, 30)))
-        pool[rng.random(pool.shape) < 0.2] = 0.0
-        dead = ~pool.any(axis=1)  # a fully zeroed row gets one entry back
-        pool[dead, rng.integers(size, size=int(dead.sum()))] = 1.0
-        pool = simplex_rows(pool / pool.sum(axis=1, keepdims=True))
-        query = pool[int(rng.integers(len(pool)))]
-        expected = [pairwise_divergence(query, row[None], kind=kind)[0] for row in pool]
-        blocked = divergence.BLOCK_ELEMENTS
-        try:
-            divergence.BLOCK_ELEMENTS = 3 * size  # three rows per block
-            got = pairwise_divergence(query, pool, kind=kind)
-        finally:
-            divergence.BLOCK_ELEMENTS = blocked
-        assert list(got) == expected
-        np.testing.assert_array_equal(
-            got, pairwise_divergence(query, pool, kind=kind,
-                                     query_negentropy=negentropy(query),
-                                     pool_negentropy=negentropy(pool)))
+        pool = self.kernel_rows(rng, int(rng.integers(1, 30)), size)
+        query = np.concatenate([pool[rng.integers(len(pool), size=int(rng.integers(1, 4)))],
+                                self.kernel_rows(rng, int(rng.integers(0, 4)), size)])
+        r, c = rng.permutation(len(query))[:, None], rng.permutation(len(pool))[None]
+        self.assert_pairs_match_single_pairs(query, pool, r, c, kind)
 
     @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
     @settings(max_examples=30, deadline=None)
     def test_row_by_row_query_matches_single_rows(self, seed, kind):
+        # row i against row i, then a flat list of pairs with repeats in
+        # random order, up to three times as many pairs as rows
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, 40))
-        rows = rng.dirichlet(np.full(size, 0.3), size=(2, int(rng.integers(1, 30))))
-        rows[rng.random(rows.shape) < 0.2] = 0.0
-        dead = ~rows.any(axis=-1)  # a fully zeroed row gets one entry back
-        rows[dead, rng.integers(size, size=int(dead.sum()))] = 1.0
-        query, pool = simplex_rows(rows / rows.sum(axis=-1, keepdims=True))
-        expected = [pairwise_divergence(q, p[None], kind=kind)[0] for q, p in zip(query, pool)]
-        blocked = divergence.BLOCK_ELEMENTS
-        try:
-            divergence.BLOCK_ELEMENTS = 3 * size  # three rows per block
-            got = pairwise_divergence(query, pool, kind=kind)
-        finally:
-            divergence.BLOCK_ELEMENTS = blocked
-        assert list(got) == expected
-        np.testing.assert_array_equal(
-            got, pairwise_divergence(query, pool, kind=kind,
-                                     query_negentropy=negentropy(query),
-                                     pool_negentropy=negentropy(pool)))
+        n = int(rng.integers(1, 30))
+        query, pool = self.kernel_rows(rng, n, size), self.kernel_rows(rng, n, size)
+        self.assert_pairs_match_single_pairs(query, pool, np.arange(n), np.arange(n), kind)
+        pairs = int(rng.integers(1, 3 * n + 1))
+        self.assert_pairs_match_single_pairs(query, pool, rng.integers(n, size=pairs),
+                                             rng.integers(n, size=pairs), kind)
 
     def test_row_by_row_shapes_checked(self):
         pool = rows(dist(0.5, 0.5), dist(0.2, 0.8))
+        with pytest.raises(DimensionError):  # query row 1 of a one-row query
+            pairwise_divergence(pool[:1], pool, [0, 1], [0, 1])
+        for r, c in ((-1, 0), (0, -1), (2, 0), (0, 2), ([0, 1], [[0], [5]])):
+            with pytest.raises(DimensionError):
+                pairwise_divergence(pool, pool, r, c)
         with pytest.raises(DimensionError):
-            pairwise_divergence(pool[:1], pool)
+            pairwise_divergence(pool, pool, 0, 0, query_negentropy=0.0)
         with pytest.raises(DimensionError):
-            pairwise_divergence(pool, pool, query_negentropy=0.0)
+            pairwise_divergence(pool, pool, 0, 0, query_negentropy=np.zeros(3))
 
     def test_negentropy_rows(self):
         rows = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [5e-324, 1.0]]])
@@ -507,7 +537,8 @@ class TestEntropyKernel:
 
     def test_cached_negentropy_shape_checked(self):
         with pytest.raises(DimensionError):
-            pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)), pool_negentropy=[0.0, 0.0])
+            pairwise_divergence(rows(dist(0.5, 0.5)), rows(dist(0.5, 0.5)), 0, 0,
+                                pool_negentropy=[0.0, 0.0])
 
 
 class TestScreenSurvivors:

@@ -335,5 +335,8 @@ class TestKeyOwnership:
         keys.flags.writeable = False
         grid = ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=keys)
         assert grid.feature_keys is keys
-        view = keys[:, :4]  # read-only, but a view of someone else's buffer
-        assert ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=view).feature_keys is not view
+        view = keys[:, :4]  # a view of a read-only array owning its buffer
+        assert ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=view).feature_keys is view
+        writable = keys.copy()
+        held = ScoreGrid(probs=np.full((3, 2), 0.5), feature_keys=writable[:, :4]).feature_keys
+        assert not np.shares_memory(held, writable) and writable.flags.writeable

@@ -401,10 +401,10 @@ def dense_all_patch_js(query_grid, pool, config):
     selection and blend."""
     width, patches = pool.width, pool.patch_count
     flat = pool.probs.reshape(width * patches, -1)
-    cached = negentropy(flat)
-    distances = np.stack([pairwise_divergence(query_grid.probs[l], flat, pool_negentropy=cached)
+    cached, index = negentropy(flat), np.arange(width * patches)
+    distances = np.stack([pairwise_divergence(query_grid.probs, flat, l, index,
+                                              pool_negentropy=cached)
                           for l in range(patches)])
-    index = np.arange(width * patches)
     rank = pool.pair_indices[index // patches] * patches + index % patches
     blended, chosen, distance, weight = _select_and_blend(
         query_grid.probs, distances, flat, index, rank, config
@@ -518,9 +518,9 @@ class TestJsScreen:
             expected = dense_all_patch_js(query_grid, pool, config)
             got = smooth_grid(query_grid, pool, config)
         assert distances.shape == (len(query_grid), len(flat))
-        cached = negentropy(flat)
-        for l, row in enumerate(query_grid.probs):
-            dense = pairwise_divergence(row, flat, pool_negentropy=cached)
+        cached, index = negentropy(flat), np.arange(len(flat))
+        for l in range(len(query_grid)):
+            dense = pairwise_divergence(query_grid.probs, flat, l, index, pool_negentropy=cached)
             kept = np.flatnonzero(np.isfinite(distances[l]))
             assert distances[l, kept].tobytes() == dense[kept].tobytes()
             nearest = np.flatnonzero(dense <= np.sort(dense)[min(config.k, len(dense)) - 1])
@@ -528,19 +528,21 @@ class TestJsScreen:
         assert_same_bits(got, expected)
 
     @staticmethod
-    def spy_dense_rows(monkeypatch):
-        """Record every one-row call of the exact kernel: the dense path
-        makes one per patch, the screen's survivors none."""
-        dense_rows = []
+    def spy_dense_calls(monkeypatch):
+        """Record every call of the exact kernel whose pairs are the full
+        (L, N) grid: the dense path makes one, the screen's survivors none."""
+        dense_calls = []
 
-        def counting(query, *args, **kwargs):
-            if np.ndim(query) == 1:
-                dense_rows.append(query)
-            return pairwise_divergence(query, *args, **kwargs)
+        def counting(query, pool, rows, cols, *args, **kwargs):
+            r, c = np.broadcast_arrays(rows, cols)
+            if r.shape == (len(query), len(pool)) and np.array_equal(
+                    r * len(pool) + c, np.arange(r.size).reshape(r.shape)):
+                dense_calls.append((rows, cols))
+            return pairwise_divergence(query, pool, rows, cols, *args, **kwargs)
 
         monkeypatch.setattr(divergence, "pairwise_divergence", counting)
         monkeypatch.setattr(smoothing, "pairwise_divergence", counting)
-        return dense_rows
+        return dense_calls
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_guard_recomputes_rows_whose_band_fails(self, seed, monkeypatch):
@@ -551,11 +553,11 @@ class TestJsScreen:
         expected = dense_all_patch_js(query_grid, pool, config)
         # a zero-width band: every exact distance falls outside its band
         monkeypatch.setattr(divergence, "SCREEN_SAFETY", 0.0)
-        dense_rows = self.spy_dense_rows(monkeypatch)
+        dense_calls = self.spy_dense_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_rows) == patches
+        assert len(dense_calls) == 1
         assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -576,11 +578,11 @@ class TestJsScreen:
             return out
 
         monkeypatch.setattr(divergence, "_screen_band", one_zero_band)
-        dense_rows = self.spy_dense_rows(monkeypatch)
+        dense_calls = self.spy_dense_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_rows) == patches
+        assert len(dense_calls) == 1
         assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -591,11 +593,11 @@ class TestJsScreen:
         config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
         expected = dense_all_patch_js(query_grid, pool, config)
         monkeypatch.setattr(divergence, "_gamma32", lambda n: None)
-        dense_rows = self.spy_dense_rows(monkeypatch)
+        dense_calls = self.spy_dense_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_rows) == patches
+        assert len(dense_calls) == 1
         assert_same_bits(got, expected)
 
     def test_band_bound(self):
@@ -676,9 +678,10 @@ class TestJsScreen:
         sums = divergence._screen_sums(query, flat)
         estimate = 0.5 * (pool_negentropy + query_negentropy[:, None])
         estimate -= 0.5 * sums - LN2
-        exact = np.stack([pairwise_divergence(row, flat, query_negentropy=query_negentropy[l],
+        exact = np.stack([pairwise_divergence(query, flat, l, np.arange(len(flat)),
+                                              query_negentropy=query_negentropy,
                                               pool_negentropy=pool_negentropy)
-                          for l, row in enumerate(query)])
+                          for l in range(patches)])
         bound = divergence._screen_band(sums, size) / divergence.SCREEN_SAFETY
         assert np.all(np.abs(exact - estimate) <= bound)
 
@@ -812,15 +815,32 @@ class TestTopMCandidates:
     @pytest.mark.parametrize("key", [NeighborKey.SCORE, NeighborKey.FEATURE, NeighborKey.PATCH])
     @pytest.mark.parametrize("divergence", list(DivergenceKind))
     @pytest.mark.parametrize("scope", list(PoolScope))
-    def test_equals_the_explicit_top_m_pool(self, scope, divergence, key, mode):
+    def test_equals_the_explicit_top_m_pool(self, scope, divergence, key, mode, monkeypatch):
+        calls = []  # the pair shape of each of smooth_grid's own kernel calls
+
+        def spy(kernel):
+            def counting(query, candidates, rows, cols, *args, **kwargs):
+                calls.append(np.broadcast(rows, cols).shape)
+                return kernel(query, candidates, rows, cols, *args, **kwargs)
+            return counting
+
+        for name in ("pairwise_divergence", "_l2_distances"):
+            monkeypatch.setattr(smoothing, name, spy(getattr(smoothing, name)))
+        screened = (scope, divergence, key) == (
+            PoolScope.ALL_PATCH, DivergenceKind.JS, NeighborKey.SCORE)
         for seed, m in itertools.product(range(3), (1, 2, 4)):
             query, pool = self.instance(seed, mode)
-            if not (pool.pair_indices <= m).any():
+            width = int((pool.pair_indices <= m).sum())
+            if not width:
                 continue
             for k in (1, 3):
                 config = SmoothingConfig(m=m, k=k, alpha=0.7, tau=0.5, divergence=divergence,
                                          key=key, scope=scope)
+                calls.clear()
                 got = smooth_grid(query, pool, config)
+                # one call over every (patch, candidate) pair, or none behind the JS screen
+                per_patch = width * (pool.patch_count if scope is PoolScope.ALL_PATCH else 1)
+                assert calls == [(len(query), per_patch)] or (screened and calls == [])
                 assert set(got.pair.ravel().tolist()) <= set(range(1, m + 1))
                 assert_same_bits(got, smooth_grid(query, top_m_pool(pool, m), config))
 

@@ -580,6 +580,9 @@ class TestBiasExperiment:
         assert len(kept) == 2 * (3 + 1)  # both key fields of three grids and of the pool
         assert all(held is given for given, held in kept)
         assert kept[-2][1] is pool.feature_keys and kept[-1][1] is pool.patch_keys
+        baseline = synthbench._baseline(pool)  # pool row 0, viewed and not copied
+        for name in ("probs", "feature_keys", "patch_keys"):
+            assert np.shares_memory(getattr(baseline, name), getattr(pool, name)[0])
 
     def test_insufficient_support_rejected(self):
         world = world_for(items=4)  # 3 support items
@@ -636,8 +639,9 @@ class TestBiasExperiment:
         for row in rows:
             onehots = np.zeros((world.patch_count, size))
             onehots[np.arange(world.patch_count), row["truth"]] = 1.0
-            want.append((row["query"], float(np.mean(pairwise_divergence(row["smoothed_probs"],
-                                                                         onehots)))))
+            patches = np.arange(world.patch_count)
+            want.append((row["query"], float(np.mean(pairwise_divergence(
+                row["smoothed_probs"], onehots, patches, patches)))))
         assert list(report.per_item) == want
         assert report.aggregate == float(np.mean([js for _, js in want]))
 
