@@ -35,10 +35,10 @@ from .pool import (
 )
 from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
 from .smoothing import (Aggregation, DivergenceKind, NeighborKey, PoolScope, SmoothingConfig,
-                        smooth_grid)
+                        _selection_keys, smooth_grid)
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import (holds_float, json_chunks, read_json, read_tensor, tensor_chunks,
-                         write_files, write_json)
+from .tensorfile import (holds_float, json_chunks, read_json, read_tensor, refuse_same_file,
+                         tensor_chunks, write_files, write_json)
 
 
 def _flag_overrides(**sections: dict) -> dict:
@@ -181,12 +181,14 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
     pool = load_pool(pool_path)
     grid, pool = _with_keys(grid, query_keys_path), _with_keys(pool, pool_keys_path)
     sconfig = SmoothingConfig(m=pool.m, **config["smoothing"])
+    with refused_in(f"{query_keys_path or query_path}, {pool_keys_path or pool_path}"):
+        _selection_keys(grid, pool, sconfig)  # keys of two lengths name both key files
     with refused_in(f"{query_path}, {pool_path}"):  # a refusal names both files
         result = smooth_grid(grid, pool, sconfig)
-    outputs = {out_path: tensor_chunks(result.probs, meta={
-        "kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()})}
+    outputs = [(out_path, tensor_chunks(result.probs, meta={
+        "kind": "smoothed-grid", "grid": list(shape), "config": sconfig.echo()}))]
     if diag_path is not None:
-        outputs[diag_path] = json_chunks({
+        outputs.append((diag_path, json_chunks({
             "config": sconfig.echo(),
             "per_patch": [
                 [  # an unreachable (+inf) neighbour has weight 0 and no JSON distance
@@ -199,7 +201,7 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
                     result.distance.tolist(), result.weight.tolist(),
                 )
             ],
-        })
+        })))
     write_files(outputs)  # both or neither
 
 
@@ -287,6 +289,8 @@ def run(config_path, out_path, seed, m, alpha, tau, k):
     config = load_config(config_path, _flag_overrides(
         world={"seed": seed}, retrieval={"m": m}, smoothing={"alpha": alpha, "tau": tau, "k": k},
     ))
+    if "out_tokens" in config["files"]:  # refused before the pipeline writes the tokens
+        refuse_same_file([config["files"]["out_tokens"], out_path])
     write_json(run_pipeline(config).to_dict(), out_path)
 
 

@@ -37,14 +37,15 @@ ranks every pair, one BLAS dot each, with a proven error bound eps
 summation order and BLAS thread count. ``screen_survivors`` keeps a
 candidate when its lower bound reaches its row's k-th smallest upper
 bound; survivors get ``pairwise_divergence``, the others +inf, in the
-(R, N) matrix the dense kernel fills. The result is None when no band is
-proven (``_gamma32``) or a survivor leaves its band, and the caller goes
-dense; ``retrieval.top_m`` screens with the same rule. KL, and every JS
+(R, N) matrix the dense kernel fills. An unproven band (``_gamma32``)
+is infinite, and a survivor outside its band makes every pair exact;
+``retrieval.top_m`` screens with the same rule. KL, and every JS
 comparison outside ``screened_js``, run on the dense kernel alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,8 +291,8 @@ _U32 = 2.0 ** -24
 _SPREAD = 2.78
 
 
-def _gamma32(n: int) -> float | None:
-    """gamma_n = n u / (1 - n u) at the float32 unit roundoff u, or None
+def _gamma32(n: int) -> float:
+    """gamma_n = n u / (1 - n u) at the float32 unit roundoff u, or +inf
     when n u >= 1/2 and no bound is proven.
 
     A float32 dot of n terms is within gamma_n times the sum of its
@@ -304,15 +305,13 @@ def _gamma32(n: int) -> float | None:
     both rest on it.
     """
     nu = n * _U32
-    if nu >= 0.5:
-        return None
-    return nu / (1.0 - nu)
+    return nu / (1.0 - nu) if nu < 0.5 else math.inf
 
 
-def _screen_band(sums: np.ndarray, width: int) -> np.ndarray | None:
+def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
     """Half-width eps of the band that holds the exact JS of each pair
     whose float32 sum is ``sums`` (A below), over rows of ``width`` (V)
-    entries, or None when no bound is proven (see below).
+    entries; +inf for every pair when no bound is proven (see below).
 
     The screen takes JS(p, q) = (n(p) + n(q)) / 2 - (A / 2 - ln 2), with
     A the float32 dot of fl(ln y) and y, stored in float64, y = fl(p' + q')
@@ -336,12 +335,12 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray | None:
       absolute products, at most (1 + 9u) H', in any order, with FMA and
       over any BLAS thread split; products that underflow add V 2**-150.
 
-    With gamma_V < 1 (V u < 1/2) that gives |A - sum_j f(y_j)| <= s H + c,
+    With gamma_V finite (V u < 1/2) that gives |A - sum_j f(y_j)| <= s H + c,
     s = gamma_V + 23.3u and c = 10.7u + V 2**-150. Only terms with
     y_j > 1 are positive, and each y_j <= Y, so
     H <= -sum_j f(y_j) + 2 Y ln Y <= -A + 2.7736 + s H + c, which gives
     H <= (_SPREAD - A) / (1 - s) = H_A while s < 1; at larger s there is
-    no bound, and the result is None.
+    no bound, and every band is infinite.
 
     The rest is float64. sum_j y_j = 2 within 2 (``RENORM_THRESHOLD`` +
     V 2**-53), since rows reach here through ``simplex_rows``, and JS
@@ -355,13 +354,12 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray | None:
                       + ln 2 RENORM_THRESHOLD + 2**-52 (V + 32) (2 ln V + 2)).
 
     At V = 1024 and typical scores that is about 1e-3 nats, nearly all of
-    it gamma_V. ``screened_js`` checks every survivor against its band all
-    the same, and one that leaves it voids the whole call.
+    it gamma_V. ``screen_survivors`` checks every survivor against its band
+    all the same, and one that leaves it makes the whole call exact.
     """
-    gamma = _gamma32(width)
-    slope = None if gamma is None else gamma + 23.3 * _U32  # s above
-    if slope is None or slope >= 1.0:
-        return None
+    slope = _gamma32(width) + 23.3 * _U32  # s above
+    if slope >= 1.0:
+        return np.full(sums.shape, np.inf)
     f64 = 2.0 ** -52 * (width + 32)
     floor = (5.4 * _U32 + width * 2.0 ** -149 + LN2 * RENORM_THRESHOLD
              + f64 * (2.0 * np.log(width) + 2.0))
@@ -405,56 +403,46 @@ def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return sums
 
 
-def screen_survivors(estimate, band, k: int, exact):
+def screen_survivors(estimate, band, k: int, exact) -> np.ndarray:
     """The rule both certified screens share, over (R, N) screened values.
 
-    Each exact value lies within ``band`` (broadcast) of its ``estimate``;
-    lower values rank first. A candidate survives when its lower end
-    reaches the k-th smallest upper end of its row: at least k exact values
-    lie at or below that end, so every candidate that can be among the k
-    lowest, ties included, survives. Returns the (R, N) exact values,
-    ``exact(r, c)`` at the survivors (rows r, columns c) and +inf
-    elsewhere, or None once a survivor left its band: the caller goes dense.
+    Each exact value lies within ``band`` (broadcast; +inf where no bound
+    is proven) of its ``estimate``; lower values rank first. A candidate
+    survives when its lower end reaches the k-th smallest upper end of its
+    row: at least k exact values lie at or below that end, so every
+    candidate that can be among the k lowest, ties included, survives.
+    Returns the (R, N) exact values, ``exact(r, c)`` at the survivors (rows
+    r, columns c, row-major) and +inf elsewhere. A survivor outside its
+    band disproves the bound: then ``exact`` runs once more, over every
+    pair, and the whole matrix is exact.
     """
     band = np.broadcast_to(band, estimate.shape)
     kth = min(k, estimate.shape[1]) - 1
-    reach = np.partition(estimate + band, kth, axis=1)[:, kth, None]
+    reach = estimate + band
+    reach.partition(kth, axis=1)
+    reach = reach[:, [kth]]  # a copy: the (R, N) upper ends are freed
     r, c = np.nonzero(estimate - band <= reach)
     values = np.full(estimate.shape, np.inf)
     values[r, c] = exact(r, c)
     if np.any(np.abs(values[r, c] - estimate[r, c]) > band[r, c]):
-        return None
+        r, c = np.indices(estimate.shape).reshape(2, -1)
+        values[r, c] = exact(r, c)
     return values
 
 
-def screened_js(query, pool, k: int, *, query_negentropy: np.ndarray,
-                pool_negentropy: np.ndarray) -> np.ndarray | None:
+def screened_js(query, pool, k: int) -> np.ndarray:
     """The (R, N) JS from each row of the (R, V) ``query`` to each of the
     (N, V) ``pool`` rows, exact as ``pairwise_divergence`` gives it where
     ``screen_survivors`` keeps the pair and +inf where it rules the pair
     out, so the k nearest by (distance, any tie-break) are those of the
-    dense matrix; or None when ``_screen_band`` proves no band, or a
-    survivor leaves it. Both operands must be distributions
-    (``simplex_rows``), the pool nonempty; the negentropies are
-    ``negentropy`` of each.
+    dense matrix. Both operands must be distributions (``simplex_rows``),
+    the pool nonempty.
     """
-    (rows, width), n = query.shape, len(pool)
+    query_negentropy, pool_negentropy = negentropy(query), negentropy(pool)
     sums = _screen_sums(query, pool)
-    distances = np.empty((rows, n))
-    # rows per block: the (rows, N) bands stay near BLOCK_ELEMENTS; the
-    # kernel blocks the survivors' gathered rows itself
-    step = max(1, BLOCK_ELEMENTS // n)
-    for first in range(0, rows, step):
-        block = sums[first:first + step]
-        band = _screen_band(block, width)
-        if band is None:
-            return None
-        estimate = 0.5 * (pool_negentropy + query_negentropy[first:first + step, None])
-        estimate -= 0.5 * block - LN2
-        exact = screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
-            query, pool, first + r, c, query_negentropy=query_negentropy,
-            pool_negentropy=pool_negentropy))
-        if exact is None:
-            return None
-        distances[first:first + step] = exact
-    return distances
+    estimate = 0.5 * (pool_negentropy + query_negentropy[:, None])
+    estimate -= 0.5 * sums - LN2
+    band = _screen_band(sums, query.shape[1])
+    del sums  # at most three (R, N) float64 arrays live at once
+    return screen_survivors(estimate, band, k, lambda r, c: pairwise_divergence(
+        query, pool, r, c, query_negentropy=query_negentropy, pool_negentropy=pool_negentropy))

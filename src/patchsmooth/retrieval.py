@@ -16,8 +16,8 @@ band around each score (``_dot_band``); the rows whose band reaches the
 m-th largest lower end survive (the rule ``divergence.screen_survivors``
 shares with the all-patch JS screen), and only those, about m of them,
 get their float64 unit row rebuilt and the exact dot; the others score
--inf. A survivor whose exact score leaves its band sends the query to the
-dense path, the same exact dot over every row. Selection and scores are
+-inf. An unproven band is infinite, and a survivor whose exact score
+leaves its band gives every row the exact dot. Selection and scores are
 therefore those of a stable sort of every row's exact dot.
 """
 
@@ -157,10 +157,10 @@ class RetrievedSet:
         return tuple(i for i, _ in self.items)
 
 
-def _dot_band(dim: int) -> float | None:
+def _dot_band(dim: int) -> float:
     """Half-width eps of the band around a screen score that holds the
     exact float64 dot of the same unit rows, less ``top_m``'s per-row
-    underflow term, or None when ``divergence._gamma32`` proves no bound.
+    underflow term; +inf when ``divergence._gamma32`` proves no bound.
 
     Take a row x, the norm N its ``FeatureVector`` computed and the unit
     query q. The screen rounds x and q to float32. With u = 2**-24 and
@@ -183,10 +183,7 @@ def _dot_band(dim: int) -> float | None:
     is not finite (a float32 overflow) proves nothing: its row's band is
     infinite. ``top_m`` checks every survivor against its band all the same.
     """
-    gamma = _gamma32(dim)
-    if gamma is None:
-        return None
-    return gamma * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2 + (dim + 3) * 2.0 ** -50
+    return _gamma32(dim) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2 + (dim + 3) * 2.0 ** -50
 
 
 def _exact_scores(index: RetrievalIndex, rows, query: np.ndarray) -> np.ndarray:
@@ -211,23 +208,17 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
     if query.row.size != index.dim:
         raise DimensionError(f"query dim {query.row.size} != index dim {index.dim}")
     q = query.values
-    band = _dot_band(index.dim)
-    negated = None
-    if band is not None:
-        # Screen: the negated float32 scores over the norms, so the m most
-        # similar rows are the m lowest values. Survivors: the rows that can
-        # be among them. Exact rescoring: survivors only, each in its band.
-        with np.errstate(over="ignore", invalid="ignore"):
-            estimate = index._screen @ q.astype(np.float32) / -index._norms
-            band = band + index.dim * 2.0 ** -147 / index._norms
-        unproven = ~np.isfinite(estimate)
-        estimate[unproven], band[unproven] = 0.0, np.inf
-        negated = screen_survivors(estimate[None], band, m,
-                                   lambda _, c: -_exact_scores(index, c, q))
-    if negated is None:  # no band, or a survivor left it: every row gets the exact dot
-        negated = -_exact_scores(index, range(len(index)), q)
-    else:
-        negated = negated[0]  # +inf, ruled out, sorts after the m survivors
+    # Screen: the negated float32 scores over the norms, so the m most
+    # similar rows are the m lowest values. Survivors: the rows that can
+    # be among them. Exact rescoring: survivors only, each in its band.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = index._screen @ q.astype(np.float32) / -index._norms
+        band = _dot_band(index.dim) + index.dim * 2.0 ** -147 / index._norms
+    unproven = ~np.isfinite(estimate)
+    estimate[unproven], band[unproven] = 0.0, np.inf
+    # +inf, ruled out, sorts after the m survivors
+    negated = screen_survivors(estimate[None], band, m,
+                               lambda _, c: -_exact_scores(index, c, q))[0]
     # a stable sort keeps the tie rule: insertion order
     order = np.argsort(negated, kind="stable")[:m]
     ids = index.ids

@@ -23,12 +23,12 @@ What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
 The scope decides only which (patch, candidate) pairs exist: (l, j * L + l)
 per patch, every (l, n) over all patches. One call of the distance kernel
 over those pairs fills the dense matrix. For JS over score keys in the
-all-patch scope, ``divergence.screened_js`` first ranks every pair in one
-float32 pass with a proven per-pair error bound; only those whose band
-reaches the k-th smallest upper bound (k to 2k per patch on typical
-scores) get their exact distance, the others +inf, which sorts last. If
-one escapes its band, or no band is proven, the dense matrix is filled
-instead: selection and blend are bit-identical either way.
+all-patch scope, ``divergence.screened_js`` fills it instead: one float32
+pass ranks every pair with a proven error bound, and only the pairs whose
+band reaches the k-th smallest upper bound (k to 2k per patch on typical
+scores) get their exact distance, the others +inf, which sorts last. An
+unproven or disproved bound makes every distance exact: selection and
+blend are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import _block_rows, negentropy, pairwise_divergence, screened_js, simplex_rows
+from .divergence import _block_rows, pairwise_divergence, screened_js, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -285,16 +285,14 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         candidates, probs, pair_indices = candidates[kept], probs[kept], pair_indices[kept]
     width, patches = len(probs), pool.patch_count
     flat = candidates.reshape(width * patches, -1)  # row n is pool entry (n // L, n % L)
-    distances = None
     if config.scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (j, l)
         index = np.arange(width) * patches + np.arange(patches)[:, None]
     else:
         index = np.arange(width * patches)[None]
-        if config.key is NeighborKey.SCORE and config.divergence is DivergenceKind.JS:
-            # +inf where the float32 screen rules a candidate out; None if its proof failed
-            distances = screened_js(query, flat, config.k, query_negentropy=negentropy(query),
-                                    pool_negentropy=negentropy(flat))
-    if distances is None:  # the dense matrix, one call; all-patch grows as W * L**2
+    if (config.scope, config.key, config.divergence) == (
+            PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS):
+        distances = screened_js(query, flat, config.k)  # +inf where the screen rules a pair out
+    else:  # the dense matrix, one call; all-patch grows as W * L**2
         distances = distance(query, flat, np.arange(patches)[:, None], index)
     # ties break by (pair index, patch index): patch < L, so one integer orders them
     rank = pair_indices[index // patches] * patches + index % patches

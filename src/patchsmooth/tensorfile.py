@@ -77,17 +77,30 @@ def tensor_chunks(array: np.ndarray, meta: dict | None = None) -> tuple:
 
 def write_tensor(array: np.ndarray, path: str | Path, meta: dict | None = None) -> None:
     """Serialize one array plus its JSON sidecar, atomically (``tensor_chunks``)."""
-    write_files({path: tensor_chunks(array, meta)})
+    write_files([(path, tensor_chunks(array, meta))])
 
 
-def write_files(files: dict) -> None:
-    """Write each ``{path: chunks}`` entry, all or none: every file goes to
-    a temp file in its target directory, and the temp files are renamed
-    into place only once all are written. A path that cannot be written
-    is a ConfigError naming it, and leaves no file and no temp file."""
+def refuse_same_file(paths) -> None:
+    """ConfigError naming both of two ``paths`` that resolve to one file,
+    as ``o.pnct`` and ``./o.pnct`` do: one write would replace the other."""
+    seen = {}
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"{seen[resolved]}, {path}: two outputs are the same file")
+        seen[resolved] = path
+
+
+def write_files(files) -> None:
+    """Write each ``(path, chunks)`` pair of the list ``files``, all or
+    none: every file goes to a temp file in its target directory, and the
+    temp files are renamed into place only once all are written. A path
+    that cannot be written, or two that are one file, is a ConfigError
+    naming them, and leaves no file and no temp file."""
+    refuse_same_file(path for path, _ in files)
     staged = []  # (temp path, path)
     try:
-        for path, chunks in files.items():
+        for path, chunks in files:
             path = Path(path)
             if path.is_dir():  # refused now: its rename would fail after the others
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -136,7 +149,7 @@ def json_chunks(payload) -> tuple[bytes]:
 
 def write_json(payload, path: str | Path) -> None:
     """Write ``payload`` atomically as RFC 8259 JSON (``json_chunks``)."""
-    write_files({path: json_chunks(payload)})
+    write_files([(path, json_chunks(payload))])
 
 
 def holds_float(value) -> bool:

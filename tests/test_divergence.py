@@ -563,10 +563,32 @@ class TestScreenSurvivors:
         got = divergence.screen_survivors(self.estimate, 0.1, 9, lambda r, c: self.estimate[r, c])
         np.testing.assert_array_equal(got, self.estimate)
 
-    def test_survivor_outside_its_band_is_none(self):
-        def one_escapes(r, c):
-            values = self.estimate[r, c].copy()
-            values[-1] += 0.2
-            return values
+    def test_survivor_outside_its_band_makes_every_pair_exact(self):
+        # survivor (1, 3) lies 0.25 from its estimate, outside its band of
+        # 0.1: the survivors' call is followed by one call over every pair
+        exact_values = self.estimate + 0.05
+        exact_values[1, 3] += 0.2
+        asked = []
 
-        assert divergence.screen_survivors(self.estimate, 0.1, 2, one_escapes) is None
+        def exact(r, c):
+            asked.append((r.tolist(), c.tolist()))
+            return exact_values[r, c]
+
+        got = divergence.screen_survivors(self.estimate, 0.1, 2, exact)
+        every = tuple(a.ravel().tolist() for a in np.indices(self.estimate.shape))
+        assert asked == [tuple(a.tolist() for a in np.nonzero(self.kept)), every]
+        np.testing.assert_array_equal(got, exact_values)
+
+    @pytest.mark.parametrize("band", [np.inf, [[np.inf], [0.1]]], ids=["all", "row-0"])
+    def test_infinite_band_keeps_every_candidate(self, band):
+        # an unproven band is infinite: its candidates all survive, exact
+        asked = []
+
+        def exact(r, c):
+            asked.append((r.tolist(), c.tolist()))
+            return self.estimate[r, c] + 0.05
+
+        got = divergence.screen_survivors(self.estimate, np.array(band), 2, exact)
+        kept = self.kept | np.isinf(np.broadcast_to(band, self.kept.shape))
+        assert asked == [tuple(a.tolist() for a in np.nonzero(kept))]
+        np.testing.assert_array_equal(got, np.where(kept, self.estimate + 0.05, np.inf))

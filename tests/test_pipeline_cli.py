@@ -954,13 +954,17 @@ class TestExitCodes:
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("case, expected", [
-        ("smooth-patches", 4), ("smooth-unreachable", 3), ("run-patches", 4), ("retrieve-dim", 4),
+        ("smooth-patches", 4), ("smooth-unreachable", 3), ("smooth-keys", 4), ("run-patches", 4),
+        ("retrieve-dim", 4), ("smooth-same-out", 2), ("smooth-same-out-dot", 2),
+        ("run-same-out", 2),
     ])
     def test_two_file_refusal_names_both_files(self, tmp_path, capsys, case, expected):
-        # a refusal that needs both inputs to happen is in neither file alone
+        # a refusal that needs both inputs to happen is in neither file alone;
+        # two outputs that are one file are refused before either is written
         rng = np.random.default_rng(0)
         first, second = tmp_path / "a.pnct", tmp_path / "b.pnct"
         out = tmp_path / "o.pnct"
+        named = first, second
         if case == "retrieve-dim":
             write_tensor(rng.normal(size=(3, 8)).astype(np.float32), first,
                          meta={"ids": ["i0", "i1", "i2"]})
@@ -975,18 +979,31 @@ class TestExitCodes:
                 probs[:, 0] = 1.0
             save_grid(ScoreGrid(probs=probs), first)
             save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), second)
-            if case == "run-patches":
+            if case.startswith("run"):
                 (tmp_path / "c.json").write_text(json.dumps({"backend": "file", "files": {
                     "query_scores": str(first), "pool": str(second), "out_tokens": str(out)}}))
-                argv = ["run", "--config", str(tmp_path / "c.json"),
-                        "--out", str(tmp_path / "report.json")]
+                report = out if case == "run-same-out" else tmp_path / "report.json"
+                argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(report)]
+                if case == "run-same-out":
+                    named = out, out
             else:
+                diag = {"smooth-same-out": str(out),
+                        "smooth-same-out-dot": f"{tmp_path}/./o.pnct"}.get(case, tmp_path / "d.json")
                 argv = ["smooth", "--query", str(first), "--pool", str(second), "--div", "kl",
-                        "--out", str(out), "--diag", str(tmp_path / "d.json")]
+                        "--out", str(out), "--diag", str(diag)]
+                if case.startswith("smooth-same-out"):
+                    named = out, diag
+            if case == "smooth-keys":  # feature keys of lengths 3 and 5
+                named = tmp_path / "qk.pnct", tmp_path / "pk.pnct"
+                write_tensor(rng.normal(size=(4, 3)).astype(np.float32), named[0])
+                write_tensor(rng.normal(size=(2, 4, 5)).astype(np.float32), named[1])
+                argv += ["--key", "feature", "--query-keys", str(named[0]),
+                         "--pool-keys", str(named[1])]
         assert run_cli(argv) == expected
-        assert f"{first}, {second}: " in capsys.readouterr().err
+        assert f"{named[0]}, {named[1]}: " in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "d.json").exists() and not (tmp_path / "report.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_unwritable_diag_leaves_out_as_it_was(self, tmp_path, capsys, existing):
@@ -1455,3 +1472,15 @@ def test_mutated_documents_end_in_an_exit_code(target, mutation):
         else:
             argv = ["run", "--config", str(path), "--out", str(tmp / "report.json")]
         assert run_cli(argv) in (0, 1, 2, 3, 4)
+
+
+def test_readme_library_quick_start_runs():
+    # the python block under README's "Library quick start" runs as
+    # written, so a renamed or re-signed API cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md (Library quick start)", "exec"), namespace)
+    tokens = namespace["tokens"]
+    assert tokens.shape == (4, 4) and tokens.dtype.kind in "iu"

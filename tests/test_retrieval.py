@@ -233,9 +233,11 @@ class TestScreen:
             index._screen = screen
         else:
             monkeypatch.setattr(retrieval, "_dot_band",
-                                lambda dim: None if fault == "no-band" else 0.0)
+                                lambda dim: math.inf if fault == "no-band" else 0.0)
         got = top_m(query, index, 8)
-        assert calls[-1] == len(entries)
+        # an infinite band keeps every row in the one call; an escape from
+        # the survivors' call is followed by one call over every row
+        assert calls == [len(entries)] if fault == "no-band" else calls[1:] == [len(entries)]
         assert got.ids == want.ids
         assert bits([s for _, s in got.items]) == bits([s for _, s in want.items])
 
@@ -330,10 +332,11 @@ class TestScreen:
         assert np.all(np.abs(exact - estimate) <= band)
 
     def test_band_bound(self):
-        # the worst case at 4,096 dims, and no band once dim * 2**-24 >= 1/2
+        # the worst case at 4,096 dims, and an infinite band once
+        # dim * 2**-24 >= 1/2
         assert retrieval._dot_band(4096) == pytest.approx(2.44e-4, rel=1e-2)
-        assert retrieval._dot_band(2**23 - 1) is not None
-        assert retrieval._dot_band(2**23) is None
+        assert math.isfinite(retrieval._dot_band(2**23 - 1))
+        assert retrieval._dot_band(2**23) == math.inf
 
 
 class TestFeatureVector:

@@ -456,12 +456,13 @@ def screen_instances(draw):
 SRC = str(Path(smoothing.__file__).resolve().parents[1])
 
 #: Smooths one all-patch JS grid at |V| = 16,384, L = 4, W = 2, where each
-#: patch's own pool entries are near its query row and the others far, and
-#: saves the output and whether the screen proved its band (no dense path).
+#: patch's own pool entries are near its query row and the others far,
+#: checks that the screen's band is finite, and saves the output and
+#: whether the screen ruled a pair out (no survivor left its band).
 BLAS_THREADS_CHILD = """
 import sys
 import numpy as np
-from patchsmooth.divergence import negentropy, screened_js
+from patchsmooth.divergence import _screen_band, _screen_sums, screened_js
 from patchsmooth.pool import PoolMode, PromptPool, ScoreGrid
 from patchsmooth.smoothing import PoolScope, SmoothingConfig, smooth_grid
 rng = np.random.default_rng(16384)
@@ -473,10 +474,10 @@ grid = ScoreGrid(probs=rows[0])
 pool = PromptPool(probs=rows[1:], pair_indices=np.arange(1, 3), prompts=(), mode=PoolMode.Q, m=2)
 config = SmoothingConfig(m=2, k=2, tau=0.1, scope=PoolScope.ALL_PATCH)
 flat = pool.probs.reshape(8, -1)
-screened = screened_js(grid.probs, flat, config.k, query_negentropy=negentropy(grid.probs),
-                       pool_negentropy=negentropy(flat))
+assert np.isfinite(_screen_band(_screen_sums(grid.probs, flat), 16384)).all()
+screened = np.isinf(screened_js(grid.probs, flat, config.k)).any()
 out = smooth_grid(grid, pool, config)
-np.savez(sys.argv[1], screened=screened is not None,
+np.savez(sys.argv[1], screened=screened,
          **{name: getattr(out, name) for name in ("probs", "pair", "patch", "distance", "weight")})
 """
 
@@ -512,9 +513,7 @@ class TestJsScreen:
         flat = pool.probs.reshape(pool.width * pool.patch_count, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            distances = screened_js(
-                query_grid.probs, flat, config.k,
-                query_negentropy=negentropy(query_grid.probs), pool_negentropy=negentropy(flat))
+            distances = screened_js(query_grid.probs, flat, config.k)
             expected = dense_all_patch_js(query_grid, pool, config)
             got = smooth_grid(query_grid, pool, config)
         assert distances.shape == (len(query_grid), len(flat))
@@ -528,21 +527,25 @@ class TestJsScreen:
         assert_same_bits(got, expected)
 
     @staticmethod
-    def spy_dense_calls(monkeypatch):
-        """Record every call of the exact kernel whose pairs are the full
-        (L, N) grid: the dense path makes one, the screen's survivors none."""
-        dense_calls = []
+    def spy_pairs(monkeypatch):
+        """Record the pairs of every call of the exact kernel, each call's
+        as the sorted list of flat indices r * N + c of its (r, c) pairs."""
+        calls = []
 
         def counting(query, pool, rows, cols, *args, **kwargs):
             r, c = np.broadcast_arrays(rows, cols)
-            if r.shape == (len(query), len(pool)) and np.array_equal(
-                    r * len(pool) + c, np.arange(r.size).reshape(r.shape)):
-                dense_calls.append((rows, cols))
+            calls.append(np.sort(r * len(pool) + c, axis=None).tolist())
             return pairwise_divergence(query, pool, rows, cols, *args, **kwargs)
 
         monkeypatch.setattr(divergence, "pairwise_divergence", counting)
         monkeypatch.setattr(smoothing, "pairwise_divergence", counting)
-        return dense_calls
+        return calls
+
+    @staticmethod
+    def assert_last_call_covers_every_pair(calls, pairs, count):
+        """``count`` exact calls, and only the last over every pair, once each."""
+        assert len(calls) == count
+        assert [call == list(range(pairs)) for call in calls] == [False] * (count - 1) + [True]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_guard_recomputes_rows_whose_band_fails(self, seed, monkeypatch):
@@ -553,11 +556,12 @@ class TestJsScreen:
         expected = dense_all_patch_js(query_grid, pool, config)
         # a zero-width band: every exact distance falls outside its band
         monkeypatch.setattr(divergence, "SCREEN_SAFETY", 0.0)
-        dense_calls = self.spy_dense_calls(monkeypatch)
+        calls = self.spy_pairs(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_calls) == 1
+        # the survivors, then every pair: all L * N distances are exact
+        self.assert_last_call_covers_every_pair(calls, patches * width * patches, 2)
         assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -578,11 +582,12 @@ class TestJsScreen:
             return out
 
         monkeypatch.setattr(divergence, "_screen_band", one_zero_band)
-        dense_calls = self.spy_dense_calls(monkeypatch)
+        calls = self.spy_pairs(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_calls) == 1
+        # one patch escapes, and every pair of every patch is recomputed
+        self.assert_last_call_covers_every_pair(calls, patches * width * patches, 2)
         assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -592,23 +597,26 @@ class TestJsScreen:
         query_grid, pool = random_grid(rng, patches, size), random_pool(rng, width, patches, size)
         config = SmoothingConfig(m=width, k=3, tau=0.1, scope=PoolScope.ALL_PATCH)
         expected = dense_all_patch_js(query_grid, pool, config)
-        monkeypatch.setattr(divergence, "_gamma32", lambda n: None)
-        dense_calls = self.spy_dense_calls(monkeypatch)
+        monkeypatch.setattr(divergence, "_gamma32", lambda n: math.inf)
+        calls = self.spy_pairs(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_grid(query_grid, pool, config)
-        assert len(dense_calls) == 1
+        # an infinite band: every pair survives, in the one survivors' call
+        self.assert_last_call_covers_every_pair(calls, patches * width * patches, 1)
         assert_same_bits(got, expected)
 
     def test_band_bound(self):
-        # about 1e-3 nats at |V| = 1024 and typical sums; no band once the
-        # float32 dot has no bound, or its slope s reaches 1
-        sums = np.array([[-12.0]])
+        # about 1e-3 nats at |V| = 1024 and typical sums; an infinite band
+        # once the float32 dot has no bound, or its slope s reaches 1
+        sums = np.array([[-12.0, -3.0]])
         assert divergence._screen_band(sums, 1024)[0, 0] == pytest.approx(9.2e-4, rel=1e-2)
-        assert divergence._screen_band(sums, 2**22) is not None
-        assert divergence._screen_band(sums, 2**23 - 1) is None
-        assert divergence._gamma32(2**23 - 1) is not None
-        assert divergence._screen_band(sums, 2**23) is None
+        assert np.isfinite(divergence._screen_band(sums, 2**22)).all()
+        assert math.isfinite(divergence._gamma32(2**23 - 1))
+        assert divergence._gamma32(2**23) == math.inf
+        for width in (2**23 - 1, 2**23):
+            band = divergence._screen_band(sums, width)
+            assert band.shape == sums.shape and np.all(band == np.inf)
 
     def test_screen_prunes_at_the_benchmark_shape(self):
         # L = 49, m = 4, |V| = 1024, k = 4 and the vqgan-allpatch score
@@ -618,9 +626,8 @@ class TestJsScreen:
         query, flat = rows[:patches], rows[patches:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            screened = screened_js(query, flat, k, query_negentropy=negentropy(query),
-                                   pool_negentropy=negentropy(flat))
-        assert screened is not None
+            screened = screened_js(query, flat, k)
+        assert np.isfinite(divergence._screen_band(divergence._screen_sums(query, flat), size)).all()
         survivors = np.isfinite(screened).sum(axis=1)
         assert survivors.mean() <= 2 * k
 
@@ -838,9 +845,10 @@ class TestTopMCandidates:
                                          key=key, scope=scope)
                 calls.clear()
                 got = smooth_grid(query, pool, config)
-                # one call over every (patch, candidate) pair, or none behind the JS screen
+                # one call over every (patch, candidate) pair, or none: the JS
+                # screen makes its own
                 per_patch = width * (pool.patch_count if scope is PoolScope.ALL_PATCH else 1)
-                assert calls == [(len(query), per_patch)] or (screened and calls == [])
+                assert calls == ([] if screened else [(len(query), per_patch)])
                 assert set(got.pair.ravel().tolist()) <= set(range(1, m + 1))
                 assert_same_bits(got, smooth_grid(query, top_m_pool(pool, m), config))
 
