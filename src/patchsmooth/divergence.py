@@ -132,12 +132,12 @@ def simplex_rows(values) -> np.ndarray:
         raise ValidationError(f"expected rows of length >= 2, got shape {probs.shape}")
     totals = _row_sums(probs, "distribution contains")
     drift = np.abs(totals - 1.0)
-    if np.any(drift > SUM_TOLERANCE):
+    worst = drift.max(initial=0.0)
+    if worst > SUM_TOLERANCE:
         total = float(totals[drift > SUM_TOLERANCE][0])
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    renorm = drift > RENORM_THRESHOLD
-    if renorm.any():  # x / 1.0 is exact, so the other rows stay bit for bit
-        probs = probs / np.where(renorm, totals, 1.0)
+    if worst > RENORM_THRESHOLD:  # x / 1.0 is exact, so the other rows stay bit for bit
+        probs = probs / np.where(drift > RENORM_THRESHOLD, totals, 1.0)
     return frozen(probs, values)
 
 
@@ -223,7 +223,9 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, rows, cols, kind: s
     if query.ndim != 2 or pool.ndim != 2 or query.shape[1] != pool.shape[1]:
         raise DimensionError(f"expected an (R, V) query and an (N, V) pool, "
                              f"got {query.shape} and {pool.shape}")
-    rows, cols = np.broadcast_arrays(rows, cols)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.shape != cols.shape:
+        rows, cols = np.broadcast_arrays(rows, cols)
     shape, rows, cols = rows.shape, rows.ravel(), cols.ravel()
     for index, side, name in ((rows, query, "row"), (cols, pool, "column")):
         if index.size and not 0 <= index.min() <= index.max() < len(side):
@@ -416,15 +418,16 @@ def screen_survivors(estimate, band, k: int, exact) -> np.ndarray:
     band disproves the bound: then ``exact`` runs once more, over every
     pair, and the whole matrix is exact.
     """
-    band = np.broadcast_to(band, estimate.shape)
+    if np.shape(band) != estimate.shape:
+        band = np.broadcast_to(band, estimate.shape)
     kth = min(k, estimate.shape[1]) - 1
     reach = estimate + band
     reach.partition(kth, axis=1)
     reach = reach[:, [kth]]  # a copy: the (R, N) upper ends are freed
     r, c = np.nonzero(estimate - band <= reach)
     values = np.full(estimate.shape, np.inf)
-    values[r, c] = exact(r, c)
-    if np.any(np.abs(values[r, c] - estimate[r, c]) > band[r, c]):
+    values[r, c] = survivors = exact(r, c)
+    if (np.abs(survivors - estimate[r, c]) > band[r, c]).any():
         r, c = np.indices(estimate.shape).reshape(2, -1)
         values[r, c] = exact(r, c)
     return values

@@ -141,6 +141,8 @@ def synth_world(config: dict) -> tuple[SyntheticWorld, BiasedScorerParams]:
 
 
 def _synth_pipeline(config: dict) -> PipelineReport:
+    if config["files"]:  # the synth backend would read and write none of them
+        raise ConfigError(f"backend synth takes no files, got files.{next(iter(config['files']))}")
     world, params = synth_world(config)
     smoothing = SmoothingConfig(m=config["retrieval"]["m"], **config["smoothing"])
     [rows] = run_bias_experiment(

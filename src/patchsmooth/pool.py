@@ -154,7 +154,7 @@ class PromptPool:
         if (
             indices.shape != (len(probs),)
             or indices.dtype.kind not in "iu"
-            or len(np.unique(indices)) != len(indices)
+            or len(set(indices.tolist())) != len(indices)
             or not 1 <= indices.min() <= indices.max() <= self.m
         ):
             raise ValidationError(

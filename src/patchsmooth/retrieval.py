@@ -63,12 +63,14 @@ class FeatureVector:
         row = np.asarray(self.row)
         if row.ndim != 1:
             raise DimensionError(f"expected a flat vector, got shape {row.shape}")
-        row64 = row.astype(np.float64, copy=False)
-        with np.errstate(over="ignore", under="ignore"):
-            norm = float(np.linalg.norm(row64))
-            if norm in (0.0, math.inf) and np.isfinite(row64).all() and row64.any():
-                # the squares over- or underflowed: take the norm of the row
-                # scaled by a power of two, so every other row keeps its bits
+        row64 = row.astype(np.float64, copy=False).ravel(order="K")
+        # np.linalg.norm of a float row, bit for bit: the root of the BLAS dot,
+        # which np.vdot takes without a check of the floating-point flags
+        norm = math.sqrt(np.vdot(row64, row64))
+        if norm in (0.0, math.inf) and np.isfinite(row64).all() and row64.any():
+            # the squares over- or underflowed: take the norm of the row
+            # scaled by a power of two, so every other row keeps its bits
+            with np.errstate(over="ignore", under="ignore"):
                 exponent = np.frexp(np.abs(row64).max())[1]
                 norm = float(np.ldexp(np.linalg.norm(np.ldexp(row64, -exponent)), exponent))
         if not 0.0 < norm < math.inf:  # NaN fails; a finite norm proves the entries finite
@@ -112,7 +114,7 @@ class RetrievalIndex:
                 )
         if len(set(self._ids)) != len(self._ids):
             raise ValidationError("duplicate item ids in retrieval index")
-        self._matrix = np.stack([e.row for e in entries])
+        self._matrix = np.concatenate([e.row for e in entries]).reshape(len(entries), dim)
         with np.errstate(over="ignore"):  # a float64 row beyond float32 gets an infinite band
             self._screen = self._matrix.astype(np.float32, copy=False)
         for array in (self._matrix, self._screen, self._norms):
@@ -194,8 +196,8 @@ def _exact_scores(index: RetrievalIndex, rows, query: np.ndarray) -> np.ndarray:
     bit-identical rows different scores, which would defeat the
     insertion-order tie rule.
     """
-    unit = (np.divide(index._matrix[i], index._norms[i], dtype=np.float64) for i in rows)
-    return np.array([np.dot(row, query) for row in unit], dtype=np.float64)
+    return np.array([np.divide(index._matrix[i], index._norms[i], dtype=np.float64).dot(query)
+                     for i in np.asarray(rows).tolist()], dtype=np.float64)
 
 
 def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
@@ -217,10 +219,10 @@ def top_m(query: FeatureVector, index: RetrievalIndex, m: int) -> RetrievedSet:
     unproven = ~np.isfinite(estimate)
     estimate[unproven], band[unproven] = 0.0, np.inf
     # +inf, ruled out, sorts after the m survivors
-    negated = screen_survivors(estimate[None], band, m,
+    negated = screen_survivors(estimate[None], band[None], m,
                                lambda _, c: -_exact_scores(index, c, q))[0]
     # a stable sort keeps the tie rule: insertion order
-    order = np.argsort(negated, kind="stable")[:m]
+    order = np.argsort(negated, kind="stable")[:m].tolist()
     ids = index.ids
-    return RetrievedSet(items=tuple((ids[i], float(-negated[i])) for i in order),
+    return RetrievedSet(items=tuple(zip([ids[i] for i in order], (-negated[order]).tolist())),
                         query_id=query.identifier)

@@ -13,12 +13,13 @@ plain average. The same algebra applies to unconstrained feature vectors
 autoregressive sequences.
 
 The whole grid is one operation: an (L, N) distance matrix from every
-patch to its N candidates, one row-wise sort by (distance, pair index,
-patch index), per-patch weights, and a blend over the k neighbor ranks.
-Candidate n is row n of the flat (W * L, |V|) pool, entry (n // L, n % L),
-and its rank pair index * L + patch index breaks ties in that order.
-What was selected comes back as four (L, k) arrays on ``SmoothedGrid``:
-``pair``, ``patch``, ``distance`` and ``weight``.
+patch to its N candidates, one row-wise stable sort by distance,
+per-patch weights, and a blend over the k neighbor ranks. Pool entry
+(j, l) is row j * L + l of the flat (W * L, |V|) pool, and the candidate
+columns come in tie-break order, by pair index and then patch index, so
+the sort breaks ties in that order. What was selected comes back as four
+(L, k) arrays on ``SmoothedGrid``: ``pair``, ``patch``, ``distance`` and
+``weight``.
 
 The scope decides only which (patch, candidate) pairs exist: (l, j * L + l)
 per patch, every (l, n) over all patches. One call of the distance kernel
@@ -29,19 +30,27 @@ band reaches the k-th smallest upper bound (k to 2k per patch on typical
 scores) get their exact distance, the others +inf, which sorts last. An
 unproven or disproved bound makes every distance exact: selection and
 blend are bit-identical either way.
+
+Several configs smooth one grid against one pool in one call
+(``_smooth_configs``; ``smooth_grid`` is its one-config case). The
+dense matrix is filled once per (scope, key, divergence), over the
+entries any config of that group keeps, and each config then selects
+and blends from its own columns: each grid is the one-config call's, bit
+for bit, as every distance is the same whatever else its call holds. The
+JS screen runs once per config, since its survivors depend on k and on
+the candidates.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .divergence import _block_rows, pairwise_divergence, screened_js, simplex_rows
+from .divergence import _block_rows, frozen, pairwise_divergence, screened_js, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -156,9 +165,8 @@ class SmoothedGrid:
         for name, dtype in (("pair", np.int64), ("patch", np.int64),
                             ("distance", np.float64), ("weight", np.float64)):
             given = getattr(self, name)
-            value = np.empty((len(self), 0), dtype) if given is None else np.array(given, dtype)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            value = np.empty((len(self), 0), dtype) if given is None else np.asarray(given, dtype)
+            object.__setattr__(self, name, frozen(value, given))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -182,10 +190,11 @@ def softmax_weights(distances, tau: float) -> np.ndarray:
     # one contiguous row per softmax, so every sum runs as in the 1-D call
     d = np.ascontiguousarray(d.T)
     finite = np.isfinite(d)
-    if d.size == 0 or not finite.any(axis=-1).all():
-        raise ValidationError("softmax weights need at least one finite distance")
-    lowest = np.where(finite, d, np.inf).min(axis=-1, keepdims=True)
-    w = np.where(finite, np.exp(-(d - lowest) / tau), 0.0)
+    if d.size == 0 or not finite.all():
+        if d.size == 0 or not finite.any(axis=-1).all():
+            raise ValidationError("softmax weights need at least one finite distance")
+        d = np.where(finite, d, np.inf)  # exp(-inf) is an exact 0
+    w = np.exp(-(d - d.min(axis=-1, keepdims=True)) / tau)
     return (w / w.sum(axis=-1, keepdims=True)).T
 
 
@@ -219,22 +228,22 @@ def _l2_distances(query, candidates, rows, cols) -> np.ndarray:
     return out
 
 
-def _select_and_blend(rows, distances, values, index, rank, config: SmoothingConfig):
+def _select_and_blend(rows, distances, values, index, config: SmoothingConfig):
     """Blend every row of ``rows`` (R, D) with its k nearest candidates.
 
-    ``distances`` is (R, N), and ``index`` and ``rank`` broadcast to it:
-    candidate n of row r is ``values[index[r, n]]``, one of the (M, D)
-    ``values``, and lies ``distances[r, n]`` away. Neighbors are the
-    first k by (distance, rank). Returns the (R, D) blend and the (R, k)
-    ``index``, ``distance`` and ``weight`` of the chosen neighbors,
-    nearest first.
+    ``distances`` is (R, N), and ``index`` is (N,), shared by every row,
+    or (R, N): candidate n of row r is ``values[index[r, n]]``, one of the
+    (M, D) ``values``, and lies ``distances[r, n]`` away. Candidates come
+    in tie-break order, so neighbors are the first k by distance in a
+    stable sort. Returns the (R, D) blend and the (R, k) ``index``,
+    ``distance`` and ``weight`` of the chosen neighbors, nearest first.
     """
     k = min(config.k, distances.shape[1])
-    index, rank = (np.broadcast_to(a, distances.shape) for a in (index, rank))
-    # distance, then rank; infinities sort last
-    order = np.lexsort((rank, distances), axis=-1)[:, :k]
-    index = np.take_along_axis(index, order, axis=-1)
-    distance = np.take_along_axis(distances, order, axis=-1)
+    # distance, then candidate order; infinities sort last
+    order = np.argsort(distances, axis=-1, kind="stable")[:, :k]
+    row = np.arange(len(distances))[:, None]
+    index = index[order] if index.ndim == 1 else index[row, order]
+    distance = distances[row, order]
     weight = _aggregation_weights(distance, config)
     # one neighbor at a time, nearest first: each row sums in that order,
     # and the temporaries stay (R, D)
@@ -247,11 +256,10 @@ def _select_and_blend(rows, distances, values, index, rank, config: SmoothingCon
 
 def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
     """The (L, d) query rows and (W, L, d) pool rows that ``config.key``
-    compares, and their distance over pair lists (``pairwise_divergence``'s
-    form)."""
+    compares, and the ``pairwise_divergence`` kind that compares them, or
+    None for l2 (``_l2_distances``)."""
     if config.key is NeighborKey.SCORE:
-        return grid.probs, pool.probs, functools.partial(
-            pairwise_divergence, kind=config.divergence.value)
+        return grid.probs, pool.probs, config.divergence.value
     name = "feature_keys" if config.key is NeighborKey.FEATURE else "patch_keys"
     query_keys, pool_keys = getattr(grid, name), getattr(pool, name)
     if query_keys is None:
@@ -262,11 +270,20 @@ def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
         raise DimensionError(
             f"pool {name} have length {pool_keys.shape[2]}, query keys {query_keys.shape[1]}"
         )
-    return query_keys, pool_keys, _l2_distances
+    return query_keys, pool_keys, None
 
 
 def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig) -> SmoothedGrid:
-    """Select every patch's neighbors and blend them in, all patches at once."""
+    """Select every patch's neighbors and blend them in, all patches at
+    once: the one-config case of ``_smooth_configs``."""
+    return _smooth_configs(query_grid, pool, [config])[0]
+
+
+def _smooth_configs(query_grid: ScoreGrid, pool: PromptPool, configs) -> list[SmoothedGrid]:
+    """``smooth_grid`` of each of ``configs``, with one distance matrix
+    per group of configs that share scope, key and divergence, over the
+    entries any of them keeps (those from pairs 1..m) in tie-break order.
+    Each config then takes its own columns."""
     if len(query_grid) != pool.patch_count:
         raise DimensionError(
             f"query grid has {len(query_grid)} patches, pool has {pool.patch_count}"
@@ -275,34 +292,52 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
         raise DimensionError(
             f"codebook size mismatch: grid {query_grid.codebook_size}, pool {pool.codebook_size}"
         )
-    query, candidates, distance = _selection_keys(query_grid, pool, config)
-    probs, pair_indices = pool.probs, pool.pair_indices
-    if config.m < pool.m:  # only the entries of the top-m pairs are candidates
-        kept = np.flatnonzero(pair_indices <= config.m)
-        if not len(kept):
+    pair_indices, patches = pool.pair_indices, pool.patch_count
+    groups = {}  # per (scope, key, divergence): the keys it compares, its configs by position
+    for at, config in enumerate(configs):
+        keys = _selection_keys(query_grid, pool, config)
+        if config.m < pool.m and not (pair_indices <= config.m).any():
             raise ConfigError(f"no pool entry is from the top m={config.m} pairs: "
                               f"pair indices {pair_indices.tolist()}")
-        candidates, probs, pair_indices = candidates[kept], probs[kept], pair_indices[kept]
-    width, patches = len(probs), pool.patch_count
-    flat = candidates.reshape(width * patches, -1)  # row n is pool entry (n // L, n % L)
-    if config.scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (j, l)
-        index = np.arange(width) * patches + np.arange(patches)[:, None]
-    else:
-        index = np.arange(width * patches)[None]
-    if (config.scope, config.key, config.divergence) == (
-            PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS):
-        distances = screened_js(query, flat, config.k)  # +inf where the screen rules a pair out
-    else:  # the dense matrix, one call; all-patch grows as W * L**2
-        distances = distance(query, flat, np.arange(patches)[:, None], index)
-    # ties break by (pair index, patch index): patch < L, so one integer orders them
-    rank = pair_indices[index // patches] * patches + index % patches
-    blended, chosen, chosen_distance, weight = _select_and_blend(
-        query_grid.probs, distances, probs.reshape(width * patches, -1), index, rank, config
-    )
-    # The blend is convex: SmoothedGrid's simplex check divides out any drift.
-    blended.flags.writeable = False  # frozen and owned: the grid keeps it uncopied
-    return SmoothedGrid(probs=blended, pair=pair_indices[chosen // patches],
-                        patch=chosen % patches, distance=chosen_distance, weight=weight)
+        group = groups.setdefault((config.scope, config.key, config.divergence), (keys, []))
+        group[1].append((at, config))
+    values = pool.probs.reshape(-1, pool.codebook_size)  # row n is pool entry (n // L, n % L)
+    patch = np.arange(patches)
+    smoothed = [None] * len(configs)
+    for (scope, key, divergence), ((query, candidates, kind), members) in groups.items():
+        flat = candidates.reshape(len(values), -1)
+        entries = np.flatnonzero(pair_indices <= max(config.m for _, config in members))
+        entries = entries[np.argsort(pair_indices[entries], kind="stable")]
+        if scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (entries[j], l)
+            index = entries * patches + patch[:, None]
+        else:  # candidate j * L + l is pool entry (entries[j], l)
+            index = (entries[:, None] * patches + patch).ravel()
+        screened = (scope, key, divergence) == (
+            PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS)
+        if not screened:  # the dense matrix, one call; all-patch grows as W * L**2
+            dense = (_l2_distances(query, flat, patch[:, None], index) if kind is None
+                     else pairwise_divergence(query, flat, patch[:, None], index, kind))
+        for at, config in members:
+            own, columns = np.flatnonzero(pair_indices[entries] <= config.m), slice(None)
+            if len(own) < len(entries):
+                columns = own if scope is PoolScope.PER_PATCH else (
+                    own[:, None] * patches + patch).ravel()
+            own_index = index[..., columns]
+            if screened:  # +inf where the screen rules a pair out
+                in_order = np.array_equal(own_index, np.arange(len(flat)))  # then not copied
+                distances = screened_js(query, flat if in_order else flat[own_index], config.k)
+            else:
+                distances = dense[:, columns]
+            blended, chosen, distance, weight = _select_and_blend(
+                query_grid.probs, distances, values, own_index, config)
+            selection = pair_indices[chosen // patches], chosen % patches, distance, weight
+            # frozen and owned, or views of such: the grid keeps them uncopied
+            for array in (blended, *selection):
+                (array if array.base is None else array.base).flags.writeable = False
+                array.flags.writeable = False
+            # The blend is convex: SmoothedGrid's simplex check divides out any drift.
+            smoothed[at] = SmoothedGrid(blended, *selection)
+    return smoothed
 
 
 def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarray:
@@ -326,9 +361,9 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
                 f"pool at patch {l} has shape {vectors.shape}, expected (*, {query.shape[1]})"
             )
         if len(vectors):
-            index = np.arange(len(vectors))[None]
-            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query, vectors, l, index),
-                                       vectors, index, index, config)[0][0]
+            index = np.arange(len(vectors))
+            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query, vectors, l, index[None]),
+                                       vectors, index, config)[0][0]
     return out
 
 

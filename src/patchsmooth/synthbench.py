@@ -27,10 +27,10 @@ import numpy as np
 
 from .divergence import CodebookSpec, normalize_scores
 from .errors import ConfigError, MissingItemError
-from .metrics import decode_argmax, pixel_accuracy
+from .metrics import decode_argmax
 from .pool import PoolMode, PromptPool, PromptSpec, ScoreGrid
 from .retrieval import FeatureVector, RetrievalIndex, top_m
-from .smoothing import PoolScope, SmoothingConfig, smooth_grid
+from .smoothing import PoolScope, SmoothingConfig, _smooth_configs
 
 RNG_FAMILY = "numpy-pcg64"
 FEATURE_NOISE = 0.05
@@ -72,7 +72,7 @@ class SyntheticWorld:
         return self.items[item_id]
 
     def feature_vector(self, item_id: str):
-        return FeatureVector(np.ravel(self.item(item_id).features), item_id)
+        return FeatureVector(self.item(item_id).features.ravel(), item_id)
 
     def support_index(self) -> RetrievalIndex:
         return RetrievalIndex([self.feature_vector(i) for i in self.support_ids])
@@ -118,8 +118,8 @@ def generate_world(
     for arr in (inputs, outputs, features):
         arr.flags.writeable = False
     idents = [f"item{i:04d}" for i in range(n_items)]
-    items = {ident: WorldItem(ident, inputs[i], outputs[i], features[i])
-             for i, ident in enumerate(idents)}
+    items = {ident: WorldItem(ident, *views)
+             for ident, *views in zip(idents, inputs, outputs, features)}
 
     split_rng = np.random.default_rng(children[n_items])
     order = [idents[i] for i in split_rng.permutation(n_items)]
@@ -271,8 +271,11 @@ def _baseline(pool: PromptPool) -> ScoreGrid:
 
 def _mean_accuracy(rows: list[dict], arm: str) -> float:
     """The mean ``pixel_accuracy`` of one arm's tokens over outcome rows:
-    the ``{arm}_accuracy`` aggregate ``metrics.eval_reports`` reports."""
-    return float(np.mean([pixel_accuracy(r[f"{arm}_tokens"], r["truth"]) for r in rows]))
+    the ``{arm}_accuracy`` aggregate ``metrics.eval_reports`` reports, bit
+    for bit, from one comparison of the stacked (Q, L) tokens: each row's
+    mean is the count of hits over L, and the row means add up in order."""
+    hits = np.array([r[f"{arm}_tokens"] for r in rows]) == np.array([r["truth"] for r in rows])
+    return float(np.mean(hits.mean(axis=1)))
 
 
 def run_bias_experiment(
@@ -321,30 +324,32 @@ def run_bias_experiment(
     probs, feature_keys, patch_keys = _score_prompts(world, params, list(zip(*retrieved)), queries)
     joint = PromptPool(probs=probs, pair_indices=np.arange(1, max_m + 1), prompts=(),
                        mode=PoolMode.Q, m=max_m, feature_keys=feature_keys, patch_keys=patch_keys)
-    groups = {}  # per scope, built at its first config: (baseline grid, pool) of each group
-    outcomes = []
-    for config in config_grid:
-        if config.scope not in groups:
-            # the joint pool smooths every query in one call in the per-patch
-            # scope, as a patch sees only its own entries; in the all-patch
-            # scope a query's patches must see only its own pool
-            grouped = [joint]
-            if config.scope is PoolScope.ALL_PATCH:  # cut on the patch axis
-                cuts = (np.split(a, n_queries, axis=1) for a in (probs, feature_keys, patch_keys))
-                grouped = [dataclasses.replace(joint, probs=p, feature_keys=f, patch_keys=k)
-                           for p, f, k in zip(*cuts)]
-            groups[config.scope] = [(_baseline(p), p) for p in grouped]
-        arms = []  # per query: baseline tokens, smoothed tokens, smoothed probs
-        for baseline, pool in groups[config.scope]:
-            smoothed = smooth_grid(baseline, pool, config)
-            n = pool.patch_count // world.patch_count  # the queries in the group
-            arms += zip(*(np.split(a, n) for a in (decode_argmax(baseline),
-                                                    decode_argmax(smoothed), smoothed.probs)))
-        outcomes.append([
-            {"query": q, "baseline_tokens": b, "truth": world.item(q).output_tokens,
-             "smoothed_tokens": t, "smoothed_probs": p}
-            for q, (b, t, p) in zip(queries, arms)
-        ])
+    # one smoothing call per group, with every config of its scope: the
+    # joint pool is one group in the per-patch scope, as a patch sees only
+    # its own entries; in the all-patch scope a query's patches must see
+    # only its own pool, so each query is a group, cut on the patch axis
+    outcomes = [[] for _ in config_grid]
+    patches = world.patch_count
+    for scope in dict.fromkeys(c.scope for c in config_grid):
+        members = [at for at, c in enumerate(config_grid) if c.scope is scope]
+        groups = [(queries, joint)]
+        if scope is PoolScope.ALL_PATCH:
+            cuts = [slice(i * patches, (i + 1) * patches) for i in range(n_queries)]
+            groups = [([q], dataclasses.replace(joint, probs=probs[:, c], feature_keys=
+                                                feature_keys[:, c], patch_keys=patch_keys[:, c]))
+                      for q, c in zip(queries, cuts)]
+        for group, pool in groups:
+            baseline = _baseline(pool)
+            smoothed = _smooth_configs(baseline, pool, [config_grid[at] for at in members])
+            shape = (len(group), patches)  # row q of each view is query q's
+            baseline_tokens = decode_argmax(baseline).reshape(shape)
+            for at, grid in zip(members, smoothed):
+                outcomes[at] += [
+                    {"query": q, "baseline_tokens": b, "truth": world.items[q].output_tokens,
+                     "smoothed_tokens": t, "smoothed_probs": p}
+                    for q, b, t, p in zip(group, baseline_tokens, decode_argmax(grid).reshape(shape),
+                                          grid.probs.reshape(shape + (-1,)))
+                ]
     return outcomes
 
 

@@ -663,6 +663,18 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("files", [{"out_tokens": "t.pnct"}, {"item_id": "q", "pool": "p.pnct"}],
+                             ids=["out-tokens", "item-id-first"])
+    def test_files_section_with_synth_backend_is_2(self, tmp_path, capsys, files):
+        # the synth backend reads and writes no file: a files section it
+        # would ignore is refused, naming its first key, before any write
+        files = {key: str(tmp_path / value) for key, value in files.items()}
+        (tmp_path / "c.json").write_text(json.dumps({"files": files}))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert f"files.{next(iter(files))}" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "t.pnct").exists()
+
     def test_config_error_is_2(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"backend": "nope"}))

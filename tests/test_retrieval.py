@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -396,6 +397,41 @@ class TestFeatureVector:
             row = (rng.standard_normal(4096) * scale).astype(dtype)
             expected = float(np.linalg.norm(row.astype(np.float64)))
             assert bits([FeatureVector(row).norm]) == bits([expected])
+
+    def test_norm_fast_path_is_linalg_norm_and_rescales_only_extreme_rows(self, monkeypatch):
+        # the norm is the root of the row's dot, as np.linalg.norm takes it;
+        # only a row whose squares over- or underflow enters np.errstate
+        entered = []
+        errstate = np.errstate
+
+        def spy(**kwargs):
+            if sys._getframe(1).f_globals["__name__"] == retrieval.__name__:
+                entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            dtype = (np.float32, np.float64)[trial % 2]
+            row = (rng.standard_normal(int(rng.integers(1, 600)))
+                   * 10.0 ** rng.integers(-20, 21)).astype(dtype)
+            row = (row, row[::-1], row[::3])[trial % 3]
+            expected = float(np.linalg.norm(row.astype(np.float64)))
+            assert bits([FeatureVector(row).norm]) == bits([expected])
+        assert entered == []
+        extreme = [[1e200, -1e200, 3.0], [1e-200, 1e-200], [5e-324, -1e-320, 0.0],
+                   np.full(7, 2.0 ** -1074)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in extreme:
+                row = np.array(row)
+                scale = np.abs(row).max()
+                want = float(np.linalg.norm(row / scale)) * scale
+                assert FeatureVector(row).norm == pytest.approx(want, rel=1e-15)
+        assert len(entered) == len(extreme)
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [np.nan, 1e200], [-np.inf, 1e-200]):
+            with pytest.raises(ValidationError):
+                FeatureVector(np.array(bad))
 
     def test_writable_caller_array_is_copied_and_stays_writable(self):
         arr = np.array([0.6, 0.8])

@@ -401,13 +401,14 @@ def dense_all_patch_js(query_grid, pool, config):
     selection and blend."""
     width, patches = pool.width, pool.patch_count
     flat = pool.probs.reshape(width * patches, -1)
-    cached, index = negentropy(flat), np.arange(width * patches)
+    # every candidate, in tie-break order: by pair index, then by patch
+    order = np.argsort(pool.pair_indices, kind="stable")
+    cached, index = negentropy(flat), (order[:, None] * patches + np.arange(patches)).ravel()
     distances = np.stack([pairwise_divergence(query_grid.probs, flat, l, index,
                                               pool_negentropy=cached)
                           for l in range(patches)])
-    rank = pool.pair_indices[index // patches] * patches + index % patches
     blended, chosen, distance, weight = _select_and_blend(
-        query_grid.probs, distances, flat, index, rank, config
+        query_grid.probs, distances, flat, index, config
     )
     totals = blended.sum(axis=1, keepdims=True)
     drifted = np.abs(totals[:, 0] - 1.0) > 1e-9
@@ -865,3 +866,64 @@ class TestTopMCandidates:
         query, pool = random_grid(rng, 4, 6), random_pool(rng, 3, 4, 6)
         full = smooth_grid(query, pool, SmoothingConfig(m=3, k=3))
         assert_same_bits(smooth_grid(query, pool, SmoothingConfig(m=7, k=3)), full)
+
+
+class TestSmoothConfigs:
+    """The multi-config stage gives each config a lone ``smooth_grid``'s
+    grid, bit for bit, from one distance matrix per group."""
+
+    CONFIGS = (dict(m=1), dict(m=2), dict(m=4),
+               dict(m=4, aggregation="nearest", tau=3.0, alpha=0.7, k=2),
+               dict(m=4, aggregation="average", alpha=0.5))
+
+    @staticmethod
+    def instance(pair_indices, seed=0):
+        """A query with zeros, so KL has +inf neighbours, and a pool whose
+        entry of the lowest pair index shares them, so every config keeps
+        one finite neighbour per patch."""
+        rng = np.random.default_rng(seed)
+        width, patches, size = len(pair_indices), 5, 6
+        probs = rng.dirichlet(np.full(size, 0.5), size=(width, patches))
+        shared = rng.random((width, patches)) < 0.5
+        shared[np.argmin(pair_indices)] = True
+        probs[..., 0] = np.where(shared, 0.0, probs[..., 0])
+        query = rng.dirichlet(np.full(size, 0.5), size=patches)
+        query[:, 0] = 0.0
+        normalize = lambda a: a / a.sum(axis=-1, keepdims=True)
+        pool = PromptPool(probs=normalize(probs), pair_indices=pair_indices, prompts=(),
+                          mode=PoolMode.Q, m=4, feature_keys=rng.normal(size=(width, patches, 3)),
+                          patch_keys=rng.normal(size=(width, patches, 1)))
+        grid = ScoreGrid(probs=normalize(query), feature_keys=rng.normal(size=(patches, 3)),
+                         patch_keys=rng.normal(size=(patches, 1)))
+        return grid, pool
+
+    @pytest.mark.parametrize("pair_indices", [[1, 2, 3, 4], [3, 1, 4, 2], [2, 3, 4]],
+                             ids=["prefix", "permutation", "gap"])
+    @pytest.mark.parametrize("key", list(NeighborKey))
+    @pytest.mark.parametrize("divergence", list(DivergenceKind))
+    @pytest.mark.parametrize("scope", list(PoolScope))
+    def test_each_config_is_a_lone_smooth_grid(self, monkeypatch, scope, divergence, key,
+                                               pair_indices):
+        grid, pool = self.instance(pair_indices)
+        configs = [SmoothingConfig(**c, divergence=divergence, key=key, scope=scope)
+                   for c in self.CONFIGS]
+        kept = [c for c in configs if (pool.pair_indices <= c.m).any()]
+        lone = [smooth_grid(grid, pool, c) for c in kept]
+        screens = []
+        screened_js = smoothing.screened_js
+        monkeypatch.setattr(smoothing, "screened_js",
+                            lambda *args: screens.append(args) or screened_js(*args))
+        together = smoothing._smooth_configs(grid, pool, kept)
+        assert len(together) == len(kept)
+        for got, want in zip(together, lone):
+            assert_same_bits(got, want)
+        screened = (scope, divergence, key) == (
+            PoolScope.ALL_PATCH, DivergenceKind.JS, NeighborKey.SCORE)
+        assert len(screens) == (len(kept) if screened else 0)
+        for empty in (c for c in configs if c not in kept):  # m=1 of the gap pool
+            with pytest.raises(ConfigError) as lone_error:
+                smooth_grid(grid, pool, empty)
+            with pytest.raises(ConfigError) as together_error:
+                smoothing._smooth_configs(grid, pool, configs)
+            assert str(together_error.value) == str(lone_error.value)
+            assert "top m=1" in str(lone_error.value)

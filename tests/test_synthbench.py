@@ -8,14 +8,14 @@ import pytest
 
 from conftest import assert_same_selection
 from oracle import brute_force_smooth
-from patchsmooth import errors, synthbench
+from patchsmooth import errors, smoothing, synthbench
 from patchsmooth import pool as pool_module
 from patchsmooth.divergence import pairwise_divergence
 from patchsmooth.errors import ConfigError, MissingItemError
 from patchsmooth.metrics import eval_reports
 from patchsmooth.pipeline import load_config, run_pipeline, synth_world
 from patchsmooth.pool import PoolMode, PromptPool, PromptSpec, ScoreGrid, build_pool
-from patchsmooth.retrieval import top_m
+from patchsmooth.retrieval import RetrievedSet, top_m
 from patchsmooth.smoothing import (
     Aggregation,
     DivergenceKind,
@@ -480,12 +480,12 @@ class TestBiasExperiment:
         # the per-patch config's pool is the queries' build_pool pools on
         # the patch axis, holding the array pass's own arrays
         made, pools = [], []
-        score_prompts, smooth = synthbench._score_prompts, synthbench.smooth_grid
+        score_prompts, smooth = synthbench._score_prompts, synthbench._smooth_configs
         monkeypatch.setattr(synthbench, "_score_prompts",
                             lambda *args: made.append(score_prompts(*args)) or made[-1])
-        monkeypatch.setattr(synthbench, "smooth_grid",
-                            lambda grid, pool, config: pools.append(pool)
-                            or smooth(grid, pool, config))
+        monkeypatch.setattr(synthbench, "_smooth_configs",
+                            lambda grid, pool, configs: pools.append(pool)
+                            or smooth(grid, pool, configs))
         world = world_for(seed=seed, rows=3, cols=3, size=5, items=20)
         params = BiasedScorerParams(0.45, 0.45, 0.1, similarity_coupling=coupling)
         [rows] = run_bias_experiment(world, params, [SmoothingConfig(m=4)], n_queries=3, seed=seed)
@@ -517,18 +517,23 @@ class TestBiasExperiment:
         assert len(built) == groups
 
     def test_one_smooth_grid_call_per_smoothing_group(self, monkeypatch):
+        # one multi-config call per smoothing group, the per-patch group and
+        # one all-patch group per query, each carrying all of its configs
         calls = []
-        smooth = synthbench.smooth_grid
-        monkeypatch.setattr(synthbench, "smooth_grid",
-                            lambda grid, pool, config: calls.append((pool, config))
-                            or smooth(grid, pool, config))
+        smooth = synthbench._smooth_configs
+        monkeypatch.setattr(synthbench, "_smooth_configs",
+                            lambda grid, pool, configs: calls.append((pool, configs))
+                            or smooth(grid, pool, configs))
         world = world_for(rows=2, cols=2, size=4, items=16)
         grid = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4) for scope in ("patch", "all")]
         run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
-        per_config = [sum(c is config for _, c in calls) for config in grid]
+        per_config = [sum(c is config for _, configs in calls for c in configs) for config in grid]
         assert per_config == [1, 3] * 3
-        for pool, config in calls:
-            joint = config.scope is PoolScope.PER_PATCH
+        assert len(calls) == 1 + 3
+        for pool, configs in calls:
+            scope = configs[0].scope
+            assert [id(c) for c in configs] == [id(c) for c in grid if c.scope is scope]
+            joint = scope is PoolScope.PER_PATCH
             assert pool.patch_count == (3 if joint else 1) * world.patch_count
 
     @pytest.mark.parametrize("seed", range(4))
@@ -651,6 +656,53 @@ class TestBiasExperiment:
         sweep = run_seed_sweep(seeds=[5], m_values=(2,))
         assert pipeline.report("smoothed_accuracy").aggregate == sweep["per_seed"][0]["m=2"]
         assert pipeline.report("baseline_accuracy").aggregate == sweep["per_seed"][0]["baseline"]
+
+
+class TestFaultSeams:
+    """The benchmark's own check plants its faults through two module
+    globals, ``smoothing.softmax_weights`` and ``synthbench.top_m``; a
+    refactor that inlined either name would hide them, and fails here."""
+
+    params = BiasedScorerParams(beta_truth=0.45, beta_pair=0.45, epsilon_noise=0.1)
+
+    def outputs(self):
+        """A sweep's report, one experiment's smoothed probs and one lone
+        ``smooth_grid``'s, each blending k > 1 neighbours. The sweep's
+        scorer favours the pair token, so the weights decide argmaxes: with
+        the truth favoured, any blend of two pairs keeps the truth."""
+        world = world_for(seed=2, rows=3, cols=3, size=5, items=20)
+        [rows] = run_bias_experiment(world, self.params, [SmoothingConfig(m=4)], 3, seed=2)
+        rng = np.random.default_rng(3)
+        pool = PromptPool(probs=rng.dirichlet(np.ones(6), size=(4, 5)),
+                          pair_indices=np.arange(1, 5), prompts=(), mode=PoolMode.Q, m=4)
+        grid = ScoreGrid(probs=rng.dirichlet(np.ones(6), size=5))
+        return (run_seed_sweep(seeds=range(4), params=BiasedScorerParams(0.3, 0.6, 0.1)),
+                b"".join(r["smoothed_probs"].tobytes() for r in rows),
+                smooth_grid(grid, pool, SmoothingConfig(m=4)).probs.tobytes())
+
+    def test_weights_handed_out_reversed_change_the_outputs(self, monkeypatch):
+        sweep, experiment, lone = self.outputs()
+        weights = smoothing.softmax_weights
+        monkeypatch.setattr(smoothing, "softmax_weights",
+                            lambda distances, tau: weights(distances, tau)[::-1].copy())
+        faulty_sweep, faulty_experiment, faulty_lone = self.outputs()
+        assert faulty_sweep != sweep
+        assert faulty_experiment != experiment and faulty_lone != lone
+
+    def test_ranking_reversed_changes_the_outputs(self, monkeypatch):
+        sweep, experiment, lone = self.outputs()
+        ranking = synthbench.top_m
+
+        def least_similar(query, index, m):
+            worst = ranking(query, index, len(index)).items[::-1][:m]
+            scores = sorted((score for _, score in worst), reverse=True)
+            return RetrievedSet(items=tuple(zip((i for i, _ in worst), scores)),
+                                query_id=query.identifier)
+
+        monkeypatch.setattr(synthbench, "top_m", least_similar)
+        faulty_sweep, faulty_experiment, faulty_lone = self.outputs()
+        assert faulty_sweep != sweep and faulty_experiment != experiment
+        assert faulty_lone == lone  # retrieval is not on a lone smooth_grid's path
 
 
 def onehot_mixture(token, size, epsilon):
