@@ -31,14 +31,16 @@ scores) get their exact distance, the others +inf, which sorts last. An
 unproven or disproved bound makes every distance exact: selection and
 blend are bit-identical either way.
 
-Several configs smooth one grid against one pool in one call
-(``_smooth_configs``; ``smooth_grid`` is its one-config case). The
-dense matrix is filled once per (scope, key, divergence), over the
-entries any config of that group keeps, and each config then selects
-and blends from its own columns: each grid is the one-config call's, bit
-for bit, as every distance is the same whatever else its call holds. The
-JS screen runs once per config, since its survivors depend on k and on
-the candidates.
+Several configs that share scope, key and divergence smooth one grid
+against one pool in one call (``_smooth_configs``; ``smooth_grid`` is
+its one-config case); a caller with other configs groups them. The
+dense matrix is filled once, over the entries the widest config keeps,
+in pair order, so the entries of every config are a prefix of them and
+it selects and blends from a prefix view of the columns: each grid is
+the one-config call's, bit for bit, as every distance is the same
+whatever else its call holds. The JS screen runs once per config, since
+its survivors depend on k and on the candidates, each reading a prefix
+of candidate rows gathered once per call.
 """
 
 from __future__ import annotations
@@ -280,10 +282,10 @@ def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig
 
 
 def _smooth_configs(query_grid: ScoreGrid, pool: PromptPool, configs) -> list[SmoothedGrid]:
-    """``smooth_grid`` of each of ``configs``, with one distance matrix
-    per group of configs that share scope, key and divergence, over the
-    entries any of them keeps (those from pairs 1..m) in tie-break order.
-    Each config then takes its own columns."""
+    """``smooth_grid`` of each of ``configs``, which all share scope, key
+    and divergence: one distance matrix over the entries the widest keeps
+    (those from pairs 1..m), in tie-break order. Each config's entries
+    are a prefix of them, so it takes a prefix view of the columns."""
     if len(query_grid) != pool.patch_count:
         raise DimensionError(
             f"query grid has {len(query_grid)} patches, pool has {pool.patch_count}"
@@ -292,51 +294,42 @@ def _smooth_configs(query_grid: ScoreGrid, pool: PromptPool, configs) -> list[Sm
         raise DimensionError(
             f"codebook size mismatch: grid {query_grid.codebook_size}, pool {pool.codebook_size}"
         )
+    first = configs[0]  # its scope, key and divergence are every config's
+    query, candidates, kind = _selection_keys(query_grid, pool, first)
     pair_indices, patches = pool.pair_indices, pool.patch_count
-    groups = {}  # per (scope, key, divergence): the keys it compares, its configs by position
-    for at, config in enumerate(configs):
-        keys = _selection_keys(query_grid, pool, config)
-        if config.m < pool.m and not (pair_indices <= config.m).any():
+    kept = [int((pair_indices <= config.m).sum()) for config in configs]
+    for config, count in zip(configs, kept):
+        if not count:
             raise ConfigError(f"no pool entry is from the top m={config.m} pairs: "
                               f"pair indices {pair_indices.tolist()}")
-        group = groups.setdefault((config.scope, config.key, config.divergence), (keys, []))
-        group[1].append((at, config))
     values = pool.probs.reshape(-1, pool.codebook_size)  # row n is pool entry (n // L, n % L)
-    patch = np.arange(patches)
-    smoothed = [None] * len(configs)
-    for (scope, key, divergence), ((query, candidates, kind), members) in groups.items():
-        flat = candidates.reshape(len(values), -1)
-        entries = np.flatnonzero(pair_indices <= max(config.m for _, config in members))
-        entries = entries[np.argsort(pair_indices[entries], kind="stable")]
-        if scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (entries[j], l)
-            index = entries * patches + patch[:, None]
-        else:  # candidate j * L + l is pool entry (entries[j], l)
-            index = (entries[:, None] * patches + patch).ravel()
-        screened = (scope, key, divergence) == (
-            PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS)
-        if not screened:  # the dense matrix, one call; all-patch grows as W * L**2
-            dense = (_l2_distances(query, flat, patch[:, None], index) if kind is None
-                     else pairwise_divergence(query, flat, patch[:, None], index, kind))
-        for at, config in members:
-            own, columns = np.flatnonzero(pair_indices[entries] <= config.m), slice(None)
-            if len(own) < len(entries):
-                columns = own if scope is PoolScope.PER_PATCH else (
-                    own[:, None] * patches + patch).ravel()
-            own_index = index[..., columns]
-            if screened:  # +inf where the screen rules a pair out
-                in_order = np.array_equal(own_index, np.arange(len(flat)))  # then not copied
-                distances = screened_js(query, flat if in_order else flat[own_index], config.k)
-            else:
-                distances = dense[:, columns]
-            blended, chosen, distance, weight = _select_and_blend(
-                query_grid.probs, distances, values, own_index, config)
-            selection = pair_indices[chosen // patches], chosen % patches, distance, weight
-            # frozen and owned, or views of such: the grid keeps them uncopied
-            for array in (blended, *selection):
-                (array if array.base is None else array.base).flags.writeable = False
-                array.flags.writeable = False
-            # The blend is convex: SmoothedGrid's simplex check divides out any drift.
-            smoothed[at] = SmoothedGrid(blended, *selection)
+    flat, patch = candidates.reshape(len(values), -1), np.arange(patches)
+    # pairs 1..m come first in pair order: every config keeps a prefix
+    entries = np.argsort(pair_indices, kind="stable")[:max(kept)]
+    if first.scope is PoolScope.PER_PATCH:  # candidate j of patch l is pool entry (entries[j], l)
+        index = entries * patches + patch[:, None]
+    else:  # candidate j * L + l is pool entry (entries[j], l)
+        index, kept = (entries[:, None] * patches + patch).ravel(), [n * patches for n in kept]
+    screened = (first.scope, first.key, first.divergence) == (
+        PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS)
+    if screened:  # candidate rows in column order, not copied when already so
+        rows = flat if (entries == np.arange(len(entries))).all() else flat[index]
+    else:  # the dense matrix, one call; all-patch grows as W * L**2
+        dense = (_l2_distances(query, flat, patch[:, None], index) if kind is None
+                 else pairwise_divergence(query, flat, patch[:, None], index, kind))
+    smoothed = []
+    for config, n in zip(configs, kept):
+        # +inf where the screen rules a pair out
+        distances = screened_js(query, rows[:n], config.k) if screened else dense[:, :n]
+        blended, chosen, distance, weight = _select_and_blend(
+            query_grid.probs, distances, values, index[..., :n], config)
+        selection = pair_indices[chosen // patches], chosen % patches, distance, weight
+        # frozen and owned, or views of such: the grid keeps them uncopied
+        for array in (blended, *selection):
+            (array if array.base is None else array.base).flags.writeable = False
+            array.flags.writeable = False
+        # The blend is convex: SmoothedGrid's simplex check divides out any drift.
+        smoothed.append(SmoothedGrid(blended, *selection))
     return smoothed
 
 

@@ -324,32 +324,35 @@ def run_bias_experiment(
     probs, feature_keys, patch_keys = _score_prompts(world, params, list(zip(*retrieved)), queries)
     joint = PromptPool(probs=probs, pair_indices=np.arange(1, max_m + 1), prompts=(),
                        mode=PoolMode.Q, m=max_m, feature_keys=feature_keys, patch_keys=patch_keys)
-    # one smoothing call per group, with every config of its scope: the
-    # joint pool is one group in the per-patch scope, as a patch sees only
-    # its own entries; in the all-patch scope a query's patches must see
-    # only its own pool, so each query is a group, cut on the patch axis
+    # one smoothing call per pool and (scope, key, divergence) group of
+    # configs, which share one distance matrix: the joint pool serves the
+    # per-patch scope, as a patch sees only its own entries; in the
+    # all-patch scope a query's patches must see only its own pool, so each
+    # query gets its joint pool's cut on the patch axis
     outcomes = [[] for _ in config_grid]
     patches = world.patch_count
-    for scope in dict.fromkeys(c.scope for c in config_grid):
-        members = [at for at, c in enumerate(config_grid) if c.scope is scope]
-        groups = [(queries, joint)]
+    groups = {}  # per scope, per (key, divergence): the positions of its configs
+    for at, c in enumerate(config_grid):
+        groups.setdefault(c.scope, {}).setdefault((c.key, c.divergence), []).append(at)
+    for scope, members in groups.items():
+        pools = [(queries, joint)]
         if scope is PoolScope.ALL_PATCH:
             cuts = [slice(i * patches, (i + 1) * patches) for i in range(n_queries)]
-            groups = [([q], dataclasses.replace(joint, probs=probs[:, c], feature_keys=
-                                                feature_keys[:, c], patch_keys=patch_keys[:, c]))
-                      for q, c in zip(queries, cuts)]
-        for group, pool in groups:
+            pools = [([q], dataclasses.replace(joint, probs=probs[:, c], feature_keys=
+                                               feature_keys[:, c], patch_keys=patch_keys[:, c]))
+                     for q, c in zip(queries, cuts)]
+        for ids, pool in pools:
             baseline = _baseline(pool)
-            smoothed = _smooth_configs(baseline, pool, [config_grid[at] for at in members])
-            shape = (len(group), patches)  # row q of each view is query q's
+            shape = (len(ids), patches)  # row q of each view is query q's
             baseline_tokens = decode_argmax(baseline).reshape(shape)
-            for at, grid in zip(members, smoothed):
-                outcomes[at] += [
-                    {"query": q, "baseline_tokens": b, "truth": world.items[q].output_tokens,
-                     "smoothed_tokens": t, "smoothed_probs": p}
-                    for q, b, t, p in zip(group, baseline_tokens, decode_argmax(grid).reshape(shape),
-                                          grid.probs.reshape(shape + (-1,)))
-                ]
+            for group in members.values():
+                smoothed = _smooth_configs(baseline, pool, [config_grid[at] for at in group])
+                for at, grid in zip(group, smoothed):
+                    rows = zip(ids, baseline_tokens, decode_argmax(grid).reshape(shape),
+                               grid.probs.reshape(shape + (-1,)))
+                    outcomes[at] += [{"query": q, "baseline_tokens": b, "truth":
+                                      world.items[q].output_tokens, "smoothed_tokens": t,
+                                      "smoothed_probs": p} for q, b, t, p in rows]
     return outcomes
 
 

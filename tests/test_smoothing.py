@@ -927,3 +927,32 @@ class TestSmoothConfigs:
                 smoothing._smooth_configs(grid, pool, configs)
             assert str(together_error.value) == str(lone_error.value)
             assert "top m=1" in str(lone_error.value)
+
+    @pytest.mark.parametrize("pair_indices", [[1, 2, 3, 4], [3, 1, 4, 2]],
+                             ids=["prefix", "permutation"])
+    @pytest.mark.parametrize("scope", list(PoolScope))
+    def test_each_config_reads_a_prefix_view(self, monkeypatch, scope, pair_indices):
+        # a config's candidates are a prefix of the widest config's: its
+        # index, its distances (or, screened, the screen's candidate rows)
+        # are views of the widest config's, of its own width
+        grid, pool = self.instance(pair_indices)
+        configs = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4)]
+        blends, screens = [], []
+        select_and_blend, screened_js = smoothing._select_and_blend, smoothing.screened_js
+        monkeypatch.setattr(smoothing, "_select_and_blend", lambda *args: blends.append(args)
+                            or select_and_blend(*args))
+        monkeypatch.setattr(smoothing, "screened_js", lambda *args: screens.append(args[1])
+                            or screened_js(*args))
+        smoothing._smooth_configs(grid, pool, configs)
+        per_entry = pool.patch_count if scope is PoolScope.ALL_PATCH else 1
+        widths = [m * per_entry for m in (1, 2, 4)]  # each pair index once
+        views = {"index": [args[3] for args in blends]}
+        if scope is PoolScope.ALL_PATCH:
+            views["candidates"] = screens
+            if pair_indices == sorted(pair_indices):  # already in pool order: not gathered
+                assert np.shares_memory(screens[-1], pool.probs)
+        else:
+            views["distances"] = [args[1] for args in blends]
+        for name, arrays in views.items():
+            assert [len(a) if name == "candidates" else a.shape[-1] for a in arrays] == widths, name
+            assert all(np.shares_memory(a, arrays[-1]) for a in arrays), name

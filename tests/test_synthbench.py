@@ -536,6 +536,42 @@ class TestBiasExperiment:
             joint = scope is PoolScope.PER_PATCH
             assert pool.patch_count == (3 if joint else 1) * world.patch_count
 
+    @pytest.mark.parametrize("scope", list(PoolScope))
+    def test_one_smooth_call_per_key_and_divergence(self, monkeypatch, scope):
+        # configs that differ in key or divergence go to separate calls, in
+        # order of first appearance, each call carrying only its group's
+        # configs, for every pool of the scope
+        calls = []
+        smooth = synthbench._smooth_configs
+        monkeypatch.setattr(synthbench, "_smooth_configs",
+                            lambda grid, pool, configs: calls.append(configs)
+                            or smooth(grid, pool, configs))
+        world = world_for(rows=2, cols=2, size=4, items=16)
+        kinds = [(DivergenceKind.KL, NeighborKey.FEATURE), (DivergenceKind.JS, NeighborKey.SCORE),
+                 (DivergenceKind.KL, NeighborKey.SCORE), (DivergenceKind.JS, NeighborKey.FEATURE)]
+        grid = [SmoothingConfig(m=m, divergence=divergence, key=key, scope=scope)
+                for m in (1, 2, 4) for divergence, key in kinds]
+        run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        groups = [[id(c) for c in grid if (c.divergence, c.key) == kind] for kind in kinds]
+        pools = 1 if scope is PoolScope.PER_PATCH else 3
+        assert [[id(c) for c in configs] for configs in calls] == groups * pools
+
+    def test_sweep_baselines_view_pool_row_zero(self, monkeypatch):
+        # every baseline the sweep smooths is its pool's row 0, not a copy,
+        # for the joint pool and for each all-patch cut of it
+        calls = []
+        smooth = synthbench._smooth_configs
+        monkeypatch.setattr(synthbench, "_smooth_configs",
+                            lambda grid, pool, configs: calls.append((grid, pool))
+                            or smooth(grid, pool, configs))
+        world = world_for(rows=2, cols=2, size=4, items=16)
+        grid = [SmoothingConfig(m=m, scope=scope) for m in (1, 2, 4) for scope in PoolScope]
+        run_bias_experiment(world, self.params, grid, n_queries=3, seed=0)
+        assert len(calls) == 1 + 3
+        for baseline, pool in calls:
+            for name in ("probs", "feature_keys", "patch_keys"):
+                assert np.shares_memory(getattr(baseline, name), getattr(pool, name)[0])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_joint_sweep_equals_per_query_smoothing(self, seed):
         # the rows of the joint per-patch call are bit for bit those of
