@@ -22,7 +22,7 @@ import numpy as np
 from .divergence import frozen
 from .errors import DimensionError, FormatError, MissingItemError, PatchSmoothError, refused_in
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
-from .pipeline import load_config, run_pipeline, synth_world
+from .pipeline import load_config, pipeline_outputs, synth_world
 from .pool import (
     FileScorerBackend,
     PoolMode,
@@ -37,8 +37,8 @@ from .retrieval import FeatureVector, RetrievalIndex, RetrievedSet, top_m
 from .smoothing import (Aggregation, DivergenceKind, NeighborKey, PoolScope, SmoothingConfig,
                         _selection_keys, smooth_grid)
 from .synthbench import BiasedScorerParams, SyntheticScorerBackend, run_seed_sweep
-from .tensorfile import (holds_float, json_chunks, read_json, read_tensor, refuse_same_file,
-                         tensor_chunks, write_files, write_json)
+from .tensorfile import (holds_float, json_chunks, read_json, read_tensor, tensor_chunks,
+                         write_files, write_json)
 
 
 def _flag_overrides(**sections: dict) -> dict:
@@ -289,9 +289,9 @@ def run(config_path, out_path, seed, m, alpha, tau, k):
     config = load_config(config_path, _flag_overrides(
         world={"seed": seed}, retrieval={"m": m}, smoothing={"alpha": alpha, "tau": tau, "k": k},
     ))
-    if "out_tokens" in config["files"]:  # refused before the pipeline writes the tokens
-        refuse_same_file([config["files"]["out_tokens"], out_path])
-    write_json(run_pipeline(config).to_dict(), out_path)
+    report, tensors = pipeline_outputs(config)
+    write_files([(path, tensor_chunks(array, meta)) for path, (array, meta) in tensors.items()]
+                + [(out_path, json_chunks(report.to_dict()))])  # all or none
 
 
 def main(argv=None):

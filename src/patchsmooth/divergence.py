@@ -34,7 +34,11 @@ query is as large as the query. Both results are clamped at 0.
 candidates without the exact kernel on all R * N pairs. One float32 pass
 ranks every pair, one BLAS dot each, with a proven error bound eps
 (``_screen_band``; about 1e-3 nats at V = 1024) that holds for any
-summation order and BLAS thread count. ``screen_survivors`` keeps a
+summation order and BLAS thread count. The pass is the only code here
+that runs on several threads: ``_screen_sums`` splits the query rows
+across the CPUs the process may run on, and joins its threads before it
+returns. Each pair's dot is the same whatever the split, so no result
+depends on the CPU count. ``screen_survivors`` keeps a
 candidate when its lower bound reaches its row's k-th smallest upper
 bound; survivors get ``pairwise_divergence``, the others +inf, in the
 (R, N) matrix the dense kernel fills. An unproven band (``_gamma32``)
@@ -46,6 +50,8 @@ comparison outside ``screened_js``, run on the dense kernel alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,9 +280,10 @@ def _cached_negentropy(given, rows: np.ndarray, name: str) -> np.ndarray:
     return negentropy(rows) if given is None else np.asarray(given, dtype=np.float64)
 
 
-#: Elements in each float32 scratch buffer of ``screened_js``: the pass
-#: takes this many candidate elements at a time, whatever R and N are.
-SCREEN_ELEMENTS = 1 << 16
+#: Elements in each float32 scratch buffer of ``screened_js``: each part of
+#: the pass (one per CPU) takes this many candidate elements at a time,
+#: whatever R and N are.
+SCREEN_ELEMENTS = 1 << 17
 
 #: Factor by which the screen's band exceeds its derived error bound.
 SCREEN_SAFETY = 2.0
@@ -372,37 +379,83 @@ def _screen_band(sums: np.ndarray, width: int) -> np.ndarray:
     return band
 
 
+def _screen_workers() -> int:
+    """The CPUs this process may run on: the most threads ``_screen_sums``
+    starts."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _screen_sums(query: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """The (R, N) float64 sums A[r, n], each the float32 dot of ln y and y
     over the float32 y = max(query[r], t) + max(pool[n], t), t the
     smallest normal float32.
 
-    Each operand is cast to float32 and clipped once; the pass takes one
-    query row at a time against blocks of at most ``SCREEN_ELEMENTS``
-    candidate elements, and each pair's sum is one BLAS dot.
+    Each operand is cast to float32 and clipped once. The R query rows are
+    split into contiguous parts, one per CPU (``_screen_workers``): the
+    caller fills the first part, and a thread started for this call fills
+    each other one; numpy's ufuncs and ``matmul`` release the GIL, so the
+    parts run in parallel. Every part takes one query row at a time
+    against blocks of at most ``SCREEN_ELEMENTS`` candidate elements, in
+    its own scratch, and writes only its rows of the result. Each pair's
+    sum is one BLAS dot over the same bytes whatever the split, so the
+    sums do not depend on the number of parts. Every thread is joined
+    before this returns, and the first exception a thread raised is
+    raised here. A thread starts with numpy's default ``errstate``, not
+    the caller's.
     """
-    rows, width = query.shape
-    n = len(pool)
-    step = min(n, max(1, SCREEN_ELEMENTS // width))
+    rows = len(query)
     query32 = query.astype(np.float32)
     np.maximum(query32, _F32_TINY, out=query32)
+    sums = np.empty((rows, len(pool)))
+    parts = max(1, min(rows, _screen_workers()))
+    edges = [rows * i // parts for i in range(parts + 1)]
+    errors = []
+
+    def fill(start: int, stop: int) -> None:
+        try:
+            _screen_rows(query32[start:stop], pool, sums[start:stop])
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            thread = threading.Thread(target=fill, args=(start, stop))
+            thread.start()
+            threads.append(thread)
+        _screen_rows(query32[:edges[1]], pool, sums[:edges[1]])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sums
+
+
+def _screen_rows(query32: np.ndarray, pool: np.ndarray, sums: np.ndarray) -> None:
+    """``sums`` (R, N) of the float32 clipped ``query32`` (R, V) against
+    ``pool`` (N, V), as ``_screen_sums`` defines them, in scratch of its
+    own."""
+    n, width = pool.shape
+    step = min(n, max(1, SCREEN_ELEMENTS // width))
     block32 = np.empty((step, width), np.float32)
     mixture = np.empty_like(block32)
     logs = np.empty_like(block32)
     dots = np.empty((step, 1, 1), np.float32)
-    sums = np.empty((rows, n))
     for start in range(0, n, step):
         block = block32[:min(step, n - start)]
         stop = start + len(block)
         block[...] = pool[start:stop]
         np.maximum(block, _F32_TINY, out=block)
         y, ln_y, dot = mixture[:len(block)], logs[:len(block)], dots[:len(block)]
-        for row in range(rows):
-            np.add(query32[row], block, out=y)
+        for row, query_row in enumerate(query32):
+            np.add(query_row, block, out=y)
             np.log(y, out=ln_y)
             np.matmul(ln_y[:, None, :], y[:, :, None], out=dot)
             sums[row, start:stop] = dot[:, 0, 0]
-    return sums
 
 
 def screen_survivors(estimate, band, k: int, exact) -> np.ndarray:

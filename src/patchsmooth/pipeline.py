@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError, refused_in
 from .metrics import EvalReport, decode_argmax, eval_reports
-from .pool import load_grid, load_pool, save_tokens
+from .pool import load_grid, load_pool, token_grid
 from .smoothing import SmoothingConfig, smooth_grid
 from .synthbench import BiasedScorerParams, SyntheticWorld, generate_world, run_bias_experiment
-from .tensorfile import holds_float, read_json, read_tensor
+from .tensorfile import holds_float, read_json, read_tensor, write_tensor
 
 DEFAULT_CONFIG = {
     "backend": "synth",
@@ -152,7 +152,7 @@ def _synth_pipeline(config: dict) -> PipelineReport:
     return PipelineReport(config=echo, reports=eval_reports(rows, echo), artifacts={})
 
 
-def _file_pipeline(config: dict) -> PipelineReport:
+def _file_pipeline(config: dict) -> tuple[PipelineReport, dict]:
     files = config["files"]
     for required in ("query_scores", "pool"):
         if required not in files:
@@ -180,22 +180,31 @@ def _file_pipeline(config: dict) -> PipelineReport:
                 "truth": gt.reshape(-1),
             }], echo)
 
-    # written last: a run refused on any input leaves no tokens behind
-    artifacts = {}
+    artifacts, tensors = {}, {}
     if "out_tokens" in files:
-        save_tokens(smoothed_tokens, shape, files["out_tokens"], config=echo["smoothing"])
+        tensors[files["out_tokens"]] = token_grid(smoothed_tokens, shape, echo["smoothing"])
         artifacts["out_tokens"] = files["out_tokens"]
-    return PipelineReport(config=echo, reports=reports, artifacts=artifacts)
+    return PipelineReport(config=echo, reports=reports, artifacts=artifacts), tensors
 
 
-def run_pipeline(config: dict | str | Path) -> PipelineReport:
-    """Run the full pipeline for one config: a JSON file path, or a dict
-    that ``load_config`` merges over the defaults and checks."""
+def pipeline_outputs(config: dict | str | Path) -> tuple[PipelineReport, dict]:
+    """The report of the full pipeline for one config (a JSON file path, or
+    a dict that ``load_config`` merges over the defaults and checks), and
+    the tensors it writes, not yet written: ``{path: (array, sidecar)}``.
+    A run refused on any input raises before anything is written."""
     config = load_config(overrides=config) if isinstance(config, dict) else load_config(config)
     backend = config["backend"]
     if backend == "synth":
-        return _synth_pipeline(config)
+        return _synth_pipeline(config), {}
     if backend == "file":
         return _file_pipeline(config)
     raise ConfigError(f"unknown backend {backend!r}; choose synth or file")
 
+
+def run_pipeline(config: dict | str | Path) -> PipelineReport:
+    """Run the full pipeline for one config (``pipeline_outputs``), write
+    its tensors and return its report."""
+    report, tensors = pipeline_outputs(config)
+    for path, (array, meta) in tensors.items():
+        write_tensor(array, path, meta=meta)
+    return report

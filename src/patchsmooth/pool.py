@@ -421,11 +421,17 @@ def load_grid(path: str | Path) -> tuple[ScoreGrid, tuple[int, int]]:
     return grid, (rows, cols)
 
 
-def save_tokens(tokens: np.ndarray, shape: tuple[int, int], path: str | Path,
-                config: dict | None = None) -> None:
-    """Write (L,) decoded tokens as a (rows, cols) u32 token grid, with the
-    smoothing config that produced them if given."""
+def token_grid(tokens: np.ndarray, shape: tuple[int, int],
+               config: dict | None = None) -> tuple[np.ndarray, dict]:
+    """(L,) decoded tokens as a (rows, cols) token grid and its sidecar,
+    which names the smoothing config that produced them if given."""
     meta = {"kind": "token-grid", "grid": list(shape)}
     if config is not None:
         meta["config"] = config
-    write_tensor(tokens.reshape(shape), path, meta=meta)
+    return tokens.reshape(shape), meta
+
+
+def save_tokens(tokens: np.ndarray, shape: tuple[int, int], path: str | Path) -> None:
+    """Write (L,) decoded tokens as a (rows, cols) u32 token grid."""
+    array, meta = token_grid(tokens, shape)
+    write_tensor(array, path, meta=meta)

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import mpmath as mp
@@ -592,3 +593,86 @@ class TestScreenSurvivors:
         kept = self.kept | np.isinf(np.broadcast_to(band, self.kept.shape))
         assert asked == [tuple(a.tolist() for a in np.nonzero(kept))]
         np.testing.assert_array_equal(got, np.where(kept, self.estimate + 0.05, np.inf))
+
+
+class TestScreenThreads:
+    """``_screen_sums`` splits its query rows across threads; the split
+    changes neither a byte of its output nor what it raises."""
+
+    @staticmethod
+    def score_rows(rng, count, size=96):
+        logits = rng.standard_normal((count, size))
+        logits[np.arange(count), rng.integers(size, size=count)] += 4.0
+        return normalize_scores(np.exp(logits))
+
+    @staticmethod
+    def spy_parts(monkeypatch):
+        """Record each part's thread and its rows of the sums."""
+        parts, screen_rows = [], divergence._screen_rows
+
+        def recording(query32, pool, sums):
+            parts.append((threading.current_thread(), len(sums)))
+            screen_rows(query32, pool, sums)
+
+        monkeypatch.setattr(divergence, "_screen_rows", recording)
+        return parts
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 49])
+    def test_sums_and_distances_do_not_depend_on_the_worker_count(self, rows, monkeypatch):
+        rng = np.random.default_rng(rows)
+        query, pool = self.score_rows(rng, rows), self.score_rows(rng, 30)
+        monkeypatch.setattr(divergence, "SCREEN_ELEMENTS", 96 * 8)  # four blocks of the pool
+        parts = self.spy_parts(monkeypatch)
+        outputs = {}
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(divergence, "_screen_workers", lambda: workers)
+            parts.clear()
+            outputs[workers] = (divergence._screen_sums(query, pool).tobytes(),
+                                divergence.screened_js(query, pool, 3).tobytes())
+            # two calls: R rows in min(R, workers) parts, each on a thread of its own
+            count = min(rows, workers)
+            sizes = [len(part) for part in np.array_split(np.arange(rows), count)]
+            assert sorted(size for _, size in parts) == sorted(2 * sizes)
+            assert len({id(thread) for thread, _ in parts}) == 2 * count - 1  # the caller twice
+        assert len(set(outputs.values())) == 1
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_part_raises_in_the_caller_after_every_join(self, failing, monkeypatch):
+        rng = np.random.default_rng(0)
+        query, pool = self.score_rows(rng, 5), self.score_rows(rng, 12)
+        monkeypatch.setattr(divergence, "_screen_workers", lambda: 3)
+        screen_rows, caller = divergence._screen_rows, threading.current_thread()
+
+        def failing_part(query32, pool, sums):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise ValueError("a part failed")
+            screen_rows(query32, pool, sums)
+
+        before = threading.active_count()
+        divergence._screen_sums(query, pool)
+        assert threading.active_count() == before
+        monkeypatch.setattr(divergence, "_screen_rows", failing_part)
+        with pytest.raises(ValueError, match="a part failed"):
+            divergence._screen_sums(query, pool)
+        assert threading.active_count() == before
+
+    def test_a_runtime_warning_in_a_worker_is_an_error(self, monkeypatch):
+        # a worker starts with numpy's default errstate, which warns on a
+        # log of 0; the "error" filter is the process's, so it raises there
+        rng = np.random.default_rng(0)
+        query, pool = self.score_rows(rng, 4), self.score_rows(rng, 12)
+        monkeypatch.setattr(divergence, "_screen_workers", lambda: 2)
+        screen_rows, caller = divergence._screen_rows, threading.current_thread()
+
+        def warning_part(query32, pool, sums):
+            screen_rows(query32, pool, sums)
+            if threading.current_thread() is not caller:
+                np.log(np.zeros(1, np.float32))
+
+        monkeypatch.setattr(divergence, "_screen_rows", warning_part)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                divergence._screen_sums(query, pool)
+        assert threading.active_count() == before

@@ -1032,6 +1032,25 @@ class TestExitCodes:
         assert out.read_bytes() == b"an earlier output" if existing else not out.exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-tokens", "existing-tokens"])
+    def test_unwritable_run_report_leaves_the_tokens_as_they_were(self, tmp_path, capsys,
+                                                                   existing):
+        # the file backend's tokens and the report land together or not at all
+        rng = np.random.default_rng(0)
+        save_grid(random_grid(rng, 4, 5), tmp_path / "g.pnct")
+        save_pool(random_pool(rng, 4, 5, width=2, region=(2, 2)), tmp_path / "p.pnct")
+        tokens, report = tmp_path / "t.pnct", tmp_path / "no-such-dir" / "r.json"
+        if existing:
+            tokens.write_bytes(b"an earlier output")
+        (tmp_path / "c.json").write_text(json.dumps({"backend": "file", "files": {
+            "query_scores": str(tmp_path / "g.pnct"), "pool": str(tmp_path / "p.pnct"),
+            "out_tokens": str(tokens)}}))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"), "--out", str(report)])
+        assert code == 2
+        assert str(report) in capsys.readouterr().err
+        assert tokens.read_bytes() == b"an earlier output" if existing else not tokens.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("case", ["config-query-scores", "manifest-prompt", "decode-out",
                                       "decode-out-directory"])
     def test_unreadable_path_is_2(self, tmp_path, capsys, case):
