@@ -7,7 +7,6 @@ divergence-weighted nearest pool entries, then decode and evaluate.
 __version__ = "0.1.0"
 
 from .divergence import (
-    CodebookDistribution,
     CodebookSpec,
     pairwise_divergence,
 )
@@ -42,11 +41,9 @@ from .pool import (
     score_prompt,
 )
 from .retrieval import (
-    FeatureMap,
     FeatureVector,
     RetrievalIndex,
     RetrievedSet,
-    flatten_normalize,
     top_m,
 )
 from .smoothing import (
@@ -75,13 +72,11 @@ from .tensorfile import read_tensor, write_tensor
 __all__ = [
     "Aggregation",
     "BiasedScorerParams",
-    "CodebookDistribution",
     "CodebookSpec",
     "ConfigError",
     "DimensionError",
     "DivergenceKind",
     "EvalReport",
-    "FeatureMap",
     "FeatureVector",
     "FileScorerBackend",
     "FormatError",
@@ -105,7 +100,6 @@ __all__ = [
     "aggregate_sequences",
     "build_pool",
     "decode_argmax",
-    "flatten_normalize",
     "generate_world",
     "iou",
     "load_config",

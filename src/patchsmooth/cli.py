@@ -125,7 +125,11 @@ def _retrieved_from_json(path) -> RetrievedSet:
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_path):
-    """Build the per-patch prompt pool for one retrieved set."""
+    """Build the per-patch prompt pool for one retrieved set. The backend
+    comes from ``--backend`` alone; a ``--config`` is checked under either."""
+    config = load_config(config_path)
+    if backend == "synth" and scores_dir is not None:
+        raise click.UsageError("--scores is for the file backend, not --backend synth")
     retrieved = _retrieved_from_json(retrieved_path)
     named = retrieved_path  # the files whose ids the backend resolves
     if backend == "file":
@@ -134,7 +138,7 @@ def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_p
         scorer = FileScorerBackend(scores_dir)
         named = f"{retrieved_path}, {Path(scores_dir) / 'manifest.json'}"
     else:
-        scorer = SyntheticScorerBackend(*synth_world(load_config(config_path)))
+        scorer = SyntheticScorerBackend(*synth_world(config))
     try:
         pool = build_pool(scorer, retrieved, retrieved.query_id, mode=PoolMode(mode), seed=seed)
     except MissingItemError as exc:  # an id the backend cannot resolve: a value refused
@@ -289,6 +293,9 @@ def run(config_path, out_path, seed, m, alpha, tau, k):
     config = load_config(config_path, _flag_overrides(
         world={"seed": seed}, retrieval={"m": m}, smoothing={"alpha": alpha, "tau": tau, "k": k},
     ))
+    for flag, value in (("--m", m), ("--seed", seed)):
+        if value is not None and config["backend"] == "file":  # the pool file fixes m
+            raise click.UsageError(f"{flag} is for the synth backend, not a file-backend run")
     report, tensors = pipeline_outputs(config)
     write_files([(path, tensor_chunks(array, meta)) for path, (array, meta) in tensors.items()]
                 + [(out_path, json_chunks(report.to_dict()))])  # all or none

@@ -28,7 +28,10 @@ pair's sum runs in the same order, whatever else its call holds, so
 JS(p, p) and KL(p || p) are exactly 0 and JS is exactly symmetric. Pairs
 run in blocks of ``BLOCK_ELEMENTS`` elements, each gathering its rows,
 so the temporaries do not grow with the pairs; only KL's log of the
-query is as large as the query. Both results are clamped at 0.
+query is as large as the query. Both results are clamped at 0. l2
+runs over the same pairs, blocks and checks, on any finite rows, and
+ignores cached negentropies: each value is the square root of the
+difference's BLAS dot, as ``np.linalg.norm`` takes it.
 
 ``screened_js`` finds each of R query rows' k JS-nearest among N
 candidates without the exact kernel on all R * N pairs. One float32 pass
@@ -43,8 +46,8 @@ candidate when its lower bound reaches its row's k-th smallest upper
 bound; survivors get ``pairwise_divergence``, the others +inf, in the
 (R, N) matrix the dense kernel fills. An unproven band (``_gamma32``)
 is infinite, and a survivor outside its band makes every pair exact;
-``retrieval.top_m`` screens with the same rule. KL, and every JS
-comparison outside ``screened_js``, run on the dense kernel alone.
+``retrieval.top_m`` screens with the same rule. KL, l2 and every JS
+comparison outside ``screened_js`` run on the dense kernel alone.
 """
 
 from __future__ import annotations
@@ -221,8 +224,10 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, rows, cols, kind: s
     ``kind="js"`` the symmetric JS. Both operands are taken to be
     distributions already (see ``simplex_rows``). A caller that compares
     the same rows again passes their (R,) and (N,) ``negentropy``.
+    ``kind="l2"`` computes the l2 distance ||pool[c] - query[r]|| of any
+    finite rows and ignores the cached negentropies.
     """
-    if kind not in ("js", "kl"):
+    if kind not in ("js", "kl", "l2"):
         raise ValidationError(f"unknown divergence kind {kind!r}")
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
@@ -236,11 +241,16 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, rows, cols, kind: s
     for index, side, name in ((rows, query, "row"), (cols, pool, "column")):
         if index.size and not 0 <= index.min() <= index.max() < len(side):
             raise DimensionError(f"a {name} index is outside [0, {len(side)})")
-    pool_negentropy = _cached_negentropy(pool_negentropy, pool, "pool")
     width = pool.shape[1]
     step = _block_rows(width)
-    work = np.empty((min(len(rows), step), width))
     sums = np.empty(len(rows))
+    if kind == "l2":  # each the square root of one BLAS dot, as np.linalg.norm takes it
+        for start in range(0, len(rows), step):
+            diff = pool[cols[start:start + step]] - query[rows[start:start + step]]
+            sums[start:start + len(diff)] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        return np.sqrt(sums).reshape(shape)
+    pool_negentropy = _cached_negentropy(pool_negentropy, pool, "pool")
+    work = np.empty((min(len(rows), step), width))
     if kind == "kl":
         # sums[i] = sum_j pool[c, j] ln query[r, j], added up in the same
         # order as the negentropy (a BLAS matrix-vector product is not), so

@@ -22,14 +22,15 @@ the sort breaks ties in that order. What was selected comes back as four
 ``weight``.
 
 The scope decides only which (patch, candidate) pairs exist: (l, j * L + l)
-per patch, every (l, n) over all patches. One call of the distance kernel
-over those pairs fills the dense matrix. For JS over score keys in the
-all-patch scope, ``divergence.screened_js`` fills it instead: one float32
-pass ranks every pair with a proven error bound, and only the pairs whose
-band reaches the k-th smallest upper bound (k to 2k per patch on typical
-scores) get their exact distance, the others +inf, which sorts last. An
-unproven or disproved bound makes every distance exact: selection and
-blend are bit-identical either way.
+per patch, every (l, n) over all patches. One ``pairwise_divergence`` call
+over those pairs fills the dense matrix: JS or KL over score keys, l2 over
+feature and patch keys (``smooth_features`` calls it per patch). For JS
+over score keys in the all-patch scope, ``divergence.screened_js`` fills
+it instead: one float32 pass ranks every pair with a proven error bound,
+and only the pairs whose band reaches the k-th smallest upper bound (k to
+2k per patch on typical scores) get their exact distance, the others
++inf, which sorts last. An unproven or disproved bound makes every
+distance exact: selection and blend are bit-identical either way.
 
 Several configs that share scope, key and divergence smooth one grid
 against one pool in one call (``_smooth_configs``; ``smooth_grid`` is
@@ -52,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import _block_rows, frozen, pairwise_divergence, screened_js, simplex_rows
+from .divergence import frozen, pairwise_divergence, screened_js, simplex_rows
 from .errors import ConfigError, DimensionError, ValidationError
 from .pool import PromptPool, ScoreGrid
 
@@ -216,20 +217,6 @@ def _aggregation_weights(distances: np.ndarray, config: SmoothingConfig) -> np.n
     return weights
 
 
-def _l2_distances(query, candidates, rows, cols) -> np.ndarray:
-    """l2 distance of candidate row ``cols[i]`` to query row ``rows[i]``
-    over pairs and blocks as ``pairwise_divergence`` takes them. Each is the
-    square root of a BLAS dot, as ``np.linalg.norm`` of the difference."""
-    rows, cols = np.broadcast_arrays(rows, cols)
-    out = np.empty(rows.shape)
-    rows, cols, flat = rows.ravel(), cols.ravel(), out.reshape(-1)
-    step = _block_rows(query.shape[1])
-    for start in range(0, len(flat), step):
-        diff = candidates[cols[start:start + step]] - query[rows[start:start + step]]
-        flat[start:start + len(diff)] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-    return out
-
-
 def _select_and_blend(rows, distances, values, index, config: SmoothingConfig):
     """Blend every row of ``rows`` (R, D) with its k nearest candidates.
 
@@ -258,8 +245,9 @@ def _select_and_blend(rows, distances, values, index, config: SmoothingConfig):
 
 def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
     """The (L, d) query rows and (W, L, d) pool rows that ``config.key``
-    compares, and the ``pairwise_divergence`` kind that compares them, or
-    None for l2 (``_l2_distances``)."""
+    compares, and the ``pairwise_divergence`` kind that compares them:
+    the config's divergence for score keys, "l2" for feature and patch
+    keys."""
     if config.key is NeighborKey.SCORE:
         return grid.probs, pool.probs, config.divergence.value
     name = "feature_keys" if config.key is NeighborKey.FEATURE else "patch_keys"
@@ -272,7 +260,7 @@ def _selection_keys(grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig):
         raise DimensionError(
             f"pool {name} have length {pool_keys.shape[2]}, query keys {query_keys.shape[1]}"
         )
-    return query_keys, pool_keys, None
+    return query_keys, pool_keys, "l2"
 
 
 def smooth_grid(query_grid: ScoreGrid, pool: PromptPool, config: SmoothingConfig) -> SmoothedGrid:
@@ -310,13 +298,11 @@ def _smooth_configs(query_grid: ScoreGrid, pool: PromptPool, configs) -> list[Sm
         index = entries * patches + patch[:, None]
     else:  # candidate j * L + l is pool entry (entries[j], l)
         index, kept = (entries[:, None] * patches + patch).ravel(), [n * patches for n in kept]
-    screened = (first.scope, first.key, first.divergence) == (
-        PoolScope.ALL_PATCH, NeighborKey.SCORE, DivergenceKind.JS)
+    screened = first.scope is PoolScope.ALL_PATCH and kind == "js"
     if screened:  # candidate rows in column order, not copied when already so
         rows = flat if (entries == np.arange(len(entries))).all() else flat[index]
     else:  # the dense matrix, one call; all-patch grows as W * L**2
-        dense = (_l2_distances(query, flat, patch[:, None], index) if kind is None
-                 else pairwise_divergence(query, flat, patch[:, None], index, kind))
+        dense = pairwise_divergence(query, flat, patch[:, None], index, kind)
     smoothed = []
     for config, n in zip(configs, kept):
         # +inf where the screen rules a pair out
@@ -355,8 +341,8 @@ def smooth_features(query_features, pools, config: SmoothingConfig) -> np.ndarra
             )
         if len(vectors):
             index = np.arange(len(vectors))
-            out[l] = _select_and_blend(query[l:l + 1], _l2_distances(query, vectors, l, index[None]),
-                                       vectors, index, config)[0][0]
+            distances = pairwise_divergence(query, vectors, l, index[None], "l2")
+            out[l] = _select_and_blend(query[l:l + 1], distances, vectors, index, config)[0][0]
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import warnings
@@ -344,7 +345,7 @@ class TestPairwise:
         with pytest.raises(DimensionError):  # a query is (R, V), never one (V,) row
             pairwise_divergence(dist(0.5, 0.5), rows(dist(0.5, 0.5)), 0, 0)
 
-    @given(distribution_pairs(), st.sampled_from(["js", "kl"]))
+    @given(distribution_pairs(), st.sampled_from(["js", "kl", "l2"]))
     @settings(max_examples=100)
     def test_matches_scalar_calls_exactly(self, pair, kind):
         query, other = pair
@@ -352,6 +353,21 @@ class TestPairwise:
         out = pairwise_divergence(query[None], rows(*pool), 0, np.arange(3), kind=kind)
         expected = [divergence_of(kind, entry, query) for entry in pool]
         assert list(out) == expected
+        if kind == "l2":
+            assert list(out) == [np.linalg.norm(entry - query) for entry in pool]
+
+    @pytest.mark.parametrize("width", [1, 2, 31, 300, 5000, 9999])
+    def test_l2_is_the_norm_of_each_difference(self, width):
+        # any finite rows, not only distributions; bit for bit below the
+        # 10,000 elements beyond which OpenBLAS may split a dot across threads
+        rng = np.random.default_rng(width)
+        query, pool = rng.normal(size=(3, width)), rng.normal(size=(4, width)) * 1e3
+        pool[0] = query[1]  # distance exactly 0
+        r, c = rng.permutation(3)[:, None], rng.permutation(4)[None]
+        got = pairwise_divergence(query, pool, r, c, kind="l2")
+        expected = [[np.linalg.norm(pool[j] - query[i]) for j in c[0]] for i in r[:, 0]]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert (got == 0.0).sum() == 1
 
     @given(distribution_pairs())
     @settings(max_examples=100)
@@ -484,12 +500,15 @@ class TestEntropyKernel:
         if kind == "kl":  # +inf exactly where the pool row has mass the query row lacks
             unsupported = ((pool[c] > 0.0) & (query[r] == 0.0)).any(axis=-1)
             np.testing.assert_array_equal(np.isinf(got), unsupported)
+        if kind == "l2":  # the 1-d norm is a BLAS dot (with axis=, a pairwise sum)
+            norms = [np.linalg.norm(d) for d in np.reshape(pool[c] - query[r], (-1, pool.shape[1]))]
+            assert got.ravel().tobytes() == np.array(norms).tobytes()
         np.testing.assert_array_equal(
             got, pairwise_divergence(query, pool, r, c, kind=kind,
                                      query_negentropy=negentropy(query),
                                      pool_negentropy=negentropy(pool)))
 
-    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
+    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl", "l2"]))
     @example(139975, "js")  # draws two all-zero rows
     @settings(max_examples=30, deadline=None)
     def test_blocks_agree_exactly_with_single_rows(self, seed, kind):
@@ -503,7 +522,7 @@ class TestEntropyKernel:
         r, c = rng.permutation(len(query))[:, None], rng.permutation(len(pool))[None]
         self.assert_pairs_match_single_pairs(query, pool, r, c, kind)
 
-    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl"]))
+    @given(st.integers(0, 10**6), st.sampled_from(["js", "kl", "l2"]))
     @settings(max_examples=30, deadline=None)
     def test_row_by_row_query_matches_single_rows(self, seed, kind):
         # row i against row i, then a flat list of pairs with repeats in
@@ -521,9 +540,10 @@ class TestEntropyKernel:
         pool = rows(dist(0.5, 0.5), dist(0.2, 0.8))
         with pytest.raises(DimensionError):  # query row 1 of a one-row query
             pairwise_divergence(pool[:1], pool, [0, 1], [0, 1])
-        for r, c in ((-1, 0), (0, -1), (2, 0), (0, 2), ([0, 1], [[0], [5]])):
+        for (r, c), kind in itertools.product(
+                ((-1, 0), (0, -1), (2, 0), (0, 2), ([0, 1], [[0], [5]])), ("js", "kl", "l2")):
             with pytest.raises(DimensionError):
-                pairwise_divergence(pool, pool, r, c)
+                pairwise_divergence(pool, pool, r, c, kind=kind)
         with pytest.raises(DimensionError):
             pairwise_divergence(pool, pool, 0, 0, query_negentropy=0.0)
         with pytest.raises(DimensionError):

@@ -655,6 +655,19 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--m", "1"), ("--seed", "5"), ("--seed", "-1")],
+                             ids=["m", "seed", "negative-seed"])
+    def test_world_flag_in_a_file_backend_run_is_2(self, tmp_path, capsys, flag, value):
+        # a file-backend run takes m from its pool and seeds no world: a
+        # flag it would ignore is refused, naming it, before any write
+        _, _, config = file_backend_setup(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code = run_cli(["run", "--config", str(tmp_path / "c.json"), flag, value,
+                        "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert f"{flag} is for the synth backend" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "out.pnct").exists()
+
     def test_non_finite_scorer_weight_in_config_is_2(self, tmp_path, capsys):
         # Python's JSON reader accepts the NaN literal
         (tmp_path / "c.json").write_text('{"scorer": {"beta_pair": NaN}}')
@@ -1282,6 +1295,9 @@ class TestExitCodes:
         "divergence-run": (2, "invalid smoothing section"),
         "divergence-smooth": (2, "invalid smoothing section"),
         "pool-file-no-scores": (2, "--scores is required"),
+        # pool checks its --config under either backend, before it writes
+        "pool-file-bad-config": (2, "invalid JSON"),
+        "pool-synth-scores": (2, "--scores is for the file backend"),
         "scorer-zero-mass": (2, "positive total mass"),
         "scorer-coupling": (2, "similarity coupling must lie in [0, 1]"),
         "synth-run-no-queries": (2, "at least one query"),
@@ -1315,6 +1331,7 @@ class TestExitCodes:
         text = {  # JSON the parser cannot hold
             "config-too-deep": '{"smoothing": ' + "[" * 200_000 + "]" * 200_000 + "}",
             "config-long-int": '{"queries": {"n": ' + "1" * 5000 + "}}",
+            "pool-file-bad-config": '{"bogus": 1',
             "tau-1e400": '{"smoothing": {"tau": 1e400}}',
             "tau-infinity": '{"smoothing": {"tau": Infinity}}',
         }.get(case) or json.dumps(config)
@@ -1327,6 +1344,15 @@ class TestExitCodes:
         elif case == "pool-file-no-scores":
             argv = ["pool", "--backend", "file", "--retrieved", str(tmp_path / "r.json"),
                     "--out", str(out)]
+        elif case == "pool-file-bad-config":
+            argv = ["pool", "--backend", "file", "--scores", str(tmp_path / "scores"),
+                    "--retrieved", str(tmp_path / "r.json"), "--config", str(tmp_path / "c.json"),
+                    "--out", str(out)]
+        elif case == "pool-synth-scores":  # a retrieved set the synth world resolves
+            (tmp_path / "r.json").write_text(json.dumps({"query": "item0004",
+                                                         "items": [["item0000", 0.9]]}))
+            argv = ["pool", "--backend", "synth", "--scores", str(tmp_path / "scores"),
+                    "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
         elif case == "synth-run-no-queries":
             argv = ["synth-run", "--queries", "0", "--report", str(out)]
         elif case == "synth-run-tau-inf":

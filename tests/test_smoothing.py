@@ -832,8 +832,7 @@ class TestTopMCandidates:
                 return kernel(query, candidates, rows, cols, *args, **kwargs)
             return counting
 
-        for name in ("pairwise_divergence", "_l2_distances"):
-            monkeypatch.setattr(smoothing, name, spy(getattr(smoothing, name)))
+        monkeypatch.setattr(smoothing, "pairwise_divergence", spy(smoothing.pairwise_divergence))
         screened = (scope, divergence, key) == (
             PoolScope.ALL_PATCH, DivergenceKind.JS, NeighborKey.SCORE)
         for seed, m in itertools.product(range(3), (1, 2, 4)):
