@@ -20,7 +20,8 @@ import click
 import numpy as np
 
 from .divergence import frozen
-from .errors import DimensionError, FormatError, MissingItemError, PatchSmoothError, refused_in
+from .errors import (ConfigError, DimensionError, FormatError, MissingItemError, PatchSmoothError,
+                     refused_in)
 from .metrics import EvalReport, decode_argmax, iou, mse, pixel_accuracy
 from .pipeline import load_config, pipeline_outputs, synth_world
 from .pool import (
@@ -116,25 +117,26 @@ def _retrieved_from_json(path) -> RetrievedSet:
 
 
 @cli.command("pool")
-@click.option("--backend", type=click.Choice(["file", "synth"]), default="file")
 @click.option("--scores", "scores_dir", type=click.Path(exists=True), default=None,
-              help="Directory of exported score tensors (file backend).")
+              help="Directory of exported score tensors; given, the file backend scores the pool.")
 @click.option("--retrieved", "retrieved_path", required=True, type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice([m.value for m in PoolMode]), default="q")
 @click.option("--seed", type=int, default=None, help="Anchor sampling seed (rand mode).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def pool_cmd(backend, scores_dir, retrieved_path, mode, seed, out_path, config_path):
-    """Build the per-patch prompt pool for one retrieved set. The backend
-    comes from ``--backend`` alone; a ``--config`` is checked under either."""
+def pool_cmd(scores_dir, retrieved_path, mode, seed, out_path, config_path):
+    """Build the per-patch prompt pool for one retrieved set. Given
+    ``--scores``, the file backend scores it, as a flag overrides the
+    config; otherwise the config's ``backend`` does, and ``synth`` reads
+    the config's ``world`` and ``scorer`` sections."""
     config = load_config(config_path)
-    if backend == "synth" and scores_dir is not None:
-        raise click.UsageError("--scores is for the file backend, not --backend synth")
+    if config["backend"] not in ("synth", "file"):
+        raise ConfigError(f"unknown backend {config['backend']!r}; choose synth or file")
+    if config["backend"] == "file" and scores_dir is None:
+        raise click.UsageError("--scores is required by the config's backend file")
     retrieved = _retrieved_from_json(retrieved_path)
     named = retrieved_path  # the files whose ids the backend resolves
-    if backend == "file":
-        if scores_dir is None:
-            raise click.UsageError("--scores is required for the file backend")
+    if scores_dir is not None:
         scorer = FileScorerBackend(scores_dir)
         named = f"{retrieved_path}, {Path(scores_dir) / 'manifest.json'}"
     else:
@@ -181,6 +183,9 @@ def smooth(query_path, pool_path, k, alpha, tau, div, key, agg, scope, out_path,
         "k": k, "alpha": alpha, "tau": tau, "divergence": div,
         "key": key, "aggregation": agg, "scope": scope,
     }))
+    if config["smoothing"]["key"] == "score" and (query_keys_path or pool_keys_path):
+        raise click.UsageError("--query-keys and --pool-keys are for feature or patch keys, "
+                               "not score keys")
     grid, shape = load_grid(query_path)
     pool = load_pool(pool_path)
     grid, pool = _with_keys(grid, query_keys_path), _with_keys(pool, pool_keys_path)

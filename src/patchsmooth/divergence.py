@@ -198,6 +198,8 @@ def negentropy(rows) -> np.ndarray:
     divergence this module computes.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 0 or rows.shape[-1] == 0:
+        raise DimensionError(f"negentropy needs rows of width >= 1, got shape {rows.shape}")
     flat = rows.reshape(-1, rows.shape[-1])
     out = np.empty(len(flat))
     step = _block_rows(flat.shape[1])
@@ -231,8 +233,8 @@ def pairwise_divergence(query: np.ndarray, pool: np.ndarray, rows, cols, kind: s
         raise ValidationError(f"unknown divergence kind {kind!r}")
     query = np.asarray(query, dtype=np.float64)
     pool = np.asarray(pool, dtype=np.float64)
-    if query.ndim != 2 or pool.ndim != 2 or query.shape[1] != pool.shape[1]:
-        raise DimensionError(f"expected an (R, V) query and an (N, V) pool, "
+    if query.ndim != 2 or pool.ndim != 2 or query.shape[1] != pool.shape[1] or not pool.shape[1]:
+        raise DimensionError(f"expected an (R, V) query and an (N, V) pool, V >= 1, "
                              f"got {query.shape} and {pool.shape}")
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.shape != cols.shape:

@@ -56,14 +56,16 @@ def _check_mask(prompt: PromptSpec | None, patches: int, owner: str) -> None:
 
 
 def _frozen_keys(keys, leading: tuple[int, ...], name: str):
-    """Optional key array whose leading axes must match ``leading`` and
-    whose entries must be finite, as a read-only float64 array that
-    ``frozen`` keeps or copies."""
+    """Optional key array whose leading axes must match ``leading``, whose
+    rows must not be empty and whose entries must be finite, as a
+    read-only float64 array that ``frozen`` keeps or copies."""
     if keys is None:
         return None
     array = np.asarray(keys, dtype=np.float64)
     if array.ndim != len(leading) + 1 or array.shape[:-1] != leading:
         raise DimensionError(f"{name} must be ({', '.join(map(str, leading))}, dim), got {array.shape}")
+    if array.shape[-1] == 0:
+        raise DimensionError(f"{name} of shape {array.shape} have rows of width 0")
     if not np.isfinite(array).all():
         raise ValidationError(f"{name} contain non-finite entries")
     return frozen(array, keys)
@@ -209,13 +211,15 @@ def build_pool(
     and vary only the anchor: SEQ walks x_2..x_m in order, RAND draws m-1
     anchors uniformly without replacement from all retrieved inputs (the
     best input itself included), so both produce pools of width m-1.
+    RAND needs a ``seed``, and no other mode takes one.
     """
     item_ids = list(retrieved.ids)
     m = len(item_ids)
     if mode in (PoolMode.SEQ, PoolMode.RAND) and m < 2:
         raise ConfigError(f"mode {mode.value} needs m >= 2, got {m}")
-    if mode is PoolMode.RAND and seed is None:
-        raise ConfigError("mode rand requires a seed")
+    if (mode is PoolMode.RAND) != (seed is not None):  # no other mode draws
+        raise ConfigError("mode rand requires a seed" if seed is None
+                          else f"a seed is for mode rand, not mode {mode.value}")
 
     region = backend.grid_shape
     prompts: list[PromptSpec] = []

@@ -549,6 +549,17 @@ class TestEntropyKernel:
         with pytest.raises(DimensionError):
             pairwise_divergence(pool, pool, 0, 0, query_negentropy=np.zeros(3))
 
+    @pytest.mark.parametrize("kind", ["js", "kl", "l2"])
+    def test_rows_of_width_zero_are_refused(self, kind):
+        # a typed error, not a block size divided by the width
+        with pytest.raises(DimensionError, match="V >= 1"):
+            pairwise_divergence(np.empty((2, 0)), np.empty((3, 0)), 0, np.arange(3), kind=kind)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (3, 2, 0)])
+    def test_negentropy_of_width_zero_is_refused(self, shape):
+        with pytest.raises(DimensionError, match="width >= 1"):
+            negentropy(np.empty(shape))
+
     def test_negentropy_rows(self):
         rows = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [5e-324, 1.0]]])
         np.testing.assert_allclose(

@@ -313,7 +313,7 @@ class TestCliFlow:
         assert len(retrieved["items"]) == 3
 
         code = run_cli([
-            "pool", "--backend", "file", "--scores", str(scores),
+            "pool", "--scores", str(scores),
             "--retrieved", str(tmp_path / "retrieved.json"),
             "--mode", "q", "--out", str(tmp_path / "pool.pnct"),
         ])
@@ -540,7 +540,7 @@ class TestCliFlow:
             "items": [["item0000", 0.9], ["item0001", 0.8]],
         }))
         code = run_cli([
-            "pool", "--backend", "synth", "--retrieved", str(retrieved_path),
+            "pool", "--retrieved", str(retrieved_path),
             "--config", str(config_path), "--mode", "self",
             "--out", str(tmp_path / "pool.pnct"),
         ])
@@ -549,6 +549,18 @@ class TestCliFlow:
         assert pool.mode == PoolMode.SELF
         assert pool.width == 2
         assert pool.patch_count == 4
+
+    @pytest.mark.parametrize("backend", ["synth", "file"])
+    def test_scores_flag_overrides_the_config_backend(self, tmp_path, backend):
+        # the retrieved ids are exported pairs no synthetic world holds
+        scores, _, _ = file_backend_setup(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"backend": backend,
+                                                     "world": {"rows": 2, "cols": 2}}))
+        argv = ["pool", "--scores", str(scores), "--retrieved", str(tmp_path / "r.json")]
+        assert run_cli(argv + ["--out", str(tmp_path / "flag.pnct")]) == 0
+        assert run_cli(argv + ["--config", str(tmp_path / "c.json"),
+                               "--out", str(tmp_path / "config.pnct")]) == 0
+        assert (tmp_path / "config.pnct").read_bytes() == (tmp_path / "flag.pnct").read_bytes()
 
     def test_decode_raw_score_grid_uses_prompt_shape(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -741,7 +753,7 @@ class TestExitCodes:
         if document == "config":
             argv = ["run", "--config", str(path), "--out", str(tmp_path / "report.json")]
         else:
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.pnct")]
         # an unreadable path is a configuration error, undecodable bytes are
         # what invalid JSON is at that site
@@ -767,7 +779,7 @@ class TestExitCodes:
             "beyond-float"])
     def test_malformed_retrieved_set_is_3(self, tmp_path, capsys, text):
         (tmp_path / "r.json").write_text(text)
-        code = run_cli(["pool", "--backend", "synth", "--retrieved", str(tmp_path / "r.json"),
+        code = run_cli(["pool", "--retrieved", str(tmp_path / "r.json"),
                         "--out", str(tmp_path / "p.pnct")])
         assert code == 3
         assert str(tmp_path / "r.json") in capsys.readouterr().err
@@ -785,7 +797,7 @@ class TestExitCodes:
         # file backend resolves it through its manifest, so both are named
         scores, _, _ = file_backend_setup(tmp_path)
         (tmp_path / "r.json").write_text(json.dumps({"query": query, "items": [[item, 0.9]]}))
-        argv = ["pool", "--backend", backend, "--retrieved", str(tmp_path / "r.json"),
+        argv = ["pool", "--retrieved", str(tmp_path / "r.json"),
                 "--out", str(tmp_path / "o.pnct")]
         if backend == "file":
             argv += ["--scores", str(scores)]
@@ -917,7 +929,7 @@ class TestExitCodes:
         if role == "decode":
             argv = ["decode", "--in", str(path), "--out", str(out)]
         elif role == "prompt":
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
         else:
             argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
@@ -1080,7 +1092,7 @@ class TestExitCodes:
             missing.unlink()
             (tmp_path / "r.json").write_text(json.dumps(
                 {"query": "query", "items": [["s0", 0.9], ["s1", 0.8]]}))
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.json")]
         else:
             if case == "decode-out-directory":
@@ -1152,7 +1164,7 @@ class TestExitCodes:
         if role == "decode":
             argv = ["decode", "--in", str(path), "--out", str(out)]
         elif role == "prompt":
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
         else:
             argv = ["smooth", "--query", str(tmp_path / "g.pnct"),
@@ -1221,7 +1233,7 @@ class TestExitCodes:
         if target == "manifest":
             manifest = scores / "manifest.json"
             manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(tmp_path / "o.pnct")]
         else:
             path = tmp_path / ("p.pnct" if target == "pool" else "g.pnct")
@@ -1246,6 +1258,7 @@ class TestExitCodes:
     #: the file whose shape each case refuses
     REFUSED_SHAPES = {
         "query-keys-shape": "qk.pnct", "pool-keys-shape": "pk.pnct",
+        "query-keys-width": "qk.pnct", "pool-keys-width": "pk.pnct",
         "grid-prompt-decode": "g.pnct", "grid-prompt-smooth": "g.pnct", "grid-prompt-run": "g.pnct",
         "pool-prompt": "p.pnct", "gt-length": "tokens.pnct", "exported-length": "scores/s1.pnct",
         "exported-width": "scores/s1.pnct",
@@ -1260,6 +1273,8 @@ class TestExitCodes:
         write_tensor(rng.normal(size=(2, 4, 3)).astype(np.float32), tmp_path / "pk.pnct")
         if case.endswith("keys-shape"):  # one patch short
             self.respoiled(tmp_path / refused, read_tensor(tmp_path / refused)[0][..., :3, :])
+        elif case.endswith("keys-width"):  # rows of width 0, between which no l2 is defined
+            self.respoiled(tmp_path / refused, read_tensor(tmp_path / refused)[0][..., :0])
         elif case.startswith("grid-prompt"):
             self.respoiled(tmp_path / refused, prompt=self.NINE_PATCH_PROMPT)
         elif case == "pool-prompt":
@@ -1274,7 +1289,7 @@ class TestExitCodes:
         if case == "grid-prompt-decode":
             argv = ["decode", "--in", str(tmp_path / "g.pnct"), "--out", str(out)]
         elif case.startswith("exported"):
-            argv = ["pool", "--backend", "file", "--scores", str(tmp_path / "scores"),
+            argv = ["pool", "--scores", str(tmp_path / "scores"),
                     "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
         elif case in ("grid-prompt-run", "gt-length"):
             config["files"]["out_tokens"] = str(out)
@@ -1294,10 +1309,16 @@ class TestExitCodes:
         "config-array": (2, "must hold a JSON object"),
         "divergence-run": (2, "invalid smoothing section"),
         "divergence-smooth": (2, "invalid smoothing section"),
-        "pool-file-no-scores": (2, "--scores is required"),
-        # pool checks its --config under either backend, before it writes
-        "pool-file-bad-config": (2, "invalid JSON"),
-        "pool-synth-scores": (2, "--scores is for the file backend"),
+        "pool-file-no-scores": (2, "--scores is required by the config's backend file"),
+        # pool checks its --config with or without --scores, before it writes
+        "pool-bad-config-scores": (2, "invalid JSON"),
+        "pool-bad-config-no-scores": (2, "invalid JSON"),
+        "pool-unknown-backend-scores": (2, "unknown backend 'nope'"),
+        "pool-unknown-backend-no-scores": (2, "unknown backend 'nope'"),
+        "pool-seed-mode-q": (2, "a seed is for mode rand, not mode q"),
+        # score keys read no key file, so one given is refused, not ignored
+        "smooth-score-key-both-keys": (2, "--query-keys and --pool-keys are for feature"),
+        "smooth-score-key-pool-keys": (2, "--query-keys and --pool-keys are for feature"),
         "scorer-zero-mass": (2, "positive total mass"),
         "scorer-coupling": (2, "similarity coupling must lie in [0, 1]"),
         "synth-run-no-queries": (2, "at least one query"),
@@ -1324,6 +1345,9 @@ class TestExitCodes:
             "scorer-zero-mass": {"scorer": {"beta_truth": 0.0, "beta_pair": 0.0,
                                             "epsilon_noise": 0.0}},
             "scorer-coupling": {"scorer": {"similarity_coupling": 2.0}},
+            "pool-file-no-scores": {"backend": "file"},
+            "pool-unknown-backend-scores": {"backend": "nope"},
+            "pool-unknown-backend-no-scores": {"backend": "nope"},
         }.get(case, {})
         if case.endswith("-beyond-float"):  # an int no float holds
             section, key = case.removesuffix("-beyond-float").split(".")
@@ -1331,7 +1355,8 @@ class TestExitCodes:
         text = {  # JSON the parser cannot hold
             "config-too-deep": '{"smoothing": ' + "[" * 200_000 + "]" * 200_000 + "}",
             "config-long-int": '{"queries": {"n": ' + "1" * 5000 + "}}",
-            "pool-file-bad-config": '{"bogus": 1',
+            "pool-bad-config-scores": '{"bogus": 1',
+            "pool-bad-config-no-scores": '{"bogus": 1',
             "tau-1e400": '{"smoothing": {"tau": 1e400}}',
             "tau-infinity": '{"smoothing": {"tau": Infinity}}',
         }.get(case) or json.dumps(config)
@@ -1341,24 +1366,27 @@ class TestExitCodes:
                   "--out", str(out)]
         if case == "divergence-smooth":
             argv = smooth + ["--config", str(tmp_path / "c.json")]
-        elif case == "pool-file-no-scores":
-            argv = ["pool", "--backend", "file", "--retrieved", str(tmp_path / "r.json"),
-                    "--out", str(out)]
-        elif case == "pool-file-bad-config":
-            argv = ["pool", "--backend", "file", "--scores", str(tmp_path / "scores"),
-                    "--retrieved", str(tmp_path / "r.json"), "--config", str(tmp_path / "c.json"),
-                    "--out", str(out)]
-        elif case == "pool-synth-scores":  # a retrieved set the synth world resolves
-            (tmp_path / "r.json").write_text(json.dumps({"query": "item0004",
-                                                         "items": [["item0000", 0.9]]}))
-            argv = ["pool", "--backend", "synth", "--scores", str(tmp_path / "scores"),
-                    "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
+        elif case.startswith("pool-"):
+            argv = ["pool", "--retrieved", str(tmp_path / "r.json"), "--out", str(out)]
+            if case == "pool-seed-mode-q":  # only rand draws anchors
+                argv += ["--mode", "q", "--seed", "1"]
+            else:
+                argv += ["--config", str(tmp_path / "c.json")]
+            if not case.endswith("no-scores"):
+                argv += ["--scores", str(tmp_path / "scores")]
         elif case == "synth-run-no-queries":
             argv = ["synth-run", "--queries", "0", "--report", str(out)]
         elif case == "synth-run-tau-inf":
             argv = ["synth-run", "--tau", "inf", "--report", str(out)]
         elif case == "smooth-tau-inf":
             argv = smooth + ["--tau", "inf"]
+        elif case.startswith("smooth-score-key"):
+            rng = np.random.default_rng(6)
+            write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
+            write_tensor(rng.normal(size=(2, 4, 3)).astype(np.float32), tmp_path / "pk.pnct")
+            argv = smooth + ["--pool-keys", str(tmp_path / "pk.pnct")]
+            if case.endswith("both-keys"):
+                argv += ["--query-keys", str(tmp_path / "qk.pnct")]
         elif case == "key-widths":
             rng = np.random.default_rng(6)
             write_tensor(rng.normal(size=(4, 3)).astype(np.float32), tmp_path / "qk.pnct")
@@ -1524,7 +1552,7 @@ def test_mutated_documents_end_in_an_exit_code(target, mutation):
             else:
                 path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
         if document == "manifest":
-            argv = ["pool", "--backend", "file", "--scores", str(scores),
+            argv = ["pool", "--scores", str(scores),
                     "--retrieved", str(tmp / "r.json"), "--out", str(tmp / "o.pnct")]
         else:
             argv = ["run", "--config", str(path), "--out", str(tmp / "report.json")]

@@ -119,12 +119,19 @@ class TestBuildPool:
 
     def test_mode_seq_rand_need_two_pairs(self):
         for mode in (PoolMode.SEQ, PoolMode.RAND):
-            with pytest.raises(ConfigError):
-                build_pool(StubScorer(), retrieved_set(["a"]), "q", mode=mode, seed=1)
+            with pytest.raises(ConfigError, match="needs m >= 2"):
+                build_pool(StubScorer(), retrieved_set(["a"]), "q", mode=mode,
+                           seed=1 if mode is PoolMode.RAND else None)
 
     def test_mode_rand_needs_seed(self):
         with pytest.raises(ConfigError):
             build_pool(StubScorer(), retrieved_set(["a", "b"]), "q", mode=PoolMode.RAND)
+
+    @pytest.mark.parametrize("mode", [PoolMode.Q, PoolMode.SELF, PoolMode.SEQ])
+    def test_seed_outside_rand_is_refused(self, mode):
+        # only rand draws anchors; a seed any other mode would ignore is refused
+        with pytest.raises(ConfigError, match=f"a seed is for mode rand, not mode {mode.value}"):
+            build_pool(StubScorer(), retrieved_set(["a", "b"]), "q", mode=mode, seed=5)
 
     def test_order_independence_of_per_patch_multisets(self):
         backend = StubScorer()
@@ -329,6 +336,18 @@ class TestKeyOwnership:
             else:
                 PromptPool(probs=probs, pair_indices=[1, 2], prompts=(), mode=None, m=2,
                            **{name: keys})
+
+    @pytest.mark.parametrize("owner", ["grid", "pool"])
+    @pytest.mark.parametrize("name", ["feature_keys", "patch_keys"])
+    def test_zero_width_keys_rejected(self, owner, name):
+        # no distance is defined between empty key rows
+        probs = np.random.default_rng(5).dirichlet(np.ones(4), size=(2, 3))
+        with pytest.raises(DimensionError, match=f"{name} of shape .* have rows of width 0"):
+            if owner == "grid":
+                ScoreGrid(probs=probs[1], **{name: np.empty((3, 0))})
+            else:
+                PromptPool(probs=probs, pair_indices=[1, 2], prompts=(), mode=None, m=2,
+                           **{name: np.empty((2, 3, 0))})
 
     def test_frozen_owned_keys_kept_uncopied(self):
         keys = np.random.default_rng(4).normal(size=(3, 5))

@@ -738,6 +738,11 @@ class TestSmoothFeatures:
             smooth_features(np.zeros((2, 3)), [np.zeros((1, 4)), np.zeros((1, 3))],
                             SmoothingConfig(m=1))
 
+    def test_zero_width_features_are_refused(self):
+        with pytest.raises(DimensionError, match="V >= 1"):
+            smooth_features(np.zeros((2, 0)), [np.zeros((1, 0)), np.zeros((2, 0))],
+                            SmoothingConfig(m=2))
+
 
 class TestAggregateSequences:
     def grid_of(self, *rows):
